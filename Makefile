@@ -16,6 +16,8 @@
 #   make bench-check   regression gate vs the committed BENCH_decode.json (+-25%)
 #   make bench-profile profiled gateway run -> run manifest + collapsed stacks
 #   make profile-check `repro diff` gate vs the committed BENCH_profile.json
+#   make bench-smoke   repo benchmark self-test + one rep of two gateway
+#                      workloads (catches a moved entry point bench/ wraps)
 #
 # Benchmark knobs (CI overrides these so it never rewrites the committed
 # baseline and gets extra slack for shared-runner jitter):
@@ -33,6 +35,7 @@
 #   PROFILE_TOLERANCE  allowed fractional drift per metric (wall times are
 #                      machine-dependent, so this is deliberately wide)
 #   PROFILE_SLACK      absolute grace on top of the tolerance
+#   BENCH_SMOKE_OUT    where bench-smoke writes the bench/run.py results
 #
 # Campaign knobs (defaults are the CI scale; the committed scenario's own
 # sweep section is the full 100/300/1000-node campaign):
@@ -68,7 +71,9 @@ CAMPAIGN_STACKS   ?= campaign_stacks.txt
 
 ANALYZE_OUT ?= analysis_findings.json
 
-.PHONY: lint analyze typecheck test soak check ci campaign bench-gateway bench-decode bench-cascade bench-capacity bench-check bench-profile profile-check
+BENCH_SMOKE_OUT ?= .bench_out/smoke.json
+
+.PHONY: lint analyze typecheck test soak check ci campaign bench-gateway bench-decode bench-cascade bench-capacity bench-check bench-profile profile-check bench-smoke
 
 lint:
 	$(PYTHON) tools/repro_lint.py --engine=ast src tools
@@ -117,6 +122,7 @@ ci:
 	$(MAKE) bench-check BENCH_BASELINE=BENCH_capacity.json BENCH_CANDIDATE=BENCH_capacity.ci.json BENCH_TOLERANCE=0.5 BENCH_SLACK=0.05
 	CI=1 $(MAKE) bench-profile BENCH_PROFILE_OUT=BENCH_profile.ci.json BENCH_STACKS_OUT=profile_stacks.ci.txt
 	$(MAKE) profile-check PROFILE_CANDIDATE=BENCH_profile.ci.json
+	$(MAKE) bench-smoke
 
 # The CI campaign job: scaled node-count sweep over the committed urban
 # scenario, with the Choir-vs-standard capacity ordering asserted at
@@ -172,3 +178,12 @@ profile-check:
 		$(PROFILE_BASELINE) $(PROFILE_CANDIDATE) \
 		--tolerance $(PROFILE_TOLERANCE) --slack $(PROFILE_SLACK) \
 		--assert-no-regression
+
+# The repo benchmark (bench/, BENCHMARK.json) at smoke size: its own
+# self-test, then one rep (plus the traced run) of the single-channel
+# collision and 8-channel mixed-SF workloads.  Fails when a refactor
+# moves or renames an entry point the harness wraps.
+bench-smoke:
+	$(PYTHON) -m pytest bench/tests -q
+	python3 bench/run.py --workload gw_collide_sf7 --workload gw_eu868_mixed \
+		--reps 1 --out $(BENCH_SMOKE_OUT)

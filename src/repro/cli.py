@@ -208,8 +208,6 @@ def cmd_gateway(args: argparse.Namespace) -> int:
         Gateway,
         GatewayConfig,
         IqFileSource,
-        ShardedGateway,
-        ShardedGatewayConfig,
         SyntheticTrafficSource,
     )
     from repro.gateway.sources import SampleSource
@@ -217,41 +215,50 @@ def cmd_gateway(args: argparse.Namespace) -> int:
     from repro.phy.params import ChannelPlan, LoRaParams
 
     sf_set = args.sf_set if args.sf_set is not None else (args.sf,)
-    multi_channel = args.channels > 1 or len(sf_set) > 1
     params = LoRaParams(spreading_factor=sf_set[0])
+    plan = (
+        ChannelPlan.eu868_style(args.channels)
+        if args.channels > 1 or len(sf_set) > 1
+        else None
+    )
     profile = bool(args.profile_out or args.stacks_out)
-    gateway: Gateway | ShardedGateway
-    if multi_channel:
-        if args.input is not None:
+    config = GatewayConfig(
+        params=params,
+        plan=plan,
+        sf_set=sf_set,
+        payload_len=args.payload_len,
+        n_workers=args.workers,
+        executor=args.executor,
+        queue_capacity=args.queue_capacity,
+        drop_policy=args.drop_policy,
+        decode_tier=args.decode_tier,
+        seed=args.seed,
+        trace=bool(args.trace_out),
+        trace_sample_rate=args.trace_sample_rate,
+        profile=profile,
+        profile_alloc=args.profile_alloc,
+    )
+    source: SampleSource
+    if args.input is not None:
+        if plan is not None:
             print("--input replay is single-channel only", file=sys.stderr)
             return 2
-        plan = ChannelPlan.eu868_style(args.channels)
-        sharded_config = ShardedGatewayConfig(
-            plan=plan,
-            sf_set=sf_set,
-            payload_len=args.payload_len,
-            n_workers=args.workers,
-            executor=args.executor,
-            queue_capacity=args.queue_capacity,
-            drop_policy=args.drop_policy,
-            decode_tier=args.decode_tier,
-            seed=args.seed,
-            trace=bool(args.trace_out),
-            trace_sample_rate=args.trace_sample_rate,
-            profile=profile,
-            profile_alloc=args.profile_alloc,
-        )
+        source = IqFileSource(params, args.input)
+        print(f"replaying {args.input}")
+    else:
+        # Round-robin layout: node i on channel i % n, SF sf_set[i % k]
+        # (per-node overrides need a plan; without one all share params).
         nodes = [
             NodeConfig(
                 node_id=i,
                 snr_db=args.snr,
                 period_s=args.period,
-                channel=i % plan.n_channels,
-                spreading_factor=sf_set[i % len(sf_set)],
+                channel=i % config.n_channels,
+                spreading_factor=None if plan is None else sf_set[i % len(sf_set)],
             )
             for i in range(args.nodes)
         ]
-        source: SampleSource = SyntheticTrafficSource(
+        source = SyntheticTrafficSource(
             params,
             nodes,
             duration_s=args.duration,
@@ -260,49 +267,14 @@ def cmd_gateway(args: argparse.Namespace) -> int:
             rng=args.seed,
         )
         print(
-            f"synthesizing {args.duration:.1f}s of wideband traffic:"
-            f" {args.nodes} node(s) across {plan.n_channels} channel(s),"
-            f" SF set {','.join(str(s) for s in sharded_config.sf_set)},"
+            f"synthesizing {args.duration:.1f}s of"
+            f" {'narrowband' if plan is None else 'wideband'} traffic:"
+            f" {args.nodes} node(s) across {config.n_channels} channel(s),"
+            f" SF set {','.join(str(s) for s in config.sf_set)},"
             f" period {args.period}s, {args.snr:.0f} dB SNR,"
             f" {len(source.transmitted)} packets"
         )
-        gateway = ShardedGateway(sharded_config)
-    else:
-        config = GatewayConfig(
-            params=params,
-            payload_len=args.payload_len,
-            n_workers=args.workers,
-            executor=args.executor,
-            queue_capacity=args.queue_capacity,
-            drop_policy=args.drop_policy,
-            decode_tier=args.decode_tier,
-            seed=args.seed,
-            trace=bool(args.trace_out),
-            trace_sample_rate=args.trace_sample_rate,
-            profile=profile,
-            profile_alloc=args.profile_alloc,
-        )
-        if args.input is not None:
-            source = IqFileSource(params, args.input)
-            print(f"replaying {args.input}")
-        else:
-            nodes = [
-                NodeConfig(node_id=i, snr_db=args.snr, period_s=args.period)
-                for i in range(args.nodes)
-            ]
-            source = SyntheticTrafficSource(
-                params,
-                nodes,
-                duration_s=args.duration,
-                payload_len=args.payload_len,
-                rng=args.seed,
-            )
-            print(
-                f"synthesizing {args.duration:.1f}s of traffic:"
-                f" {args.nodes} node(s), period {args.period}s, {args.snr:.0f} dB SNR,"
-                f" {len(source.transmitted)} packets"
-            )
-        gateway = Gateway(config)
+    gateway = Gateway(config)
     report = gateway.run(source)
     print(report.summary())
     if isinstance(source, SyntheticTrafficSource):
@@ -344,7 +316,7 @@ def cmd_gateway(args: argparse.Namespace) -> int:
         }
         _write_profile_artifacts(
             args,
-            "sharded-gateway" if multi_channel else "gateway",
+            "gateway",
             run_config,
             args.seed,
             digest=report_digest(report),
@@ -690,13 +662,13 @@ def main(argv: list[str] | None = None) -> int:
         "--channels",
         type=int,
         default=1,
-        help="channels in the (EU868-style) plan; >1 runs the sharded gateway",
+        help="channels in the (EU868-style) plan; >1 adds the channelizer",
     )
     gw.add_argument(
         "--sf-set",
         type=_parse_sf_set,
         default=None,
-        help="comma list of SFs to scan per channel (e.g. 7,8); implies sharding",
+        help="comma list of SFs to scan per channel (e.g. 7,8); implies a plan",
     )
     gw.add_argument("--nodes", type=int, default=2, help="synthetic node count")
     gw.add_argument(

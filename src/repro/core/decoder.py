@@ -105,11 +105,6 @@ class ChoirDecoder:
     refine:
         Enable the sub-bin residual-minimization refinement; disabling it
         reproduces the coarse-only ablation.
-    use_engine:
-        Route the preamble residual searches through the batched
-        :class:`repro.core.engine.ResidualEngine` paths (the default);
-        ``False`` selects the scalar reference loops, which produce the
-        same estimates ~an order of magnitude slower.
     """
 
     def __init__(
@@ -119,7 +114,6 @@ class ChoirDecoder:
         threshold_snr: float = 4.0,
         tier_ratio_db: float = 9.0,
         refine: bool = True,
-        use_engine: bool = True,
         rng: RngLike = None,
     ) -> None:
         self.params = params
@@ -127,7 +121,6 @@ class ChoirDecoder:
         self.threshold_snr = threshold_snr
         self.tier_ratio_db = tier_ratio_db
         self.refine = refine
-        self.use_engine = use_engine
         self._rng = ensure_rng(rng)
 
     # ------------------------------------------------------------------
@@ -171,7 +164,6 @@ class ChoirDecoder:
             threshold_snr=self.threshold_snr,
             max_users=max_users,
             refine=self.refine,
-            use_engine=self.use_engine,
             rng=self._rng,
         )
 

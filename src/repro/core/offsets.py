@@ -273,7 +273,6 @@ def estimate_delays(
     n_passes: int = 2,
     min_improvement: float = 1e-3,
     lobe_tie_rel: float = 1e-3,
-    use_engine: bool = True,
 ) -> np.ndarray:
     """Estimate each user's sub-symbol delay from the boundary glitch.
 
@@ -299,11 +298,8 @@ def estimate_delays(
     MAC keeps wake-up offsets small, and a too-large delay corrupts far
     more of the data-stage window model than a too-small one).
 
-    With ``use_engine`` (the default) each user's delay grid is scored as
-    one batched Schur-complement pass against a
-    :class:`repro.core.engine.CandidateView` of the other users;
-    ``use_engine=False`` keeps the original per-trial
-    :func:`repro.core.residual.residual_power` loop as the reference.
+    Each user's delay grid is scored as one batched Schur-complement pass
+    against a :class:`repro.core.engine.CandidateView` of the other users.
     """
     rows = np.atleast_2d(np.asarray(dechirped_windows_arr))
     positions = np.atleast_1d(np.asarray(positions_bins, dtype=float))
@@ -321,55 +317,36 @@ def estimate_delays(
     for k in range(positions.size):
         slope = _phase_slope(channels[:, k])
         fracs[k] = (slope - positions[k]) % 1.0
-    engine = ResidualEngine(rows) if use_engine else None
+    engine = ResidualEngine(rows)
     for _ in range(n_passes):
         for k in strength_order:
             k = int(k)
             grid = fracs[k] + np.arange(0.0, max_delay_samples, coarse_step)
-            if engine is not None:
-                view = engine.view(positions, delays, k)
-                mu = float(positions[k])
-                current_cost = float(
-                    view.residuals(np.array([mu]), np.array([max(delays[k], 0.0)]))[0]
-                )
-                costs = view.residuals(
-                    np.full(grid.size, mu), np.maximum(grid, 0.0)
-                )
-                # Occam lobe tie-break: grid is ascending, take the first
-                # (smallest-delay) lobe within lobe_tie_rel of the best.
-                tied = np.nonzero(
-                    costs <= float(np.min(costs)) * (1.0 + lobe_tie_rel)
-                )[0]
-                best = int(tied[0])
-                candidate = view.minimize(
-                    grid[best] - 0.25,
-                    grid[best] + 0.25,
-                    tol=0.02,
-                    vary="delay",
-                    fixed=mu,
-                )
-                candidate_cost = float(
-                    view.residuals(np.array([mu]), np.array([max(candidate, 0.0)]))[0]
-                )
-                if candidate_cost < current_cost * (1.0 - min_improvement):
-                    delays[k] = max(candidate, 0.0)
-                continue
-
-            def fun(delta: float, k: int = k) -> float:
-                trial = delays.copy()
-                trial[k] = max(delta, 0.0)
-                return residual_power(rows, positions, trial)
-
-            current_cost = fun(delays[k])
-            costs = np.array([fun(delta) for delta in grid])
+            view = engine.view(positions, delays, k)
+            mu = float(positions[k])
+            current_cost = float(
+                view.residuals(np.array([mu]), np.array([max(delays[k], 0.0)]))[0]
+            )
+            costs = view.residuals(
+                np.full(grid.size, mu), np.maximum(grid, 0.0)
+            )
+            # Occam lobe tie-break: grid is ascending, take the first
+            # (smallest-delay) lobe within lobe_tie_rel of the best.
             tied = np.nonzero(
                 costs <= float(np.min(costs)) * (1.0 + lobe_tie_rel)
             )[0]
             best = int(tied[0])
-            candidate = golden_section_minimize(
-                fun, grid[best] - 0.25, grid[best] + 0.25, tol=0.02
+            candidate = view.minimize(
+                grid[best] - 0.25,
+                grid[best] + 0.25,
+                tol=0.02,
+                vary="delay",
+                fixed=mu,
             )
-            if fun(candidate) < current_cost * (1.0 - min_improvement):
+            candidate_cost = float(
+                view.residuals(np.array([mu]), np.array([max(candidate, 0.0)]))[0]
+            )
+            if candidate_cost < current_cost * (1.0 - min_improvement):
                 delays[k] = max(candidate, 0.0)
     return delays
 

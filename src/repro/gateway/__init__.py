@@ -22,13 +22,13 @@ Quick start::
     report = Gateway(config).run(source)
     print(report.summary())
 
-Multi-channel quick start (8 channels, mixed SF7/SF8, one shared pool)::
+Multi-channel quick start (8 channels, mixed SF7/SF8, one shared pool)
+-- the same runtime with a channel plan in front::
 
-    from repro.gateway import ShardedGateway, ShardedGatewayConfig
     from repro.phy import ChannelPlan
 
     plan = ChannelPlan.eu868_style(8)
-    config = ShardedGatewayConfig(plan=plan, sf_set=(7, 8), n_workers=4, seed=0)
+    config = GatewayConfig(plan=plan, sf_set=(7, 8), n_workers=4, seed=0)
     source = SyntheticTrafficSource(
         LoRaParams(spreading_factor=7),
         nodes=[
@@ -40,7 +40,7 @@ Multi-channel quick start (8 channels, mixed SF7/SF8, one shared pool)::
         plan=plan,
         rng=0,
     )
-    report = ShardedGateway(config).run(source)
+    report = Gateway(config).run(source)
     print(report.summary())  # includes the per-shard recovery table
 """
 
@@ -52,7 +52,6 @@ from repro.gateway.channelizer import (
 )
 from repro.gateway.ring import SampleRing
 from repro.gateway.runtime import Gateway, GatewayConfig, GatewayReport, StreamScanner
-from repro.gateway.sharded import ShardedGateway, ShardedGatewayConfig
 from repro.gateway.sources import (
     DEFAULT_CHUNK_SAMPLES,
     IqFileSource,
@@ -79,6 +78,10 @@ from repro.gateway.workers import (
     UserResult,
     decode_packet_window,
 )
+
+#: Former names of the multi-channel runtime, now the one :class:`Gateway`.
+ShardedGateway = Gateway
+ShardedGatewayConfig = GatewayConfig
 
 __all__ = [
     "Counter",

@@ -3,42 +3,61 @@
 This is the base-station-side loop the paper assumes but the rest of the
 repo never had: instead of decoding one pre-cut capture, the gateway
 consumes a continuous IQ stream in chunks, finds packets on the fly, and
-keeps decoding while the stream keeps arriving.
+keeps decoding while the stream keeps arriving.  One runtime serves a
+single 125 kHz channel and a regional multi-channel grid alike; the
+channel front end is just the first stage of the same receive chain.
 
 Stages (each instrumented through :mod:`repro.gateway.telemetry`):
 
-1. **ingest** -- append the next source chunk to a bounded
+1. **front end** -- with a :class:`repro.phy.params.ChannelPlan`, a
+   :class:`repro.gateway.channelizer.PolyphaseChannelizer` splits each
+   wideband chunk into the per-channel basebands (``channelize.push_s``);
+   without one, the input already is channel 0's baseband and passes
+   straight through.
+2. **ingest** -- append each channel's samples to its own bounded
    :class:`repro.gateway.ring.SampleRing` (overflow evicts the oldest
    samples, counted as loss).
-2. **detect** -- slide :func:`repro.core.detection.sliding_packet_search`
-   (``earliest=True``) over the unscanned span of the ring.  A detection
-   whose frame tail has not arrived yet stays pending until the next
-   chunk, which is how packets straddling chunk boundaries survive.
-3. **dispatch** -- cut the packet window (one guard symbol of lead for
+3. **detect** -- every channel is scanned once per spreading factor in
+   ``sf_set`` by a :class:`StreamScanner`, which slides
+   :func:`repro.core.detection.sliding_packet_search` (``earliest=True``)
+   over the unscanned span of the ring.  A detection whose frame tail has
+   not arrived yet stays pending until the next chunk, which is how
+   packets straddling chunk boundaries survive.  Scanners sharing a ring
+   publish release positions and the ring consumes their minimum, so an
+   SF7 and an SF8 scanner multiplex one channel without stealing each
+   other's samples.
+4. **dispatch** -- cut the packet window (two guard symbols of lead for
    :func:`repro.core.detection.align_to_window_grid` to find the exact
-   boundary) and submit it to the
+   boundary) and submit it to the one shared
    :class:`repro.gateway.workers.DecodeWorkerPool`; the bounded queue's
-   drop policy is the backpressure valve.
-4. **decode** -- workers run the full :class:`repro.core.ChoirDecoder`
-   pipeline plus the LoRa FEC/CRC chain and report per-user payloads.
+   drop policy is the backpressure valve.  Jobs carry their shard's
+   params and the RNG key ``(channel, sf, shard_seq)``, so decode results
+   are deterministic no matter how shards interleave or which executor
+   runs the pool.
+5. **decode** -- workers run the configured decode tier plus the LoRa
+   FEC/CRC chain and report per-user payloads.
 
 ``Gateway.run(source)`` returns a :class:`GatewayReport` with counts,
-throughput, per-stage latency percentiles and every decode outcome.
+throughput, per-stage latency percentiles, a per-shard (``ch{c}.sf{s}``)
+recovery table and every decode outcome.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.cascade import DECODE_TIERS
 from repro.core.detection import sliding_packet_search
+from repro.gateway.channelizer import PolyphaseChannelizer
 from repro.gateway.ring import SampleRing
 from repro.gateway.sources import SampleSource
-from repro.gateway.telemetry import Telemetry, clock
+from repro.gateway.telemetry import Telemetry, clock, shard_label
 from repro.gateway.workers import DecodeJob, DecodeOutcome, DecodeWorkerPool
 from repro.phy.packet import LoRaFramer
-from repro.phy.params import LoRaParams
+from repro.phy.params import ChannelPlan, LoRaParams
 from repro.profile import context as profile_context
 from repro.profile.profiler import KernelProfiler
 from repro.profile.resources import ResourceAccountant, ResourceSummary
@@ -52,33 +71,41 @@ class GatewayConfig:
     Parameters
     ----------
     params:
-        Shared PHY configuration (must match the traffic).
+        PHY configuration of the traffic.  Without a ``plan`` it is the
+        baseband the input is sampled at; with one, only its
+        ``spreading_factor`` (the default ``sf_set``) and ``preamble_len``
+        matter -- the plan fixes bandwidth and rate per channel.
+    plan:
+        Channel grid of a wideband input (must be critically stacked, the
+        channelizer's requirement).  ``None`` means the input is channel
+        0's baseband and no channelizer runs.
+    sf_set:
+        Spreading factors scanned on every channel; duplicates are
+        dropped and the set is kept sorted.  Empty means
+        ``(params.spreading_factor,)``.
     payload_len:
         Application payload bytes per packet; fixes the frame geometry
         the detector paces by and the decoder decodes.
     n_workers, executor, queue_capacity, drop_policy:
-        Decode pool shape; see
+        Shape of the single decode pool all shards share; see
         :class:`repro.gateway.workers.DecodeWorkerPool`.
     ring_symbols:
-        Ring-buffer capacity in symbols (must hold at least two frames;
-        sized automatically when 0).
+        Per-channel ring capacity in symbols of the largest configured SF
+        (must hold at least two of its frames; 0 sizes automatically to
+        four).
     detection_pfa:
         Search-level false-alarm probability per detection scan.
     max_users:
         Cap on SIC user estimates per decoded window; bounds the
         worst-case decode time on windows full of interference
         (None = uncapped).
-    use_engine:
-        Route decode residual searches through the batched
-        :class:`repro.core.engine.ResidualEngine` paths (default); the
-        scalar reference loops are selected with ``False``.
     decode_tier:
         Which pipeline decodes each window: ``"full"`` (default),
         ``"cascade"`` (Tier-0 fast path with escalation to the full
         Choir pipeline) or ``"fast"`` (Tier 0 only); see
         :mod:`repro.core.cascade`.
     seed:
-        Master seed; per-job decode RNGs derive from it.
+        Master seed; per-job decode RNGs derive from it by shard key.
     trace:
         Attach a :class:`repro.trace.TraceRecorder` to the run: record
         every detection and decode outcome, and build provenance span
@@ -102,6 +129,8 @@ class GatewayConfig:
     """
 
     params: LoRaParams = field(default_factory=LoRaParams)
+    plan: Optional[ChannelPlan] = None
+    sf_set: Tuple[int, ...] = ()
     payload_len: int = 8
     n_workers: int = 1
     executor: str = "thread"
@@ -112,7 +141,6 @@ class GatewayConfig:
     coding_rate: int = 4
     synchronize: bool = True
     max_users: Optional[int] = 4
-    use_engine: bool = True
     decode_tier: str = "full"
     seed: Optional[int] = None
     trace: bool = False
@@ -126,6 +154,21 @@ class GatewayConfig:
             raise ValueError(
                 f"decode_tier must be one of {DECODE_TIERS}, got {self.decode_tier!r}"
             )
+        sf_set = self.sf_set or (self.params.spreading_factor,)
+        object.__setattr__(self, "sf_set", tuple(sorted(set(sf_set))))
+
+    @property
+    def n_channels(self) -> int:
+        """Channels the front end delivers (1 without a plan)."""
+        return 1 if self.plan is None else self.plan.n_channels
+
+    def shard_params(self, spreading_factor: int) -> LoRaParams:
+        """Narrowband PHY params of every (channel, ``spreading_factor``) shard."""
+        if self.plan is None:
+            return replace(self.params, spreading_factor=spreading_factor)
+        return self.plan.channel_params(
+            spreading_factor, preamble_len=self.params.preamble_len
+        )
 
     def trace_config(self) -> TraceConfig:
         """The sampling policy implied by the trace fields."""
@@ -135,24 +178,24 @@ class GatewayConfig:
         )
 
     def n_data_symbols(self) -> int:
-        """Data symbols per frame for this payload length."""
-        framer = LoRaFramer(self.params, coding_rate=self.coding_rate)
+        """Data symbols per frame of the largest-SF shard."""
+        framer = LoRaFramer(
+            self.shard_params(self.sf_set[-1]), coding_rate=self.coding_rate
+        )
         return framer.n_symbols_for_payload(self.payload_len)
 
     def frame_samples(self) -> int:
-        """Samples per frame: preamble plus data symbols."""
-        return (
-            self.params.preamble_len + self.n_data_symbols()
-        ) * self.params.samples_per_symbol
+        """Samples per frame of the largest-SF shard: preamble plus data."""
+        params = self.shard_params(self.sf_set[-1])
+        return (params.preamble_len + self.n_data_symbols()) * params.samples_per_symbol
 
 
 @dataclass
 class GatewayReport:
     """Outcome of one gateway run: counts, rates, latencies, payloads.
 
-    Multi-channel (sharded) runs additionally fill ``shards``: one row of
-    counters per ``ch{c}.sf{s}`` shard label, with the top-level counts
-    acting as the cross-channel aggregate.
+    ``shards`` holds one row of counters per ``ch{c}.sf{s}`` shard label;
+    the top-level counts are the cross-shard aggregate.
     """
 
     samples_in: int
@@ -354,29 +397,28 @@ class StreamScanner:
     The scanner never consumes the ring itself; it advances
     ``release_pos`` -- the earliest absolute sample it may still need --
     and the ring's owner consumes up to the *minimum* release position of
-    every scanner sharing the ring.  That indirection is what lets the
-    sharded gateway multiplex several SF scanners over one channel's
-    stream; a single-scanner ring (the classic :class:`Gateway`) consumes
-    straight to ``release_pos`` and behaves exactly as before.
+    every scanner sharing the ring.  That indirection is what lets several
+    SF scanners multiplex one channel's stream.
 
     Parameters
     ----------
     params:
         PHY configuration of this shard (sets the frame geometry the
-        detector paces by).
+        detector paces by, and the params every submitted job decodes
+        with).
     payload_len, coding_rate:
         Frame geometry of the expected traffic.
     telemetry:
         Shared registry; scan instruments use the common ``detect.*``
-        names, plus ``{label}.detect.packets`` when ``label`` is set.
+        names plus the per-shard ``{label}.detect.packets``.
     detection_pfa:
         Search-level false-alarm probability per scan.
-    channel, job_params, rng_prefix, label:
-        Shard tagging for submitted jobs: ``job_params`` overrides the
-        pool's PHY params per job, ``rng_prefix + (shard_seq,)`` replaces
-        the job-id RNG key (keeping decode RNG independent of cross-shard
-        interleaving), and ``label`` prefixes per-shard telemetry.  All
-        default to the untagged single-channel behaviour.
+    channel:
+        Channel this shard scans.  It fixes the shard's ``label``
+        (``ch{c}.sf{s}``, the per-shard telemetry prefix) and its RNG
+        prefix ``(channel, sf)``; each job's RNG key appends the shard's
+        own sequence number, keeping decode RNG independent of
+        cross-shard interleaving.
     trace_recorder:
         Optional :class:`repro.trace.TraceRecorder` receiving one
         detection record per dispatched job.
@@ -390,9 +432,6 @@ class StreamScanner:
         detection_pfa: float = 1e-3,
         coding_rate: int = 4,
         channel: int = 0,
-        job_params: Optional[LoRaParams] = None,
-        rng_prefix: Optional[Tuple[int, ...]] = None,
-        label: str = "",
         trace_recorder: Optional[TraceRecorder] = None,
     ) -> None:
         self.params = params
@@ -400,9 +439,8 @@ class StreamScanner:
         self.telemetry = telemetry
         self.detection_pfa = detection_pfa
         self.channel = channel
-        self.job_params = job_params
-        self.rng_prefix = rng_prefix
-        self.label = label
+        self.rng_prefix = (channel, params.spreading_factor)
+        self.label = shard_label(channel, params.spreading_factor)
         self.trace_recorder = trace_recorder
         framer = LoRaFramer(params, coding_rate=coding_rate)
         self.n_data_symbols = framer.n_symbols_for_payload(payload_len)
@@ -429,11 +467,6 @@ class StreamScanner:
                   job_id: int, score: float) -> DecodeJob:
         window_start = max(start - self.lead, ring.start)
         window_end = min(window_end, ring.end)
-        rng_key = (
-            None
-            if self.rng_prefix is None
-            else self.rng_prefix + (self.shard_seq,)
-        )
         return DecodeJob(
             job_id=job_id,
             samples=ring.view(window_start, window_end - window_start),
@@ -442,9 +475,9 @@ class StreamScanner:
             start_sample=window_start,
             detection_score=score,
             created_at=clock(),
-            params=self.job_params,
+            params=self.params,
+            rng_key=self.rng_prefix + (self.shard_seq,),
             channel=self.channel,
-            rng_key=rng_key,
         )
 
     def scan(
@@ -524,15 +557,18 @@ class StreamScanner:
 
 
 class Gateway:
-    """Streaming base-station runtime around a decode worker pool.
+    """Streaming base-station runtime around one shared decode worker pool.
 
     Construct with a :class:`GatewayConfig`, then :meth:`run` it over any
-    :class:`repro.gateway.sources.SampleSource`.  A fresh
-    :class:`Telemetry` registry is created per run unless one is
-    injected (e.g. to aggregate several runs).  ``on_outcome`` streams
-    every decode outcome to the caller live (the network-server uplink
-    tap); see :class:`repro.gateway.workers.DecodeWorkerPool` for its
-    threading contract.
+    :class:`repro.gateway.sources.SampleSource` -- channel 0's baseband,
+    or a wideband stream covering ``config.plan`` (for synthetic traffic,
+    a :class:`repro.gateway.sources.SyntheticTrafficSource` built with the
+    same plan).  A fresh :class:`Telemetry` registry is created per run
+    unless one is injected (e.g. to aggregate several runs).
+    ``on_outcome`` streams every decode outcome to the caller live (the
+    network-server uplink tap); see
+    :class:`repro.gateway.workers.DecodeWorkerPool` for its threading
+    contract.
     """
 
     def __init__(
@@ -552,14 +588,14 @@ class Gateway:
         if profiler is None and config.profile:
             profiler = KernelProfiler()
         self.profiler = profiler
-        n = config.params.samples_per_symbol
         frame = config.frame_samples()
         if config.ring_symbols:
+            n = config.shard_params(config.sf_set[-1]).samples_per_symbol
             capacity = config.ring_symbols * n
             if capacity < 2 * frame:
                 raise ValueError(
                     f"ring_symbols={config.ring_symbols} holds less than two "
-                    f"frames ({2 * frame // n} symbols needed)"
+                    f"frames of the largest SF ({2 * frame // n} symbols needed)"
                 )
         else:
             # Default: four frames -- room for one packet mid-decode-cut,
@@ -571,9 +607,7 @@ class Gateway:
     def run(self, source: SampleSource) -> GatewayReport:
         """Consume ``source`` to exhaustion and report what was decoded."""
         config = self.config
-        params = config.params
         telemetry = self.telemetry
-        ring = SampleRing(self._ring_capacity)
         recorder = self.trace_recorder
         if recorder is not None:
             recorder.set_header(
@@ -581,7 +615,8 @@ class Gateway:
                 executor=config.executor,
                 n_workers=config.n_workers,
                 seed=config.seed,
-                spreading_factor=params.spreading_factor,
+                n_channels=config.n_channels,
+                sf_set=list(config.sf_set),
                 payload_len=config.payload_len,
                 decode_tier=config.decode_tier,
                 sample_rate=recorder.config.sample_rate,
@@ -590,16 +625,10 @@ class Gateway:
             ground_truth = getattr(source, "ground_truth", None)
             if callable(ground_truth):
                 recorder.set_ground_truth(ground_truth())
-        scanner = StreamScanner(
-            params,
-            config.payload_len,
-            telemetry,
-            detection_pfa=config.detection_pfa,
-            coding_rate=config.coding_rate,
-            trace_recorder=recorder,
+        channelizer = (
+            None if config.plan is None else PolyphaseChannelizer(config.plan)
         )
         pool = DecodeWorkerPool(
-            params,
             n_workers=config.n_workers,
             executor=config.executor,
             queue_capacity=config.queue_capacity,
@@ -610,7 +639,6 @@ class Gateway:
             # detected start, so the true boundary is inside the first three.
             sync_search_symbols=3,
             max_users=config.max_users,
-            use_engine=config.use_engine,
             decode_tier=config.decode_tier,
             rng=config.seed,
             telemetry=telemetry,
@@ -618,6 +646,22 @@ class Gateway:
             profiler=self.profiler,
             on_outcome=self.on_outcome,
         )
+        rings = [SampleRing(self._ring_capacity) for _ in range(config.n_channels)]
+        scanners = [
+            [
+                StreamScanner(
+                    config.shard_params(sf),
+                    config.payload_len,
+                    telemetry,
+                    detection_pfa=config.detection_pfa,
+                    coding_rate=config.coding_rate,
+                    channel=channel,
+                    trace_recorder=recorder,
+                )
+                for sf in config.sf_set
+            ]
+            for channel in range(config.n_channels)
+        ]
         samples_in = 0
         chunks_in = 0
         evicted = 0
@@ -629,25 +673,55 @@ class Gateway:
             )
             accountant.start()
         started = clock()
-        # The run-level ambient profiler covers work done in the ingest
-        # loop itself (detection scans, channelizer pushes on sharded
-        # runs); per-job decode work uses job-local profilers merged by
-        # the pool, so nothing is counted twice.
-        with profile_context.use_profiler(self.profiler):
-            for chunk in source.chunks():
-                with telemetry.timer("ingest.chunk_s"):
-                    evicted += ring.append(chunk)
-                    samples_in += len(chunk)
-                    chunks_in += 1
-                    telemetry.counter("ingest.samples").inc(len(chunk))
+
+        def buffer(bands: Sequence[np.ndarray]) -> None:
+            nonlocal evicted
+            for channel, ring in enumerate(rings):
+                narrow = bands[channel]
+                if narrow.size:
+                    evicted += ring.append(narrow)
+                    telemetry.counter(f"ch{channel}.ingest.samples").inc(narrow.size)
                 if self.profiler is not None:
                     telemetry.gauge("ring.occupancy").set(
                         len(ring) / self._ring_capacity
                     )
-                next_job_id = scanner.scan(ring, pool, next_job_id)
-                ring.consume(scanner.release_pos)
-            # Final drain: scan whatever remains after the last chunk.
-            next_job_id = scanner.scan(ring, pool, next_job_id, final=True)
+
+        def scan(final: bool = False) -> None:
+            nonlocal next_job_id
+            for channel, ring in enumerate(rings):
+                for scanner in scanners[channel]:
+                    next_job_id = scanner.scan(ring, pool, next_job_id, final=final)
+                if not final:
+                    ring.consume(
+                        min(scanner.release_pos for scanner in scanners[channel])
+                    )
+
+        # The run-level ambient profiler covers work done in the ingest
+        # loop itself (channelizer pushes, detection scans); per-job
+        # decode work uses job-local profilers merged by the pool, so
+        # nothing is counted twice.
+        with profile_context.use_profiler(self.profiler):
+            for chunk in source.chunks():
+                if channelizer is None:
+                    bands: Sequence[np.ndarray] = (chunk,)
+                else:
+                    with telemetry.timer("channelize.push_s"):
+                        bands = channelizer.push(chunk)
+                with telemetry.timer("ingest.chunk_s"):
+                    samples_in += len(chunk)
+                    chunks_in += 1
+                    telemetry.counter("ingest.samples").inc(len(chunk))
+                    buffer(bands)
+                scan()
+            if channelizer is not None:
+                # Drain the filter tail before the final scans.
+                with telemetry.timer("channelize.push_s"):
+                    tail = channelizer.flush()
+                buffer(tail)
+                scan()
+            # End of stream: final-scan every shard so truncated trailing
+            # windows still get a decode attempt.
+            scan(final=True)
             outcomes = pool.close()
         wall = clock() - started
         resources: Optional[ResourceSummary] = None
@@ -655,22 +729,45 @@ class Gateway:
             resources = accountant.stop()
         if self.profiler is not None:
             self.profiler.fold_into(telemetry)
-        snapshot = telemetry.snapshot()
-        crc_ok = sum(1 for o in outcomes if o.crc_ok)
-        errors = sum(1 for o in outcomes if o.error is not None)
+        shards: Dict[str, Dict[str, int]] = {
+            scanner.label: {
+                "detected": scanner.detected,
+                "decoded": 0,
+                "crc_failed": 0,
+                "dropped": telemetry.counter(f"{scanner.label}.dispatch.dropped").value,
+            }
+            for channel_scanners in scanners
+            for scanner in channel_scanners
+        }
+        for outcome in outcomes:
+            if outcome.spreading_factor is None:
+                continue
+            row = shards.get(shard_label(outcome.channel, outcome.spreading_factor))
+            if row is None:
+                continue
+            if outcome.crc_ok:
+                row["decoded"] += 1
+            elif outcome.error is None:
+                row["crc_failed"] += 1
+        sample_rate = (
+            config.params.sample_rate
+            if config.plan is None
+            else config.plan.wideband_rate
+        )
         return GatewayReport(
             samples_in=samples_in,
             chunks_in=chunks_in,
             samples_evicted=evicted,
-            packets_detected=scanner.detected,
+            packets_detected=sum(row["detected"] for row in shards.values()),
             packets_dropped=pool.dropped,
-            packets_decoded=crc_ok,
+            packets_decoded=sum(1 for o in outcomes if o.crc_ok),
             crc_failures=sum(1 for o in outcomes if not o.crc_ok and o.error is None),
-            decode_errors=errors,
+            decode_errors=sum(1 for o in outcomes if o.error is not None),
             wall_s=wall,
-            stream_s=samples_in / params.sample_rate,
+            stream_s=samples_in / sample_rate,
             outcomes=outcomes,
-            telemetry=snapshot,
+            telemetry=telemetry.snapshot(),
+            shards=shards,
             trace=recorder,
             profile=self.profiler,
             resources=resources,

@@ -58,7 +58,7 @@ def clock() -> float:
 def shard_label(channel: int, spreading_factor: int) -> str:
     """Metric-name prefix for one (channel, SF) shard: ``ch{c}.sf{s}``.
 
-    The sharded gateway prefixes every per-shard instrument with this
+    The gateway prefixes every per-shard instrument with this
     label (for example ``ch3.sf8.decode.crc_ok``), which keeps shard
     metrics greppable alongside the shared dotted ``stage.metric`` names.
     """

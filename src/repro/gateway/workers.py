@@ -17,9 +17,9 @@ an overloaded system), drop the ``"oldest"`` (favor fresh traffic), or
 ``"block"`` ingest (lossless, at the price of stalling the stream).
 
 Every decode job carries its own RNG derived from the pool seed and the
-job id (:func:`repro.utils.derive_rng`), so which worker decodes which
-packet -- or whether any parallelism is used at all -- never changes the
-result.
+job's shard key (:func:`repro.utils.derive_rng`), so which worker decodes
+which packet -- or whether any parallelism is used at all -- never
+changes the result.
 
 Observability rides the same outcome path on every executor: per-job
 instruments are recorded into a job-local registry and shipped back as a
@@ -63,12 +63,12 @@ EXECUTORS: Tuple[str, ...] = ("serial", "thread", "process")
 class DecodeJob:
     """One detected packet window, ready to decode.
 
-    A sharded (multi-channel / multi-SF) gateway tags each job with the
-    shard that detected it: ``params`` overrides the pool's shared PHY
-    configuration (so one pool can decode SF7 and SF8 windows side by
-    side), ``channel`` labels telemetry, and ``rng_key`` replaces the
-    job-id RNG derivation with a per-shard key so results stay
-    deterministic no matter how jobs from different shards interleave.
+    Each job is tagged with the (channel, SF) shard that detected it:
+    ``params`` is that shard's PHY configuration (so one pool can decode
+    SF7 and SF8 windows side by side), ``channel`` labels telemetry, and
+    ``rng_key`` -- ``(channel, sf, shard_seq)`` from the gateway's
+    scanners -- seeds the decoder RNG, so results stay deterministic no
+    matter how jobs from different shards interleave.
     """
 
     job_id: int
@@ -78,14 +78,14 @@ class DecodeJob:
     start_sample: int
     detection_score: float
     created_at: float  # telemetry clock() reading at submission
-    params: Optional[LoRaParams] = None
+    params: LoRaParams
+    rng_key: Tuple[int, ...]
     channel: int = 0
-    rng_key: Optional[Tuple[int, ...]] = None
 
     @property
     def key(self) -> Tuple[int, ...]:
-        """The job's deterministic identity (rng_key, or job id alone)."""
-        return self.rng_key if self.rng_key is not None else (self.job_id,)
+        """The job's deterministic identity (its RNG key)."""
+        return self.rng_key
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ class DecodeOutcome:
     error: Optional[str] = None
     channel: int = 0
     spreading_factor: Optional[int] = None
-    rng_key: Optional[Tuple[int, ...]] = None
+    rng_key: Tuple[int, ...] = ()
     tier: str = "full"
     escalation_reason: Optional[str] = None
     telemetry_delta: Optional[Dict[str, Dict[str, Any]]] = None
@@ -140,7 +140,7 @@ class DecodeOutcome:
     @property
     def key(self) -> Tuple[int, ...]:
         """The outcome's deterministic identity (matches the job's)."""
-        return self.rng_key if self.rng_key is not None else (self.job_id,)
+        return self.rng_key
 
 
 def decode_packet_window(
@@ -151,12 +151,11 @@ def decode_packet_window(
     coding_rate: int = 4,
     sync_search_symbols: int = 0,
     max_users: Optional[int] = None,
-    use_engine: bool = True,
     decode_tier: str = "full",
     trace_directive: Optional[TraceDirective] = None,
     profile: bool = False,
 ) -> DecodeOutcome:
-    """Decode one packet window with a job-keyed deterministic RNG.
+    """Decode one packet window as ``params`` with a job-keyed RNG.
 
     The decode itself is delegated to the tier pipeline named by
     ``decode_tier`` (:func:`repro.core.cascade.build_pipeline`): the
@@ -175,10 +174,9 @@ def decode_packet_window(
     ship it to workers; everything it touches -- including the trace
     directive in and the span tree out -- is picklable.
 
-    A job carrying its own ``params`` (a sharded gateway's SF-tagged
-    window) decodes with those instead of the pool's, and a job carrying
-    an ``rng_key`` derives its decoder RNG from that key rather than the
-    job id -- per-shard sequence numbers keep results independent of how
+    The pool passes each job's own ``params`` (its shard's PHY
+    configuration); the decoder RNG derives from the job's ``rng_key``,
+    whose per-shard sequence numbers keep results independent of how
     shards interleave their submissions.
 
     With ``profile=True`` a job-local :class:`KernelProfiler` is
@@ -188,10 +186,8 @@ def decode_packet_window(
     root kernel, so summed kernel wall times cover the job end to end.
     """
     started = clock()
-    if job.params is not None:
-        params = job.params
-    rng_key = job.key
-    sharded_sf = params.spreading_factor if job.params is not None else None
+    rng_key = job.rng_key
+    spreading_factor = params.spreading_factor
     builder: Optional[TraceBuilder] = None
     if trace_directive is not None and trace_directive.build:
         builder = TraceBuilder(
@@ -199,7 +195,7 @@ def decode_packet_window(
             job_id=job.job_id,
             key=list(rng_key),
             channel=job.channel,
-            spreading_factor=sharded_sf,
+            spreading_factor=spreading_factor,
             start_sample=job.start_sample,
             detection_score=job.detection_score,
         )
@@ -208,7 +204,6 @@ def decode_packet_window(
         decode_tier,
         params,
         rng=derive_rng(base_seed, *rng_key),
-        use_engine=use_engine,
         synchronize=synchronize,
         coding_rate=coding_rate,
         sync_search_symbols=sync_search_symbols,
@@ -252,16 +247,12 @@ def decode_packet_window(
                 key=rng_key,
                 job_id=job.job_id,
                 channel=job.channel,
-                spreading_factor=sharded_sf,
+                spreading_factor=spreading_factor,
                 start_sample=job.start_sample,
                 detection_score=job.detection_score,
                 sampled=trace_directive.sampled,
                 root=root,
-                label=(
-                    shard_label(job.channel, sharded_sf)
-                    if sharded_sf is not None
-                    else ""
-                ),
+                label=shard_label(job.channel, spreading_factor),
             )
     return DecodeOutcome(
         job_id=job.job_id,
@@ -274,8 +265,8 @@ def decode_packet_window(
         detection_score=job.detection_score,
         sync_retries=retries,
         channel=job.channel,
-        spreading_factor=sharded_sf,
-        rng_key=job.rng_key,
+        spreading_factor=spreading_factor,
+        rng_key=rng_key,
         tier=window.tier,
         escalation_reason=window.escalation_reason,
         telemetry_delta=local.state(),
@@ -289,10 +280,11 @@ def decode_packet_window(
 class DecodeWorkerPool:
     """Bounded-queue pool of Choir decode workers.
 
+    Every job decodes with its own ``params`` (see :class:`DecodeJob`),
+    so one pool serves any mix of channels and spreading factors.
+
     Parameters
     ----------
-    params:
-        Shared PHY configuration.
     n_workers:
         Parallel decoders (ignored for ``executor="serial"``).
     executor:
@@ -311,17 +303,14 @@ class DecodeWorkerPool:
     max_users:
         Cap on SIC user estimates per window (None = uncapped); bounds
         the worst-case decode time on windows full of interference.
-    use_engine:
-        Route each decoder's residual searches through the batched
-        :class:`repro.core.engine.ResidualEngine` paths (default); the
-        scalar reference loops are selected with ``False``.
     decode_tier:
         Which pipeline decodes each window -- ``"full"`` (default, the
         classic path), ``"cascade"`` (Tier-0 fast path, full Choir on
         escalation) or ``"fast"`` (Tier 0 only); see
         :mod:`repro.core.cascade`.
     rng:
-        Pool seed; each job's decoder RNG is derived from it by job id.
+        Pool seed; each job's decoder RNG is derived from it by the
+        job's ``rng_key``.
     telemetry:
         Optional registry receiving dispatch/decode instruments.
     trace_recorder:
@@ -346,7 +335,6 @@ class DecodeWorkerPool:
 
     def __init__(
         self,
-        params: LoRaParams,
         n_workers: int = 1,
         executor: str = "thread",
         queue_capacity: int = 8,
@@ -355,7 +343,6 @@ class DecodeWorkerPool:
         coding_rate: int = 4,
         sync_search_symbols: int = 0,
         max_users: Optional[int] = None,
-        use_engine: bool = True,
         decode_tier: str = "full",
         rng: RngLike = None,
         telemetry: Optional[Telemetry] = None,
@@ -377,7 +364,6 @@ class DecodeWorkerPool:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         if queue_capacity < 1:
             raise ValueError(f"queue_capacity must be >= 1, got {queue_capacity}")
-        self.params = params
         self.n_workers = n_workers
         self.executor = executor
         self.queue_capacity = queue_capacity
@@ -386,7 +372,6 @@ class DecodeWorkerPool:
         self.coding_rate = coding_rate
         self.sync_search_symbols = sync_search_symbols
         self.max_users = max_users
-        self.use_engine = use_engine
         self.decode_tier = decode_tier
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.trace_recorder = trace_recorder
@@ -404,7 +389,7 @@ class DecodeWorkerPool:
         self._futures: Dict[int, "Future[DecodeOutcome]"] = {}
         # Scalar facts about in-flight process jobs, kept parent-side so
         # a worker crash can still be recorded as an error outcome.
-        self._job_meta: Dict[int, Tuple[int, float, int, Optional[int], Optional[Tuple[int, ...]]]] = {}
+        self._job_meta: Dict[int, Tuple[int, float, int, int, Tuple[int, ...]]] = {}
         if executor == "thread":
             self._threads = [
                 threading.Thread(
@@ -432,8 +417,8 @@ class DecodeWorkerPool:
         start_sample: int,
         detection_score: float,
         channel: int,
-        spreading_factor: Optional[int],
-        rng_key: Optional[Tuple[int, ...]],
+        spreading_factor: int,
+        rng_key: Tuple[int, ...],
         exc: BaseException,
     ) -> DecodeOutcome:
         return DecodeOutcome(
@@ -455,13 +440,12 @@ class DecodeWorkerPool:
         try:
             return decode_packet_window(
                 job,
-                self.params,
+                job.params,
                 self._base_seed,
                 synchronize=self.synchronize,
                 coding_rate=self.coding_rate,
                 sync_search_symbols=self.sync_search_symbols,
                 max_users=self.max_users,
-                use_engine=self.use_engine,
                 decode_tier=self.decode_tier,
                 trace_directive=self._directive(job),
                 profile=self.profiler is not None,
@@ -473,7 +457,7 @@ class DecodeWorkerPool:
                 job.start_sample,
                 job.detection_score,
                 job.channel,
-                job.params.spreading_factor if job.params is not None else None,
+                job.params.spreading_factor,
                 job.rng_key,
                 exc,
             )
@@ -500,8 +484,8 @@ class DecodeWorkerPool:
         elif outcome.error is None:
             self.telemetry.counter("decode.crc_failed").inc()
         if outcome.spreading_factor is not None:
-            # Sharded jobs additionally bump per-(channel, SF) counters so
-            # the report can break recovery out by shard.
+            # Per-(channel, SF) counters let the report break recovery
+            # out by shard.
             label = shard_label(outcome.channel, outcome.spreading_factor)
             if outcome.crc_ok:
                 self.telemetry.counter(f"{label}.decode.crc_ok").inc()
@@ -540,7 +524,7 @@ class DecodeWorkerPool:
     def _count_drop(self, job: Optional[DecodeJob] = None) -> None:
         """Count one dropped job, with its shard label when known."""
         self.telemetry.counter("dispatch.dropped").inc()
-        if job is not None and job.params is not None:
+        if job is not None:
             label = shard_label(job.channel, job.params.spreading_factor)
             self.telemetry.counter(f"{label}.dispatch.dropped").inc()
 
@@ -615,13 +599,12 @@ class DecodeWorkerPool:
         future = self._pool.submit(
             decode_packet_window,
             job,
-            self.params,
+            job.params,
             self._base_seed,
             synchronize=self.synchronize,
             coding_rate=self.coding_rate,
             sync_search_symbols=self.sync_search_symbols,
             max_users=self.max_users,
-            use_engine=self.use_engine,
             decode_tier=self.decode_tier,
             trace_directive=self._directive(job),
             profile=self.profiler is not None,
@@ -632,7 +615,7 @@ class DecodeWorkerPool:
                 job.start_sample,
                 job.detection_score,
                 job.channel,
-                job.params.spreading_factor if job.params is not None else None,
+                job.params.spreading_factor,
                 job.rng_key,
             )
         future.add_done_callback(lambda f, jid=job.job_id: self._process_done(jid, f))

@@ -44,7 +44,7 @@ class NodeConfig:
     spreading_factor:
         Per-node SF override (``None`` uses the network-wide
         :class:`repro.phy.params.LoRaParams`); multi-SF populations are
-        what the sharded gateway demultiplexes.
+        what the gateway's per-SF scanners demultiplex.
     """
 
     node_id: int

@@ -1,7 +1,7 @@
 """Turn a validated ScenarioSpec into the live objects a run needs.
 
 The builders here are the *only* bridge between the declarative layer and
-the simulation stack -- node populations, traffic sources, and sharded
+the simulation stack -- node populations, traffic sources, and multi-channel
 gateways all come out of pure functions of ``(spec, n_nodes, variant)``,
 so a campaign point is reproducible from the scenario file and a seed
 alone, and a test can hand-construct the equivalent config and demand a
@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.channel.link import LinkBudget
 from repro.channel.pathloss import UrbanPathLoss
-from repro.gateway.sharded import ShardedGateway, ShardedGatewayConfig
+from repro.gateway.runtime import Gateway, GatewayConfig
 from repro.gateway.sources import SyntheticTrafficSource
 from repro.gateway.telemetry import Telemetry
 from repro.mac.simulator import NodeConfig
@@ -145,8 +145,8 @@ def build_source(
 
 def build_gateway_config(
     spec: ScenarioSpec, variant: str = "choir"
-) -> ShardedGatewayConfig:
-    """The sharded gateway for one variant of the comparison.
+) -> GatewayConfig:
+    """The multi-channel gateway for one variant of the comparison.
 
     ``"choir"`` runs the scenario's ``gateway`` section as written;
     ``"baseline"`` overlays the ``baseline`` section's decode tier and
@@ -163,7 +163,7 @@ def build_gateway_config(
     if variant == "baseline":
         decode_tier = spec.baseline.decode_tier
         max_users = spec.baseline.max_users
-    return ShardedGatewayConfig(
+    return GatewayConfig(
         plan=build_plan(spec),
         sf_set=spec.traffic.spreading_factors,
         payload_len=spec.traffic.payload_len,
@@ -173,7 +173,6 @@ def build_gateway_config(
         drop_policy=gw.drop_policy,
         detection_pfa=gw.detection_pfa,
         max_users=max_users,
-        use_engine=gw.use_engine,
         decode_tier=decode_tier,
         seed=spec.sweep.seed,
     )
@@ -184,14 +183,14 @@ def build_gateway(
     variant: str = "choir",
     telemetry: Optional[Telemetry] = None,
     profiler: Optional[Any] = None,
-) -> ShardedGateway:
+) -> Gateway:
     """A ready-to-run gateway for one variant of the comparison.
 
     ``profiler`` is an optional :class:`repro.profile.KernelProfiler`
     shared across points, so a campaign accumulates one kernel table for
     the whole sweep.
     """
-    return ShardedGateway(
+    return Gateway(
         build_gateway_config(spec, variant),
         telemetry=telemetry,
         profiler=profiler,

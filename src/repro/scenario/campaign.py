@@ -1,7 +1,7 @@
 """The capacity campaign: sweep node counts, compare Choir vs standard LoRa.
 
 Each sweep point synthesizes one population's air (the *same* IQ stream,
-seed-for-seed, for both variants), runs it through two sharded gateways --
+seed-for-seed, for both variants), runs it through two gateways --
 the scenario's Choir configuration and the ``max_users=1`` standard-LoRa
 baseline -- and scores delivery against the source's ground truth.  The
 axis is offered load: as the population grows past the point where frames

@@ -24,7 +24,7 @@ from repro.phy.params import VALID_SPREADING_FACTORS
 #: Geometry layouts the node builder understands.
 GEOMETRY_LAYOUTS = ("uniform-disc", "fixed-snr")
 
-#: Channel-plan regions the sharded gateway can serve (US915's 200 kHz
+#: Channel-plan regions the gateway can serve (US915's 200 kHz
 #: spacing is not critically stacked, so the channelizer rejects it).
 PLAN_REGIONS = ("eu868",)
 
@@ -108,12 +108,6 @@ def _coerce(value: Any, kind: str, key: str) -> Any:
         if not isinstance(value, str):
             raise ScenarioError(
                 f"expected a string, got {type(value).__name__}", key=key
-            )
-        return value
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise ScenarioError(
-                f"expected a boolean, got {type(value).__name__}", key=key
             )
         return value
     if kind == "int":
@@ -343,7 +337,6 @@ class GatewaySpec:
     chunk_samples: int = 4096
     decode_tier: str = "cascade"
     max_users: Optional[int] = 4
-    use_engine: bool = True
 
     def validate(self) -> None:
         """Raise :class:`ScenarioError` on out-of-domain fields."""
@@ -406,7 +399,6 @@ class GatewaySpec:
             ),
             decode_tier=fields.take("decode_tier", "str", cls.decode_tier),
             max_users=fields.take("max_users", "int-or-null", cls.max_users),
-            use_engine=fields.take("use_engine", "bool", cls.use_engine),
         )
         fields.finish()
         spec.validate()
@@ -423,7 +415,6 @@ class GatewaySpec:
             "chunk_samples": self.chunk_samples,
             "decode_tier": self.decode_tier,
             "max_users": self.max_users,
-            "use_engine": self.use_engine,
         }
 
 

@@ -11,6 +11,7 @@ from repro.gateway import (
     SyntheticTrafficSource,
 )
 from repro.mac.simulator import NodeConfig
+from repro.server.frames import uplinks_from_report
 from tests.gateway.conftest import PARAMS, PAYLOAD_LEN, periodic_node
 
 
@@ -138,6 +139,27 @@ class TestReport:
         report, _ = report_and_sent
         assert report.telemetry["detect.packets"]["value"] == report.packets_detected
         assert report.telemetry["decode.decode_s"]["count"] == len(report.outcomes)
+
+
+class TestShardTags:
+    """A plan-less run is the SF7 shard of channel 0, tagged as such."""
+
+    def test_outcomes_carry_channel_and_sf(self, report_and_sent):
+        report, _ = report_and_sent
+        assert report.outcomes
+        for outcome in report.outcomes:
+            assert outcome.channel == 0
+            assert outcome.spreading_factor == PARAMS.spreading_factor
+            assert outcome.rng_key[:2] == (0, PARAMS.spreading_factor)
+        assert set(report.shards) == {"ch0.sf7"}
+
+    def test_uplinks_carry_channel_and_sf(self, report_and_sent):
+        report, sent = report_and_sent
+        frames = uplinks_from_report(report, 0, PARAMS.sample_rate)
+        assert len(frames) == len(sent)
+        for frame in frames:
+            assert frame.channel == 0
+            assert frame.spreading_factor == PARAMS.spreading_factor
 
 
 class TestConfig:

@@ -1,4 +1,4 @@
-"""End-to-end tests for the multi-channel, multi-SF sharded gateway.
+"""End-to-end tests for the gateway behind a multi-channel, multi-SF plan.
 
 Covers the tentpole's acceptance criteria: the 8-channel mixed-SF run
 recovers at least the single-channel per-channel rate, packets on channel
@@ -12,8 +12,6 @@ import pytest
 from repro.gateway import (
     Gateway,
     GatewayConfig,
-    ShardedGateway,
-    ShardedGatewayConfig,
     SyntheticTrafficSource,
     shard_label,
 )
@@ -46,7 +44,7 @@ def _run_sharded(plan, sf_set, nodes, duration_s, executor="serial", n_workers=1
         plan=plan,
         rng=0,
     )
-    config = ShardedGatewayConfig(
+    config = GatewayConfig(
         plan=plan,
         sf_set=sf_set,
         payload_len=PAYLOAD_LEN,
@@ -54,11 +52,11 @@ def _run_sharded(plan, sf_set, nodes, duration_s, executor="serial", n_workers=1
         n_workers=n_workers,
         seed=0,
     )
-    return source, ShardedGateway(config).run(source)
+    return source, Gateway(config).run(source)
 
 
 def _single_channel_rate(spreading_factor, period_s=0.3, duration_s=0.6):
-    """Recovery rate of the plain single-channel gateway on like traffic."""
+    """Recovery rate of the plan-less single-channel gateway on like traffic."""
     params = LoRaParams(spreading_factor=spreading_factor)
     source = SyntheticTrafficSource(
         params,
@@ -193,16 +191,19 @@ class TestDeterminism:
 
 class TestConfigValidation:
     def test_sf_set_sorted_and_deduped(self):
-        config = ShardedGatewayConfig(sf_set=(8, 7, 7))
+        config = GatewayConfig(sf_set=(8, 7, 7))
         assert config.sf_set == (7, 8)
 
-    def test_empty_sf_set_rejected(self):
-        with pytest.raises(ValueError, match="sf_set"):
-            ShardedGatewayConfig(sf_set=())
+    def test_empty_sf_set_means_params_sf(self):
+        config = GatewayConfig(params=LoRaParams(spreading_factor=9), sf_set=())
+        assert config.sf_set == (9,)
 
     def test_undersized_ring_rejected(self):
+        config = GatewayConfig(
+            plan=ChannelPlan.eu868_style(2), sf_set=(7, 8), ring_symbols=4
+        )
         with pytest.raises(ValueError, match="ring_symbols"):
-            ShardedGateway(ShardedGatewayConfig(sf_set=(7, 8), ring_symbols=4))
+            Gateway(config)
 
     def test_legacy_source_rejects_channel_overrides(self):
         with pytest.raises(ValueError, match="ChannelPlan"):

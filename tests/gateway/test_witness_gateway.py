@@ -84,11 +84,11 @@ class TestFuturesTableRegression:
         # Regression: completed futures used to stay in self._futures for
         # the pool's lifetime, growing the table (and every _in_flight
         # scan) without bound on long streams.
-        pool = DecodeWorkerPool(PARAMS, executor="serial")
+        pool = DecodeWorkerPool(executor="serial")
         fake = _FakeFuture(_dummy_outcome(7))
         with pool._lock:
             pool._futures[7] = fake  # type: ignore[assignment]
-            pool._job_meta[7] = (0, 1.0, 0, None, None)
+            pool._job_meta[7] = (0, 1.0, 0, 7, (7,))
         pool._process_done(7, fake)  # type: ignore[arg-type]
         assert pool._futures == {}
         assert pool._job_meta == {}

@@ -42,6 +42,8 @@ def _clean_window(seed: int = 0, lead: int = 0, snr_db: float = 15.0) -> tuple[D
         start_sample=0,
         detection_score=10.0,
         created_at=time.perf_counter(),
+        params=PARAMS,
+        rng_key=(seed,),
     )
     return job, payload
 
@@ -88,7 +90,7 @@ class TestPoolExecutors:
     def test_executors_agree_with_each_other(self, executor):
         jobs = [_clean_window(seed=s, lead=32) for s in (10, 11)]
         pool = DecodeWorkerPool(
-            PARAMS, n_workers=2, executor=executor, rng=5, sync_search_symbols=2
+            n_workers=2, executor=executor, rng=5, sync_search_symbols=2
         )
         for job, _ in jobs:
             assert pool.submit(job)
@@ -101,7 +103,7 @@ class TestPoolExecutors:
     def test_process_executor_decodes(self):
         job, payload = _clean_window(seed=12)
         pool = DecodeWorkerPool(
-            PARAMS, n_workers=1, executor="process", synchronize=False, rng=0
+            n_workers=1, executor="process", synchronize=False, rng=0
         )
         assert pool.submit(job)
         outcomes = pool.close()
@@ -114,7 +116,6 @@ class TestPoolExecutors:
         # totals whether the job ran in-process or in a worker process.
         def counter_totals(executor):
             pool = DecodeWorkerPool(
-                PARAMS,
                 n_workers=1,
                 executor=executor,
                 synchronize=False,
@@ -138,7 +139,7 @@ class TestPoolExecutors:
         assert serial["decode.crc_ok"] == 2
 
     def test_close_is_idempotent_and_sorted(self):
-        pool = DecodeWorkerPool(PARAMS, executor="serial", synchronize=False, rng=0)
+        pool = DecodeWorkerPool(executor="serial", synchronize=False, rng=0)
         for seed in (21, 20):
             job, _ = _clean_window(seed=seed)
             pool.submit(job)
@@ -147,7 +148,7 @@ class TestPoolExecutors:
         assert pool.close() == first
 
     def test_submit_after_close_raises(self):
-        pool = DecodeWorkerPool(PARAMS, executor="serial", rng=0)
+        pool = DecodeWorkerPool(executor="serial", rng=0)
         pool.close()
         job, _ = _clean_window(seed=0)
         with pytest.raises(RuntimeError, match="closed"):
@@ -155,13 +156,13 @@ class TestPoolExecutors:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="executor"):
-            DecodeWorkerPool(PARAMS, executor="gpu")
+            DecodeWorkerPool(executor="gpu")
         with pytest.raises(ValueError, match="drop_policy"):
-            DecodeWorkerPool(PARAMS, drop_policy="random")
+            DecodeWorkerPool(drop_policy="random")
         with pytest.raises(ValueError, match="n_workers"):
-            DecodeWorkerPool(PARAMS, n_workers=0)
+            DecodeWorkerPool(n_workers=0)
         with pytest.raises(ValueError, match="queue_capacity"):
-            DecodeWorkerPool(PARAMS, queue_capacity=0)
+            DecodeWorkerPool(queue_capacity=0)
 
 
 def _tiny_job(job_id: int) -> DecodeJob:
@@ -173,6 +174,8 @@ def _tiny_job(job_id: int) -> DecodeJob:
         start_sample=job_id,
         detection_score=1.0,
         created_at=time.perf_counter(),
+        params=PARAMS,
+        rng_key=(job_id,),
     )
 
 
@@ -214,7 +217,6 @@ class TestDropPolicies:
         monkeypatch.setattr("repro.gateway.workers.decode_packet_window", gate)
         telemetry = Telemetry()
         pool = DecodeWorkerPool(
-            PARAMS,
             n_workers=1,
             executor="thread",
             queue_capacity=1,

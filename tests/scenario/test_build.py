@@ -7,7 +7,7 @@ import pytest
 
 from repro.channel.link import LinkBudget
 from repro.channel.pathloss import UrbanPathLoss
-from repro.gateway import ShardedGateway, ShardedGatewayConfig, SyntheticTrafficSource
+from repro.gateway import Gateway, GatewayConfig, SyntheticTrafficSource
 from repro.mac.simulator import NodeConfig
 from repro.phy.params import ChannelPlan
 from repro.scenario import (
@@ -174,7 +174,7 @@ class TestByteIdenticalReports:
             materialize=False,
             max_active_nodes=1024,
         )
-        hand_config = ShardedGatewayConfig(
+        hand_config = GatewayConfig(
             plan=plan,
             sf_set=(7,),
             payload_len=8,
@@ -184,11 +184,10 @@ class TestByteIdenticalReports:
             drop_policy="block",
             detection_pfa=1e-3,
             max_users=4,
-            use_engine=True,
             decode_tier="cascade",
             seed=3,
         )
-        hand_report = ShardedGateway(hand_config).run(source)
+        hand_report = Gateway(hand_config).run(source)
 
         scenario_bytes = json.dumps(
             report_digest(scenario_report), sort_keys=True

@@ -108,6 +108,7 @@ class TestAlwaysSampleFailures:
             start_sample=0,
             detection_score=1.1,
             created_at=time.perf_counter(),
+            params=PARAMS,
             rng_key=(job_id,),
         )
 
@@ -116,7 +117,7 @@ class TestAlwaysSampleFailures:
             TraceConfig(sample_rate=0.0, always_sample_failures=True)
         )
         pool = DecodeWorkerPool(
-            PARAMS, executor="serial", rng=0, trace_recorder=recorder
+            executor="serial", rng=0, trace_recorder=recorder
         )
         ok_job, _ = _clean_window(seed=10, lead=32)
         pool.submit(ok_job)
@@ -133,7 +134,7 @@ class TestAlwaysSampleFailures:
             TraceConfig(sample_rate=0.0, always_sample_failures=False)
         )
         pool = DecodeWorkerPool(
-            PARAMS, executor="serial", rng=0, trace_recorder=recorder
+            executor="serial", rng=0, trace_recorder=recorder
         )
         pool.submit(self._noise_job())
         pool.close()

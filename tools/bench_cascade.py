@@ -125,6 +125,8 @@ def build_workload(
                 start_sample=0,
                 detection_score=10.0,
                 created_at=0.0,
+                params=params,
+                rng_key=(i,),
             )
         )
         truths.append(truth)

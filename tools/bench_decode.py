@@ -81,7 +81,6 @@ def run_benchmark(
     reps: int = 8,
     n_symbols: int = 12,
     seed: int = 0,
-    use_engine: bool = True,
     inner: int = 3,
 ) -> dict:
     """Time per-packet decode across (SF, user count) and return the report.
@@ -95,7 +94,7 @@ def run_benchmark(
         params = LoRaParams(spreading_factor=sf)
         for n_users in user_counts:
             rng = ensure_rng(seed)
-            decoder = ChoirDecoder(params, use_engine=use_engine, rng=rng)
+            decoder = ChoirDecoder(params, rng=rng)
             latencies = []
             users_found = []
             for rep in range(reps + 1):
@@ -126,7 +125,6 @@ def run_benchmark(
             "reps": reps,
             "n_symbols": n_symbols,
             "seed": seed,
-            "use_engine": use_engine,
             "inner": inner,
         },
         "environment": {
@@ -147,11 +145,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--reps", type=int, default=8)
     parser.add_argument("--symbols", type=int, default=12)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--scalar",
-        action="store_true",
-        help="time the scalar reference path instead of the engine",
-    )
     parser.add_argument("--out", default="BENCH_decode.json")
     args = parser.parse_args(argv)
     result = run_benchmark(
@@ -160,7 +153,6 @@ def main(argv: list[str] | None = None) -> int:
         reps=args.reps,
         n_symbols=args.symbols,
         seed=args.seed,
-        use_engine=not args.scalar,
     )
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     for case in result["cases"]:

@@ -24,6 +24,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import platform
 import sys
@@ -31,13 +32,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.gateway import (  # noqa: E402
-    Gateway,
-    GatewayConfig,
-    ShardedGateway,
-    ShardedGatewayConfig,
-    SyntheticTrafficSource,
-)
+from repro.gateway import Gateway, GatewayConfig, SyntheticTrafficSource  # noqa: E402
 from repro.mac.simulator import NodeConfig  # noqa: E402
 from repro.phy.params import ChannelPlan, LoRaParams  # noqa: E402
 
@@ -72,9 +67,9 @@ def run_benchmark(
 ) -> dict:
     """Run one gateway benchmark and return the JSON-ready result dict.
 
-    ``n_channels > 1`` (or a multi-SF ``sf_set``) benchmarks the sharded
-    multi-channel gateway over wideband synthetic traffic instead of the
-    single-channel runtime; ``telemetry_out`` additionally dumps the run's
+    ``n_channels > 1`` (or a multi-SF ``sf_set``) puts an EU868-style
+    channel plan in front of the gateway and feeds it wideband synthetic
+    traffic instead of one channel's baseband; ``telemetry_out`` additionally dumps the run's
     telemetry registry as JSON-lines (the CI artifact), ``metrics_out``
     writes Prometheus text exposition, and ``trace_out`` enables
     provenance tracing and writes the trace there.  ``profile`` (or
@@ -88,59 +83,42 @@ def run_benchmark(
     sfs = tuple(sf_set) if sf_set else (spreading_factor,)
     params = LoRaParams(spreading_factor=sfs[0])
     profiling = bool(profile or profile_out or stacks_out)
-    sharded = n_channels > 1 or len(sfs) > 1
-    gateway: Gateway | ShardedGateway
-    if sharded:
-        plan = ChannelPlan.eu868_style(n_channels)
-        nodes = [
-            NodeConfig(
-                node_id=i,
-                snr_db=snr_db,
-                period_s=period_s,
-                channel=i % plan.n_channels,
-                spreading_factor=sfs[i % len(sfs)],
-            )
-            for i in range(n_nodes)
-        ]
-        source = SyntheticTrafficSource(
-            params,
-            nodes,
-            duration_s=duration_s,
-            payload_len=payload_len,
+    plan = (
+        ChannelPlan.eu868_style(n_channels)
+        if n_channels > 1 or len(sfs) > 1
+        else None
+    )
+    nodes = [
+        NodeConfig(
+            node_id=i,
+            snr_db=snr_db,
+            period_s=period_s,
+            channel=i % n_channels,
+            spreading_factor=None if plan is None else sfs[i % len(sfs)],
+        )
+        for i in range(n_nodes)
+    ]
+    source = SyntheticTrafficSource(
+        params,
+        nodes,
+        duration_s=duration_s,
+        payload_len=payload_len,
+        plan=plan,
+        rng=seed,
+    )
+    gateway = Gateway(
+        GatewayConfig(
+            params=params,
             plan=plan,
-            rng=seed,
+            sf_set=sfs,
+            payload_len=payload_len,
+            n_workers=n_workers,
+            executor=executor,
+            seed=seed,
+            trace=bool(trace_out),
+            profile=profiling,
         )
-        gateway = ShardedGateway(
-            ShardedGatewayConfig(
-                plan=plan,
-                sf_set=sfs,
-                payload_len=payload_len,
-                n_workers=n_workers,
-                executor=executor,
-                seed=seed,
-                trace=bool(trace_out),
-                profile=profiling,
-            )
-        )
-    else:
-        nodes = [
-            NodeConfig(node_id=i, snr_db=snr_db, period_s=period_s)
-            for i in range(n_nodes)
-        ]
-        source = SyntheticTrafficSource(
-            params, nodes, duration_s=duration_s, payload_len=payload_len, rng=seed
-        )
-        gateway = Gateway(
-            GatewayConfig(
-                params=params,
-                payload_len=payload_len,
-                n_workers=n_workers,
-                executor=executor,
-                seed=seed,
-                trace=bool(trace_out),
-                profile=profiling,
-            )
-        )
+    )
     report = gateway.run(source)
     if telemetry_out:
         gateway.telemetry.write_jsonl(telemetry_out)
@@ -273,7 +251,13 @@ def rerun_from(baseline: dict) -> dict:
         sys.path.insert(0, str(Path(__file__).resolve().parent))
         import bench_decode
 
-        return bench_decode.run_benchmark(**config)
+        # The committed baseline also records a since-removed decode-path
+        # switch whose recorded value selected today's only path; rerun
+        # with the arguments the benchmark still takes.
+        accepted = inspect.signature(bench_decode.run_benchmark).parameters
+        return bench_decode.run_benchmark(
+            **{key: value for key, value in config.items() if key in accepted}
+        )
     if baseline.get("benchmark") == "cascade":
         sys.path.insert(0, str(Path(__file__).resolve().parent))
         import bench_cascade
@@ -341,12 +325,12 @@ def main(argv: list[str] | None = None) -> int:
         "--channels",
         type=int,
         default=1,
-        help=">1 benchmarks the sharded multi-channel gateway",
+        help=">1 benchmarks the gateway behind an EU868-style channel plan",
     )
     parser.add_argument(
         "--sf-set",
         default=None,
-        help="comma list of SFs scanned per channel (e.g. 7,8); implies sharding",
+        help="comma list of SFs scanned per channel (e.g. 7,8); implies a plan",
     )
     parser.add_argument(
         "--telemetry-out",
