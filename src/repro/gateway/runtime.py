@@ -20,9 +20,13 @@ Stages (each instrumented through :mod:`repro.gateway.telemetry`):
 3. **detect** -- every channel is scanned once per spreading factor in
    ``sf_set`` by a :class:`StreamScanner`, which slides
    :func:`repro.core.detection.sliding_packet_search` (``earliest=True``)
-   over the unscanned span of the ring.  A detection whose frame tail has
-   not arrived yet stays pending until the next chunk, which is how
-   packets straddling chunk boundaries survive.  Scanners sharing a ring
+   over the unscanned span of the ring.  Each scanner keeps a
+   :class:`repro.core.detection.ScanMemo` keyed by absolute sample
+   index, so a window already transformed and a start already scored on
+   an earlier chunk are reused, not recomputed (``detect.windows_*``
+   counters).  A detection whose frame tail has not arrived yet stays
+   pending until the next chunk, which is how packets straddling chunk
+   boundaries survive.  Scanners sharing a ring
    publish release positions and the ring consumes their minimum, so an
    SF7 and an SF8 scanner multiplex one channel without stealing each
    other's samples.
@@ -50,7 +54,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.cascade import DECODE_TIERS
-from repro.core.detection import sliding_packet_search
+from repro.core.detection import ScanMemo, sliding_packet_search
 from repro.gateway.channelizer import PolyphaseChannelizer
 from repro.gateway.ring import SampleRing
 from repro.gateway.sources import SampleSource
@@ -458,6 +462,7 @@ class StreamScanner:
         self.release_pos = 0  # earliest sample this scanner may still need
         self.detected = 0
         self.shard_seq = 0  # per-shard job sequence number (RNG key)
+        self._memo = ScanMemo()  # window spectra carried across scans
 
     def _release(self, pos: int) -> None:
         if pos > self.release_pos:
@@ -511,8 +516,14 @@ class StreamScanner:
                     segment,
                     pfa=self.detection_pfa,
                     earliest=True,
+                    memo=self._memo,
+                    origin=self.scan_pos,
                 )
             telemetry.counter("detect.scans").inc()
+            telemetry.counter("detect.windows_transformed").inc(
+                self._memo.windows_transformed
+            )
+            telemetry.counter("detect.windows_reused").inc(self._memo.windows_reused)
             if not result.detected:
                 # Keep a preamble's worth of overlap so a packet whose
                 # head just arrived is still detectable next scan.
@@ -530,8 +541,7 @@ class StreamScanner:
             next_job_id += 1
             self.shard_seq += 1
             telemetry.counter("detect.packets").inc()
-            if self.label:
-                telemetry.counter(f"{self.label}.detect.packets").inc()
+            telemetry.counter(f"{self.label}.detect.packets").inc()
             if self.trace_recorder is not None:
                 self.trace_recorder.record_detection(
                     job_id=job.job_id,

@@ -3,8 +3,11 @@
 The gateway consumes its ring front-to-back, so detection must (a) find
 the *first* packet when several sit in one capture, (b) not fire on pure
 noise, and (c) recover packets whose samples arrive split across chunk
-boundaries.
+boundaries, and (d) dispatch the same jobs whether or not a scanner
+carries window spectra across scans.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +15,12 @@ import pytest
 from repro.channel.noise import awgn
 from repro.core.detection import align_to_window_grid, sliding_packet_search
 from repro.gateway import Gateway, GatewayConfig, SyntheticTrafficSource
+from repro.gateway import runtime
+from repro.gateway.ring import SampleRing
+from repro.gateway.runtime import StreamScanner
+from repro.gateway.telemetry import Telemetry
 from repro.hardware.radio import LoRaRadio
+from repro.mac.simulator import NodeConfig
 from tests.gateway.conftest import PARAMS, PAYLOAD_LEN, periodic_node
 
 
@@ -113,3 +121,58 @@ class TestChunkStraddle:
         sent = sorted(p.payload for p in source.transmitted)
         assert len(sent) > 0
         assert sorted(report.decoded_payloads) == sent
+
+
+class _RecordingPool:
+    """Stands in for the decode pool: records what the scanners submit."""
+
+    def __init__(self):
+        self.jobs = []
+
+    def submit(self, job):
+        self.jobs.append((job.start_sample, job.detection_score))
+        return True
+
+
+def _scan_stream(chunk_samples):
+    """Run an SF7 and an SF8 scanner over one ring, as the gateway does."""
+    nodes = [
+        NodeConfig(node_id=i, snr_db=snr, period_s=period)
+        for i, (snr, period) in enumerate([(15.0, 0.13), (3.0, 0.17), (-6.0, 0.23)])
+    ]
+    source = SyntheticTrafficSource(
+        PARAMS, nodes, duration_s=1.0, payload_len=PAYLOAD_LEN,
+        chunk_samples=chunk_samples, rng=2,
+    )
+    telemetry = Telemetry()
+    ring = SampleRing(1 << 16)
+    scanners = [
+        StreamScanner(replace(PARAMS, spreading_factor=sf), PAYLOAD_LEN, telemetry)
+        for sf in (7, 8)
+    ]
+    pool = _RecordingPool()
+    job_id = 0
+    for chunk in source.chunks():
+        ring.append(chunk)
+        for scanner in scanners:
+            job_id = scanner.scan(ring, pool, job_id)
+        ring.consume(min(scanner.release_pos for scanner in scanners))
+    for scanner in scanners:
+        job_id = scanner.scan(ring, pool, job_id, final=True)
+    return pool.jobs, telemetry
+
+
+class TestScannerMemo:
+    @pytest.mark.parametrize("chunk_samples", [1000, 512])
+    def test_memo_dispatches_the_same_jobs(self, chunk_samples, monkeypatch):
+        memoized, telemetry = _scan_stream(chunk_samples)
+
+        def fresh_search(params, samples, *args, memo=None, origin=0, **kwargs):
+            return sliding_packet_search(params, samples, *args, **kwargs)
+
+        monkeypatch.setattr(runtime, "sliding_packet_search", fresh_search)
+        fresh, _ = _scan_stream(chunk_samples)
+        assert len(memoized) >= 6
+        assert memoized == fresh  # exact start samples and scores
+        assert telemetry.counter("detect.windows_reused").value > 0
+        assert telemetry.counter("detect.windows_transformed").value > 0

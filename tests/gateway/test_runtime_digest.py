@@ -10,7 +10,9 @@ were merged into one :class:`repro.gateway.Gateway`:
   drops the ``shards`` key the merged runtime now always adds.
 * ``plan`` -- a 2-channel EU868-style plan scanned at SF7 and SF8; the
   serial, thread and process executors all produced this digest, and
-  must still match it in full.
+  must still match it in full.  The golden records no dropped jobs, so
+  the run uses the lossless ``block`` drop policy: the digest checks
+  detection and decode, not whether ingest outruns the worker pool.
 """
 
 import json
@@ -73,6 +75,7 @@ def _plan_digest(executor: str) -> dict:
         payload_len=PAYLOAD_LEN,
         executor=executor,
         n_workers=1 if executor == "serial" else 2,
+        drop_policy="block",
         seed=5,
     )
     return report_digest(Gateway(config).run(source))
