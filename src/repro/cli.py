@@ -28,6 +28,7 @@ import sys
 import time
 from typing import Callable
 
+from repro.core.cascade import DECODE_TIERS, DEFAULT_DECODE_TIER
 from repro.experiments import (
     run_collision_peaks,
     run_density_vs_snr,
@@ -681,10 +682,10 @@ def main(argv: list[str] | None = None) -> int:
     gw.add_argument("--drop-policy", choices=("newest", "oldest", "block"), default="newest")
     gw.add_argument(
         "--decode-tier",
-        choices=("full", "cascade", "fast"),
-        default="full",
-        help="decode pipeline per window: full Choir, tiered cascade, or"
-        " Tier-0 fast path only",
+        choices=DECODE_TIERS,
+        default=DEFAULT_DECODE_TIER,
+        help="decode pipeline per window: tiered cascade (default), full"
+        " Choir on every window (the reference path), or Tier-0 fast path only",
     )
     gw.add_argument("--input", default=None, help="IQ capture to replay (.npy or raw complex64)")
     gw.add_argument("--telemetry-out", default=None, help="write telemetry JSON-lines here")
@@ -765,8 +766,8 @@ def main(argv: list[str] | None = None) -> int:
     srv.add_argument("--seed", type=int, default=0, help="master seed")
     srv.add_argument(
         "--decode-tier",
-        choices=("full", "cascade", "fast"),
-        default="full",
+        choices=DECODE_TIERS,
+        default=DEFAULT_DECODE_TIER,
         help="decode pipeline the fronting IQ gateways run (recorded in"
         " the server config; the packet-level scenario reports it)",
     )

@@ -52,6 +52,7 @@ from repro.core.decoder import (
 )
 from repro.core.cascade import (
     DECODE_TIERS,
+    DEFAULT_DECODE_TIER,
     CascadePipeline,
     ChoirPipeline,
     UserFrame,
@@ -100,6 +101,7 @@ __all__ = [
     "DECODE_METHODS",
     "TEAM_DECODE_METHODS",
     "DECODE_TIERS",
+    "DEFAULT_DECODE_TIER",
     "CascadePipeline",
     "ChoirPipeline",
     "UserFrame",

@@ -11,9 +11,10 @@ Tiers
 -----
 ``full``
     :class:`ChoirPipeline` -- grid alignment plus the alignment-ladder
-    retry loop around :class:`repro.core.ChoirDecoder` (the behaviour
-    the gateway always had; bit-identical results).
+    retry loop around :class:`repro.core.ChoirDecoder` on every window
+    (the reference path; bit-identical results).
 ``cascade``
+    The default (:data:`DEFAULT_DECODE_TIER`).
     :class:`CascadePipeline` -- Tier-0
     (:class:`repro.core.fastpath.FastPathDecoder`) on windows the
     collision discriminator calls clean, escalation to the full
@@ -57,6 +58,11 @@ from repro.utils.rng import RngLike
 
 #: Accepted decode-tier names (CLI ``--decode-tier`` and config fields).
 DECODE_TIERS: Tuple[str, ...] = ("full", "cascade", "fast")
+
+#: The tier every gateway, server and CLI default names.  ``full`` stays
+#: selectable: it is the cascade's escalation target and the reference
+#: path the parity suites compare against.
+DEFAULT_DECODE_TIER = "cascade"
 
 #: Tier labels stamped on outcomes and telemetry.
 TIER0 = "tier0"

@@ -23,8 +23,8 @@ per stream rather than once per scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import stats
@@ -50,24 +50,65 @@ def accumulate_preamble(
     return np.mean(np.abs(spectra) ** 2, axis=0)
 
 
-@dataclass(frozen=True)
 class DetectionResult:
     """Outcome of a packet-detection attempt.
 
     ``score`` is the ratio of the strongest accumulated bin to the
     calibrated null threshold: > 1 means detected; comparable across
     candidate start positions.
+
+    ``peaks`` may be given as a zero-argument callable instead of a
+    sequence: it is called on the first read of :attr:`peaks`, and its
+    result is kept.
+    :func:`sliding_packet_search` defers its peak picking this way, so a
+    caller that only needs ``detected`` / ``start_window`` / ``score``
+    (the streaming gateway) never pays for :func:`find_peaks`.  Equality
+    compares ``(detected, start_window, peaks, score)`` either way.
     """
 
-    detected: bool
-    start_window: int
-    peaks: tuple[Peak, ...]
-    score: float
+    __slots__ = ("detected", "start_window", "score", "_peaks")
+
+    def __init__(
+        self,
+        detected: bool,
+        start_window: int,
+        peaks: Sequence[Peak] | Callable[[], Sequence[Peak]],
+        score: float,
+    ) -> None:
+        self.detected = detected
+        self.start_window = start_window
+        self.score = score
+        self._peaks = peaks if callable(peaks) else tuple(peaks)
+
+    @property
+    def peaks(self) -> tuple[Peak, ...]:
+        """Distinct accumulated-preamble peaks, strongest first."""
+        if callable(self._peaks):
+            self._peaks = tuple(self._peaks())
+        return self._peaks
 
     @property
     def n_peaks(self) -> int:
         """Number of distinct accumulated-preamble peaks (team members seen)."""
         return len(self.peaks)
+
+    def _fields(self) -> tuple[bool, int, tuple[Peak, ...], float]:
+        return (self.detected, self.start_window, self.peaks, self.score)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DetectionResult):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"DetectionResult(detected={self.detected!r}, "
+            f"start_window={self.start_window!r}, peaks={self.peaks!r}, "
+            f"score={self.score!r})"
+        )
 
 
 def detection_threshold(
@@ -336,6 +377,10 @@ def sliding_packet_search(
     ``origin`` the absolute index of ``samples[0]`` (see
     :class:`ScanMemo`); ``None`` searches from scratch.  Results are
     identical either way.
+
+    A detection's ``peaks`` are :func:`detect_preamble`'s peaks of the
+    best start's accumulated spectrum, picked on their first read (see
+    :class:`DetectionResult`).
     """
     samples = np.asarray(samples)
     n = params.samples_per_symbol
@@ -379,9 +424,14 @@ def sliding_packet_search(
                 detected=False, start_window=best_start, peaks=(), score=best_score
             )
         accumulated = np.mean(power[best_start : best_start + span], axis=0)
-        result = detect_preamble(
-            accumulated, oversample, n_windows=span, pfa=per_start_pfa
-        )
+    # Peak picking is deferred to the first read of ``peaks``.
+    peaks = partial(_preamble_peaks, accumulated, oversample, span, per_start_pfa)
     return DetectionResult(
-        detected=True, start_window=best_start, peaks=result.peaks, score=best_score
+        detected=True, start_window=best_start, peaks=peaks, score=best_score
     )
+
+
+def _preamble_peaks(
+    accumulated: np.ndarray, oversample: int, n_windows: int, pfa: float
+) -> tuple[Peak, ...]:
+    return detect_preamble(accumulated, oversample, n_windows=n_windows, pfa=pfa).peaks

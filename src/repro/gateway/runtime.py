@@ -53,7 +53,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.cascade import DECODE_TIERS
+from repro.core.cascade import DECODE_TIERS, DEFAULT_DECODE_TIER
 from repro.core.detection import ScanMemo, sliding_packet_search
 from repro.gateway.channelizer import PolyphaseChannelizer
 from repro.gateway.ring import SampleRing
@@ -104,10 +104,11 @@ class GatewayConfig:
         worst-case decode time on windows full of interference
         (None = uncapped).
     decode_tier:
-        Which pipeline decodes each window: ``"full"`` (default),
-        ``"cascade"`` (Tier-0 fast path with escalation to the full
-        Choir pipeline) or ``"fast"`` (Tier 0 only); see
-        :mod:`repro.core.cascade`.
+        Which pipeline decodes each window: ``"cascade"`` (default,
+        :data:`repro.core.cascade.DEFAULT_DECODE_TIER`: Tier-0 fast path
+        with escalation to the full Choir pipeline), ``"full"`` (the
+        full pipeline on every window, the reference path) or
+        ``"fast"`` (Tier 0 only); see :mod:`repro.core.cascade`.
     seed:
         Master seed; per-job decode RNGs derive from it by shard key.
     trace:
@@ -145,7 +146,7 @@ class GatewayConfig:
     coding_rate: int = 4
     synchronize: bool = True
     max_users: Optional[int] = 4
-    decode_tier: str = "full"
+    decode_tier: str = DEFAULT_DECODE_TIER
     seed: Optional[int] = None
     trace: bool = False
     trace_sample_rate: float = 1.0

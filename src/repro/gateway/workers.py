@@ -41,7 +41,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.cascade import DECODE_TIERS, build_pipeline
+from repro.core.cascade import DECODE_TIERS, DEFAULT_DECODE_TIER, build_pipeline
 from repro.gateway.telemetry import Telemetry, clock, shard_label
 from repro.phy.params import LoRaParams
 from repro.profile import context as profile_context
@@ -151,7 +151,7 @@ def decode_packet_window(
     coding_rate: int = 4,
     sync_search_symbols: int = 0,
     max_users: Optional[int] = None,
-    decode_tier: str = "full",
+    decode_tier: str = DEFAULT_DECODE_TIER,
     trace_directive: Optional[TraceDirective] = None,
     profile: bool = False,
 ) -> DecodeOutcome:
@@ -159,14 +159,14 @@ def decode_packet_window(
 
     The decode itself is delegated to the tier pipeline named by
     ``decode_tier`` (:func:`repro.core.cascade.build_pipeline`): the
-    default ``"full"`` pipeline snaps the window to the preamble grid
-    (``sync_search_symbols`` bounds that search to the first so-many
-    symbols -- the streaming gateway cuts windows with two symbols of
-    lead, so the true boundary always lies within the first three) and
-    retries a small ladder of alternative alignments with CRC as the
-    oracle; ``"cascade"`` tries the Tier-0 fast path first and escalates
-    to the full pipeline on collision evidence or CRC failure; ``"fast"``
-    is Tier 0 alone.  This function owns the job plumbing around the
+    default ``"cascade"`` tries the Tier-0 fast path first and escalates
+    to the full pipeline on collision evidence or CRC failure; ``"full"``
+    snaps every window to the preamble grid (``sync_search_symbols``
+    bounds that search to the first so-many symbols -- the streaming
+    gateway cuts windows with two symbols of lead, so the true boundary
+    always lies within the first three) and retries a small ladder of
+    alternative alignments with CRC as the oracle; ``"fast"`` is Tier 0
+    alone.  This function owns the job plumbing around the
     pipeline: RNG derivation, the trace builder, job-local telemetry,
     and the outcome record.
 
@@ -304,9 +304,9 @@ class DecodeWorkerPool:
         Cap on SIC user estimates per window (None = uncapped); bounds
         the worst-case decode time on windows full of interference.
     decode_tier:
-        Which pipeline decodes each window -- ``"full"`` (default, the
-        classic path), ``"cascade"`` (Tier-0 fast path, full Choir on
-        escalation) or ``"fast"`` (Tier 0 only); see
+        Which pipeline decodes each window -- ``"cascade"`` (default:
+        Tier-0 fast path, full Choir on escalation), ``"full"`` (the
+        reference path on every window) or ``"fast"`` (Tier 0 only); see
         :mod:`repro.core.cascade`.
     rng:
         Pool seed; each job's decoder RNG is derived from it by the
@@ -343,7 +343,7 @@ class DecodeWorkerPool:
         coding_rate: int = 4,
         sync_search_symbols: int = 0,
         max_users: Optional[int] = None,
-        decode_tier: str = "full",
+        decode_tier: str = DEFAULT_DECODE_TIER,
         rng: RngLike = None,
         telemetry: Optional[Telemetry] = None,
         trace_recorder: Optional[TraceRecorder] = None,

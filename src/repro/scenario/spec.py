@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.core.cascade import DECODE_TIERS
+from repro.core.cascade import DECODE_TIERS, DEFAULT_DECODE_TIER
 from repro.phy.params import VALID_SPREADING_FACTORS
 
 #: Geometry layouts the node builder understands.
@@ -335,7 +335,7 @@ class GatewaySpec:
     drop_policy: str = "block"
     detection_pfa: float = 1e-3
     chunk_samples: int = 4096
-    decode_tier: str = "cascade"
+    decode_tier: str = DEFAULT_DECODE_TIER
     max_users: Optional[int] = 4
 
     def validate(self) -> None:

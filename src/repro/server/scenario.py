@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.core.cascade import DEFAULT_DECODE_TIER
 from repro.mac.phy import PhyModel, SingleUserPhy, Transmission
 from repro.mac.protocols import OracleMac
 from repro.mac.simulator import NetworkSimulator, NodeConfig, SlotResult
@@ -284,7 +285,7 @@ def build_scenario(
     near_offset_db: float = 0.0,
     far_offset_db: float = -4.0,
     seed: int = 0,
-    decode_tier: str = "full",
+    decode_tier: str = DEFAULT_DECODE_TIER,
 ) -> Tuple[NetworkSimulator, MultiGatewayPhy, NetworkServer]:
     """Assemble a canonical overlapping 2+-gateway deployment.
 

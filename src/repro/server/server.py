@@ -29,7 +29,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.cascade import DECODE_TIERS
+from repro.core.cascade import DECODE_TIERS, DEFAULT_DECODE_TIER
 from repro.gateway.telemetry import Telemetry
 from repro.mac.adr import DEFAULT_ASSIGNMENT_MARGIN_DB
 from repro.server.adr import AdrEngine
@@ -56,7 +56,7 @@ class ServerConfig:
     the in-memory delivered-uplink log (``None`` keeps everything --
     fine for tests, unsuitable for soak runs).  ``decode_tier`` records
     which decode pipeline the IQ gateways fronting this server run
-    (``"full"``, ``"cascade"`` or ``"fast"``; see
+    (``"cascade"`` by default, ``"full"`` or ``"fast"``; see
     :mod:`repro.core.cascade`) -- the protocol scenario itself decodes
     at packet level, so the field is deployment metadata the server
     validates and reports, not a switch it acts on.
@@ -75,7 +75,7 @@ class ServerConfig:
     adjust_power: bool = True
     queue_capacity: int = 64
     drop_policy: str = "newest"
-    decode_tier: str = "full"
+    decode_tier: str = DEFAULT_DECODE_TIER
     max_delivered_log: Optional[int] = None
 
     def __post_init__(self) -> None:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from repro.core import detection
 from repro.core.dechirp import DEFAULT_OVERSAMPLE, dechirp_windows, oversampled_spectrum
 from repro.core.detection import (
     DetectionResult,
@@ -102,6 +103,44 @@ class TestSlidingSearch:
     def test_short_capture(self):
         result = sliding_packet_search(PARAMS, np.zeros(100, dtype=complex))
         assert not result.detected
+
+
+class TestLazyPeaks:
+    def test_peaks_are_picked_once_on_first_read(self, monkeypatch):
+        calls = []
+        real = detection.find_peaks
+
+        def counting_find_peaks(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(detection, "find_peaks", counting_find_peaks)
+        segment = _stream(3, 9 * _N + 37, 2.0)
+        result = sliding_packet_search(PARAMS, segment)
+        assert result.detected and calls == []
+        peaks = result.peaks
+        assert result.peaks is peaks and len(calls) == 1
+        # Exactly detect_preamble's peaks of the best start's accumulation.
+        span = PARAMS.preamble_len
+        n_starts = segment.size // _N - span + 1
+        power = np.abs(
+            oversampled_spectrum(dechirp_windows(PARAMS, segment), DEFAULT_OVERSAMPLE)
+        ) ** 2
+        expected = detect_preamble(
+            np.mean(power[result.start_window : result.start_window + span], axis=0),
+            DEFAULT_OVERSAMPLE,
+            n_windows=span,
+            pfa=1e-3 / n_starts,
+        ).peaks
+        assert expected and peaks == expected
+
+    def test_deferred_and_eager_results_compare_equal(self):
+        result = sliding_packet_search(PARAMS, _stream(3, 9 * _N + 37, 2.0))
+        eager = DetectionResult(True, result.start_window, result.peaks, result.score)
+        deferred = DetectionResult(True, result.start_window, lambda: eager.peaks, result.score)
+        assert deferred == eager and hash(deferred) == hash(eager)
+        assert deferred.n_peaks == eager.n_peaks > 0
+        assert DetectionResult(False, 0, (), 0.0) != eager
 
 
 class TestNullQuantiles:

@@ -10,6 +10,7 @@ packet the cascade does lose still gets exactly one drop reason.
 import numpy as np
 import pytest
 
+from repro.core.cascade import DEFAULT_DECODE_TIER
 from repro.gateway import (
     Gateway,
     GatewayConfig,
@@ -36,19 +37,54 @@ def _source():
     )
 
 
-def _run(decode_tier):
+#: The golden ``plan`` digest's traffic (tests/gateway/test_runtime_digest.py):
+#: a 2-channel EU868-style plan scanned at SF7 and SF8, so every packet
+#: also crosses the other SF's scanner as a cross-SF phantom detection.
+WIDEBAND_PLAN = ChannelPlan.eu868_style(2)
+WIDEBAND_SF_SET = (7, 8)
+
+
+def _wideband_source():
+    nodes = [
+        NodeConfig(
+            node_id=i,
+            snr_db=15.0,
+            period_s=0.2,
+            channel=i % 2,
+            spreading_factor=WIDEBAND_SF_SET[(i // 2) % 2],
+        )
+        for i in range(4)
+    ]
+    return SyntheticTrafficSource(
+        LoRaParams(spreading_factor=7),
+        nodes,
+        duration_s=0.5,
+        payload_len=PAYLOAD_LEN,
+        plan=WIDEBAND_PLAN,
+        rng=5,
+    )
+
+
+def _run(decode_tier, traffic="narrowband"):
+    if traffic == "narrowband":
+        shape = dict(params=PARAMS, seed=0)
+        source = _source()
+    else:
+        shape = dict(
+            plan=WIDEBAND_PLAN, sf_set=WIDEBAND_SF_SET, drop_policy="block", seed=5
+        )
+        source = _wideband_source()
     config = GatewayConfig(
-        params=PARAMS,
         payload_len=PAYLOAD_LEN,
         n_workers=2,
         executor="thread",
-        seed=0,
         decode_tier=decode_tier,
         trace=True,
         trace_sample_rate=0.0,
         trace_always_sample_failures=True,
+        **shape,
     )
-    return Gateway(config).run(_source())
+    return Gateway(config).run(source)
 
 
 class TestConfigValidation:
@@ -60,9 +96,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="decode_tier"):
             ShardedGatewayConfig(sf_set=(7,), decode_tier="turbo")
 
-    def test_default_tier_is_full(self):
-        assert GatewayConfig(params=PARAMS).decode_tier == "full"
-        assert ShardedGatewayConfig(sf_set=(7,)).decode_tier == "full"
+    def test_default_tier_is_cascade(self):
+        assert DEFAULT_DECODE_TIER == "cascade"
+        assert GatewayConfig(params=PARAMS).decode_tier == DEFAULT_DECODE_TIER
+        assert ShardedGatewayConfig(sf_set=(7,)).decode_tier == DEFAULT_DECODE_TIER
 
 
 class TestCascadeParity:
@@ -76,17 +113,24 @@ class TestCascadeParity:
     def cascade_report(self):
         return _run("cascade")
 
-    def test_cascade_recovers_every_full_payload(self, full_report, cascade_report):
+    @pytest.fixture(scope="class", params=["narrowband", "wideband"])
+    def parity_reports(self, request, full_report, cascade_report):
+        """(full, cascade) reports on narrowband SF7 or two-SF wideband traffic."""
+        if request.param == "narrowband":
+            return full_report, cascade_report
+        return _run("full", "wideband"), _run("cascade", "wideband")
+
+    def test_cascade_recovers_every_full_payload(self, parity_reports):
         from collections import Counter
 
+        full_report, cascade_report = parity_reports
         full = Counter(full_report.decoded_payloads)
         cascade = Counter(cascade_report.decoded_payloads)
         lost = full - cascade
         assert not lost, f"cascade lost payloads the full path recovers: {lost}"
 
-    def test_forensics_agree_no_packet_flips_to_lost(
-        self, full_report, cascade_report, tmp_path
-    ):
+    def test_forensics_agree_no_packet_flips_to_lost(self, parity_reports, tmp_path):
+        full_report, cascade_report = parity_reports
         reports = {}
         for name, report in (("full", full_report), ("cascade", cascade_report)):
             path = tmp_path / f"{name}.jsonl"

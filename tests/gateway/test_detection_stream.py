@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.channel.noise import awgn
+from repro.core import detection
 from repro.core.detection import align_to_window_grid, sliding_packet_search
 from repro.gateway import Gateway, GatewayConfig, SyntheticTrafficSource
 from repro.gateway import runtime
@@ -176,3 +177,24 @@ class TestScannerMemo:
         assert memoized == fresh  # exact start samples and scores
         assert telemetry.counter("detect.windows_reused").value > 0
         assert telemetry.counter("detect.windows_transformed").value > 0
+
+
+class TestLazyPeaks:
+    def test_gateway_run_never_picks_preamble_peaks(self, monkeypatch):
+        # The scanner reads only detected/start_window/score, so the
+        # deferred peak picking must never run on the streaming path.
+        calls = []
+        real = detection.find_peaks
+
+        def counting_find_peaks(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(detection, "find_peaks", counting_find_peaks)
+        source = SyntheticTrafficSource(
+            PARAMS, [periodic_node()], duration_s=1.0, payload_len=PAYLOAD_LEN, rng=0
+        )
+        config = GatewayConfig(params=PARAMS, payload_len=PAYLOAD_LEN, seed=0)
+        report = Gateway(config).run(source)
+        assert report.packets_detected > 0
+        assert calls == []

@@ -119,6 +119,7 @@ class TestPoolExecutors:
                 n_workers=1,
                 executor=executor,
                 synchronize=False,
+                decode_tier="full",  # decode.attempts counts full-pipeline tries
                 rng=0,
             )
             for seed in (12, 13):

@@ -264,6 +264,9 @@ class TestBenchScenario:
             n_workers=2,
             executor="thread",
             seed=0,
+            # The full tier loses one packet here, which the cascade
+            # recovers; pinned so a failure trace exists to capture.
+            decode_tier="full",
             trace=True,
             trace_sample_rate=0.0,
             trace_always_sample_failures=True,

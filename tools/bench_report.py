@@ -32,6 +32,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.core.cascade import DEFAULT_DECODE_TIER  # noqa: E402
 from repro.gateway import Gateway, GatewayConfig, SyntheticTrafficSource  # noqa: E402
 from repro.mac.simulator import NodeConfig  # noqa: E402
 from repro.phy.params import ChannelPlan, LoRaParams  # noqa: E402
@@ -58,6 +59,7 @@ def run_benchmark(
     spreading_factor: int = 7,
     n_channels: int = 1,
     sf_set: tuple[int, ...] | list[int] | None = None,
+    decode_tier: str = DEFAULT_DECODE_TIER,
     telemetry_out: str | None = None,
     metrics_out: str | None = None,
     trace_out: str | None = None,
@@ -69,7 +71,10 @@ def run_benchmark(
 
     ``n_channels > 1`` (or a multi-SF ``sf_set``) puts an EU868-style
     channel plan in front of the gateway and feeds it wideband synthetic
-    traffic instead of one channel's baseband; ``telemetry_out`` additionally dumps the run's
+    traffic instead of one channel's baseband.  ``decode_tier`` is
+    recorded in ``config``, so a ``--compare`` rerun measures the tier
+    its baseline did (a baseline without the key reruns at today's
+    default).  ``telemetry_out`` additionally dumps the run's
     telemetry registry as JSON-lines (the CI artifact), ``metrics_out``
     writes Prometheus text exposition, and ``trace_out`` enables
     provenance tracing and writes the trace there.  ``profile`` (or
@@ -115,6 +120,7 @@ def run_benchmark(
             n_workers=n_workers,
             executor=executor,
             seed=seed,
+            decode_tier=decode_tier,
             trace=bool(trace_out),
             profile=profiling,
         )
@@ -155,6 +161,7 @@ def run_benchmark(
             "spreading_factor": spreading_factor,
             "n_channels": n_channels,
             "sf_set": list(sfs),
+            "decode_tier": gateway.config.decode_tier,
         },
         "environment": {
             "python": platform.python_version(),
