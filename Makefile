@@ -1,6 +1,6 @@
 # Developer workflow for the Choir reproduction.
 #
-#   make lint          repo-specific AST rules (R001-R013) + ruff, if installed
+#   make lint          repo-specific AST rules (R001-R014) + ruff, if installed
 #   make analyze       the AST dataflow engine alone, with a JSON findings report
 #   make typecheck     mypy per the gradual-strictness table in pyproject.toml
 #   make test          the tier-1 suite (includes the static-analysis gate)
@@ -83,7 +83,7 @@ lint:
 		echo "ruff not installed (pip install -e '.[lint]'); skipping"; \
 	fi
 
-# Concurrency & determinism audit (DESIGN.md Sec. 14): rules R001-R013
+# Concurrency & determinism audit (DESIGN.md Sec. 14): rules R001-R014
 # over the source tree, findings also written as a JSON artifact.
 analyze:
 	$(PYTHON) tools/repro_lint.py --engine=ast --json $(ANALYZE_OUT) src tools

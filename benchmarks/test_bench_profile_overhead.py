@@ -1,9 +1,9 @@
 """Profiler overhead gate for the streaming gateway.
 
 The kernel-profiling hooks sit on the same hot paths as the tracing
-hooks (``with profile_context.kernel(...)`` around every dechirp,
-channelizer push, Gram solve, and SIC tier).  With no profiler
-installed each hook is one ContextVar read and must be cheap enough
+hooks (``with observe.kernel(...)`` around every dechirp, channelizer
+push, Gram solve, and SIC tier).  With nothing installed each hook is
+one ContextVar read and must be cheap enough
 that the standard gateway benchmark stays within 10% of the committed
 ``BENCH_gateway.json`` realtime factor -- the same band as the tracing
 gate, because the 8-channel EU868 baseline's wall clock jitters roughly

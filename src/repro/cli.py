@@ -272,8 +272,7 @@ def cmd_gateway(args: argparse.Namespace) -> int:
             f" {'narrowband' if plan is None else 'wideband'} traffic:"
             f" {args.nodes} node(s) across {config.n_channels} channel(s),"
             f" SF set {','.join(str(s) for s in config.sf_set)},"
-            f" period {args.period}s, {args.snr:.0f} dB SNR,"
-            f" {len(source.transmitted)} packets"
+            f" period {args.period}s, {args.snr:.0f} dB SNR"
         )
     gateway = Gateway(config)
     report = gateway.run(source)

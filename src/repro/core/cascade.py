@@ -24,22 +24,20 @@ Tiers
     Tier-0 only, never escalate -- the measurement configuration that
     isolates the fast path's own loss profile.
 
-Instrumentation is duck-typed: ``decode_window`` takes any object with
-``counter(name).inc()`` and ``timer(name)`` (the gateway passes its
-job-local :class:`repro.gateway.telemetry.Telemetry`); the default
-:data:`NULL_INSTRUMENTS` makes standalone use free.  Trace spans ride
-:mod:`repro.trace.context` exactly like the detector's ``detect.align``
-events do.
+Counters, timers and trace spans go to the ambient observation context
+(:mod:`repro.observe`), exactly like the detector's ``detect.align``
+events do: the gateway worker installs its job-local sinks around the
+decode, and standalone use with nothing installed records nothing.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro import observe
 from repro.core.decoder import ChoirDecoder
 from repro.core.detection import align_to_window_grid
 from repro.core.fastpath import (
@@ -53,7 +51,6 @@ from repro.core.fastpath import (
 )
 from repro.phy.packet import LoRaFramer
 from repro.phy.params import LoRaParams
-from repro.trace import context as trace_context
 from repro.utils.rng import RngLike
 
 #: Accepted decode-tier names (CLI ``--decode-tier`` and config fields).
@@ -89,28 +86,6 @@ _REASON_FOR_VERDICT = {
     AMBIGUOUS: REASON_AMBIGUOUS,
     NO_PREAMBLE: REASON_NO_PREAMBLE,
 }
-
-
-class _NullCounter:
-    def inc(self, n: int = 1) -> None:
-        """Discard the increment."""
-
-
-class NullInstruments:
-    """No-op stand-in for a telemetry registry (standalone pipeline use)."""
-
-    def counter(self, name: str) -> _NullCounter:
-        """A counter that discards increments."""
-        return _NULL_COUNTER
-
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """A timer context that records nothing."""
-        yield
-
-
-_NULL_COUNTER = _NullCounter()
-NULL_INSTRUMENTS = NullInstruments()
 
 
 @dataclass(frozen=True)
@@ -201,7 +176,6 @@ class ChoirPipeline:
         samples: np.ndarray,
         n_data_symbols: int,
         payload_len: int,
-        instruments: NullInstruments = NULL_INSTRUMENTS,
     ) -> WindowDecode:
         """Align, then decode with the CRC-oracle alignment ladder."""
         n = self.params.samples_per_symbol
@@ -211,13 +185,13 @@ class ChoirPipeline:
                 if self.sync_search_symbols > 0
                 else None
             )
-            with trace_context.span("align"), instruments.timer("decode.align_s"):
+            with observe.stage("align", timer="decode.align_s"):
                 base, align_score = align_to_window_grid(
                     self.params,
                     samples,
                     candidate_range=candidate_range,
                 )
-                trace_context.annotate(offset=base, score=float(align_score))
+                observe.annotate(offset=base, score=float(align_score))
             # The decoder's sweet spot is a grid a fraction of a window
             # *after* the true boundary (the small data leak is absorbed by
             # the boundary-glitch model), while the ridge's "latest" pick can
@@ -233,12 +207,12 @@ class ChoirPipeline:
         results: List[UserFrame] = []
         retries = 0
         for attempt, offset in enumerate(offsets):
-            with trace_context.span("attempt", index=attempt, offset=int(offset)):
-                instruments.counter("decode.attempts").inc()
+            with observe.span("attempt", index=attempt, offset=int(offset)):
+                observe.counter("decode.attempts")
                 attempt_results = self._decode_at(
                     samples, offset, n_data_symbols, payload_len
                 )
-                trace_context.add_event(
+                observe.add_event(
                     "attempt.result",
                     n_users=len(attempt_results),
                     n_crc_ok=sum(1 for r in attempt_results if r.crc_ok),
@@ -289,7 +263,6 @@ class CascadePipeline:
         samples: np.ndarray,
         n_data_symbols: int,
         payload_len: int,
-        instruments: NullInstruments,
     ) -> Tuple[Optional[WindowDecode], Optional[str]]:
         """Run Tier 0: ``(result, None)`` on success, else the reason.
 
@@ -297,12 +270,12 @@ class CascadePipeline:
         (kept by the ``fast`` tier) and the ``crc-fail`` reason the
         cascade escalates on.
         """
-        with trace_context.span("decode.tier0"):
-            instruments.counter("decode.tier0.attempts").inc()
+        with observe.span("decode.tier0"):
+            observe.counter("decode.tier0.attempts")
             start = self.fast.estimate_packet_start(samples)
             evidence = self.fast.analyze_preamble(samples, start)
             verdict = evidence.classify(self.thresholds)
-            trace_context.annotate(
+            observe.annotate(
                 start=int(start),
                 mu_bins=round(evidence.mu_bins, 4),
                 peak_snr=round(evidence.peak_snr, 3),
@@ -330,7 +303,7 @@ class CascadePipeline:
             )
             if not frame.crc_ok:
                 return result, REASON_CRC_FAIL
-            instruments.counter("decode.tier0.ok").inc()
+            observe.counter("decode.tier0.ok")
             return result, None
 
     def decode_window(
@@ -338,12 +311,9 @@ class CascadePipeline:
         samples: np.ndarray,
         n_data_symbols: int,
         payload_len: int,
-        instruments: NullInstruments = NULL_INSTRUMENTS,
     ) -> WindowDecode:
         """Tier-0 decode, escalating to the full pipeline on any doubt."""
-        tier0_result, reason = self._tier0(
-            samples, n_data_symbols, payload_len, instruments
-        )
+        tier0_result, reason = self._tier0(samples, n_data_symbols, payload_len)
         if reason is None:
             assert tier0_result is not None
             return tier0_result
@@ -359,11 +329,11 @@ class CascadePipeline:
                 tier=TIER0,
                 escalation_reason=reason,
             )
-        instruments.counter("decode.escalated").inc()
-        instruments.counter(f"decode.escalated.{reason}").inc()
-        with trace_context.span("decode.escalate", reason=reason):
+        observe.counter("decode.escalated")
+        observe.counter(f"decode.escalated.{reason}")
+        with observe.span("decode.escalate", reason=reason):
             full_result = self.full.decode_window(
-                samples, n_data_symbols, payload_len, instruments
+                samples, n_data_symbols, payload_len
             )
         return replace(full_result, escalation_reason=reason)
 

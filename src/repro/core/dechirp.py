@@ -12,9 +12,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro import observe
 from repro.phy.chirp import downchirp
 from repro.phy.params import LoRaParams
-from repro.profile import context as profile_context
 from repro.profile.profiler import shape_bucket
 
 #: Zero-padding factor the paper uses for its wide FFTs (Sec. 5.1, Fig. 3d).
@@ -99,7 +99,7 @@ def dechirp_windows(
     n_windows = min(n_windows, available)
     if n_windows <= 0:
         return np.zeros((0, n), dtype=complex)
-    with profile_context.kernel(
+    with observe.kernel(
         "dechirp.windows",
         f"N{n}.M{shape_bucket(n_windows)}",
         bytes_touched=16 * n_windows * n,
@@ -118,7 +118,7 @@ def oversampled_spectrum(dechirped: np.ndarray, oversample: int = DEFAULT_OVERSA
     dechirped = np.asarray(dechirped)
     n = dechirped.shape[-1]
     n_rows = int(np.prod(dechirped.shape[:-1])) if dechirped.ndim > 1 else 1
-    with profile_context.kernel(
+    with observe.kernel(
         "dechirp.fft",
         f"N{n * oversample}.M{shape_bucket(n_rows)}",
         fft_count=n_rows,
@@ -143,7 +143,7 @@ def evaluate_spectrum_at(dechirped: np.ndarray, positions_bins: np.ndarray) -> n
     dechirped = np.asarray(dechirped)
     n = dechirped.shape[-1]
     positions_bins = np.atleast_1d(np.asarray(positions_bins, dtype=float))
-    with profile_context.kernel(
+    with observe.kernel(
         "dechirp.dtft",
         f"N{n}.C{shape_bucket(positions_bins.size)}",
         bytes_touched=16 * positions_bins.size * n,

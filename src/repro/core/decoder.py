@@ -19,6 +19,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
+from repro import observe
 from repro.core.chanest import data_column, solve_channels
 from repro.core.dechirp import (
     DEFAULT_OVERSAMPLE,
@@ -39,7 +40,6 @@ from repro.core.sic import _merge_duplicates, phased_sic
 from repro.core.tracking import ConstrainedClusterer, centroids_from_estimates
 from repro.phy.packet import DecodedFrame, LoRaFramer
 from repro.phy.params import LoRaParams
-from repro.trace import context as trace_context
 from repro.utils import circular_distance, ensure_rng
 from repro.utils.rng import RngLike
 
@@ -361,7 +361,7 @@ class ChoirDecoder:
             # Provenance: tone conflicts are the signature of (near-)
             # collided fractional offsets -- the forensics layer reads
             # these to call a loss cluster-ambiguous.  No-op untraced.
-            trace_context.add_event(
+            observe.add_event(
                 "decode.conflict",
                 window=window_index,
                 users=[int(i), int(j)],
@@ -399,7 +399,7 @@ class ChoirDecoder:
                 f"{DECODE_METHODS}"
             )
         users = self.estimate_users(samples, max_users=max_users)
-        trace_context.add_event(
+        observe.add_event(
             "decode.users",
             n_users=len(users),
             fractions=[round(float(u.position_bins % 1.0), 4) for u in users],

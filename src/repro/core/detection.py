@@ -29,12 +29,11 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import stats
 
+from repro import observe
 from repro.core.dechirp import DEFAULT_OVERSAMPLE, dechirp_windows, oversampled_spectrum
 from repro.core.peaks import Peak, find_peaks
 from repro.phy.params import LoRaParams
-from repro.profile import context as profile_context
 from repro.profile.profiler import shape_bucket
-from repro.trace import context as trace_context
 
 #: Starts scored per vectorized block: bounds the ``(starts, windows,
 #: bins)`` gather a long batch capture would otherwise materialize.
@@ -262,7 +261,7 @@ def align_to_window_grid(
     # Provenance: the ridge evidence behind the chosen grid offset; the
     # forensics layer calls a failed decode with a plateau-level score
     # misaligned.  No-op when tracing is off.
-    trace_context.add_event(
+    observe.add_event(
         "detect.align",
         start=int(start),
         score=best_score,
@@ -393,7 +392,7 @@ def sliding_packet_search(
         return DetectionResult(detected=False, start_window=0, peaks=(), score=0.0)
     if memo is None:
         memo = ScanMemo()
-    with profile_context.kernel("detect.scan", f"N{n}.S{shape_bucket(n_starts)}"):
+    with observe.kernel("detect.scan", f"N{n}.S{shape_bucket(n_starts)}"):
         power, start_stats = memo.update(params, samples, oversample, origin, n_starts)
         per_start_pfa = pfa / n_starts
         threshold_factor, gamma_median = null_quantiles(

@@ -47,8 +47,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro import observe
 from repro.core.dechirp import cached_sample_index
-from repro.profile import context as profile_context
 from repro.profile.profiler import shape_bucket
 
 #: Relative Schur-complement floor below which a candidate column is
@@ -166,7 +166,7 @@ class CandidateView:
         self._e_o_conj_t = e_o.conj().T
         self._n_fixed = e_o.shape[1]
         if self._n_fixed:
-            with profile_context.kernel(
+            with observe.kernel(
                 "engine.view_build",
                 f"J{self._n_fixed}.M{engine.n_windows}",
                 bytes_touched=e_o.nbytes + engine.windows.nbytes,
@@ -208,7 +208,7 @@ class CandidateView:
         """
         engine = self._engine
         n_cand = max(np.size(mus), 0 if deltas is None else np.size(deltas))
-        with profile_context.kernel(
+        with observe.kernel(
             "engine.schur_score",
             f"M{engine.n_windows}.J{self._n_fixed}.C{shape_bucket(n_cand)}",
             bytes_touched=16
@@ -450,7 +450,7 @@ class ResidualEngine:
         """Normal-equations LS fit: per-window channels and total fit power."""
         if e.shape[1] == 0:
             return np.zeros((self.n_windows, 0), dtype=complex), 0.0
-        with profile_context.kernel(
+        with observe.kernel(
             "engine.gram_solve",
             f"K{e.shape[1]}.M{self.n_windows}",
             bytes_touched=e.nbytes + self.windows.nbytes,
@@ -502,7 +502,7 @@ class ResidualEngine:
         n_cand, n_users = candidates.shape
         if n_users == 0:
             return np.full(n_cand, self.energy)
-        with profile_context.kernel(
+        with observe.kernel(
             "engine.batched_solve",
             f"C{shape_bucket(n_cand)}.K{n_users}",
             bytes_touched=16 * n_cand * self.n_samples * n_users,
@@ -602,9 +602,7 @@ class ResidualEngine:
             if delays_samples is None
             else np.atleast_1d(np.asarray(delays_samples, dtype=float))
         )
-        with profile_context.kernel(
-            "engine.refine", f"K{positions.size}.M{self.n_windows}"
-        ):
+        with observe.kernel("engine.refine", f"K{positions.size}.M{self.n_windows}"):
             return self._refine_sweeps(
                 positions, delays, half_width_bins, n_sweeps, tol_bins, n_grid
             )

@@ -34,12 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import observe
 from repro.core.dechirp import cached_sample_index, dechirp_windows
 from repro.core.decoder import DecodedUser
 from repro.core.offsets import UserEstimate
 from repro.core.peaks import find_peaks
 from repro.phy.params import LoRaParams
-from repro.profile import context as profile_context
 from repro.profile.profiler import shape_bucket
 from repro.utils import circular_distance
 
@@ -205,7 +205,7 @@ class FastPathDecoder:
                 fractional_spread_bins=0.0,
                 n_windows=n_windows,
             )
-        with profile_context.kernel(
+        with observe.kernel(
             "fastpath.preamble",
             f"N{n * oversample}.M{shape_bucket(n_windows)}",
             fft_count=n_windows,
@@ -267,7 +267,7 @@ class FastPathDecoder:
         windows = dechirp_windows(
             params, samples, n_windows=n_data_symbols, start=data_start
         )
-        with profile_context.kernel(
+        with observe.kernel(
             "fastpath.argmax",
             f"N{n}.M{shape_bucket(windows.shape[0])}",
             fft_count=windows.shape[0],

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import observe
 from repro.core.chanest import estimate_channels, reconstruct_tones
 from repro.core.dechirp import DEFAULT_OVERSAMPLE
 from repro.core.engine import CandidateView, ResidualEngine
@@ -29,8 +30,6 @@ from repro.core.offsets import (
     refine_offsets,
 )
 from repro.core.residual import residual_power
-from repro.profile import context as profile_context
-from repro.trace import context as trace_context
 from repro.utils import RngLike, circular_distance
 
 
@@ -276,7 +275,7 @@ def phased_sic(
         remaining_budget = None if max_users is None else max_users - positions.size
         if remaining_budget is not None and remaining_budget <= 0:
             break
-        with profile_context.kernel("sic.tier", f"T{tier}"):
+        with observe.kernel("sic.tier", f"T{tier}"):
             peaks = coarse_offsets(
                 residual, oversample, threshold_snr=threshold_snr, max_users=remaining_budget
             )
@@ -319,7 +318,7 @@ def phased_sic(
             residual = original - recon
             # Provenance: per-tier cancellation evidence (Eqn. 3 residual
             # trajectory) for the forensics post-mortem; no-op untraced.
-            trace_context.add_event(
+            observe.add_event(
                 "sic.tier",
                 tier=tier,
                 n_new=len(new_positions),
@@ -328,7 +327,7 @@ def phased_sic(
             )
     if positions.size == 0:
         return []
-    with profile_context.kernel("sic.finalize", f"K{positions.size}"):
+    with observe.kernel("sic.finalize", f"K{positions.size}"):
         positions, delays = _consolidate_clusters(original, positions, delays)
         positions, delays = _occam_prune(original, positions, delays)
         estimates = build_user_estimates(original, positions, delays)
@@ -343,7 +342,7 @@ def phased_sic(
     ]
     # Cancellation order (strongest first) and final cluster assignment,
     # as the forensics layer sees them.
-    trace_context.add_event(
+    observe.add_event(
         "sic.result",
         n_users=len(kept),
         n_suppressed=len(estimates) - len(kept),

@@ -35,8 +35,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro import observe
 from repro.phy.params import ChannelPlan
-from repro.profile import context as profile_context
 from repro.profile.profiler import shape_bucket
 
 #: Prototype filter taps per polyphase branch.  A chirp occupies its full
@@ -173,7 +173,7 @@ class PolyphaseChannelizer:
         if n_out <= 0:
             self._buffer = buffer
             return np.zeros((m, 0), dtype=complex)
-        with profile_context.kernel(
+        with observe.kernel(
             "channelizer.push",
             f"M{m}.C{shape_bucket(n_out)}",
             fft_count=n_out,

@@ -53,6 +53,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import observe
 from repro.core.cascade import DECODE_TIERS, DEFAULT_DECODE_TIER
 from repro.core.detection import ScanMemo, sliding_packet_search
 from repro.gateway.channelizer import PolyphaseChannelizer
@@ -62,7 +63,6 @@ from repro.gateway.telemetry import Telemetry, clock, shard_label
 from repro.gateway.workers import DecodeJob, DecodeOutcome, DecodeWorkerPool
 from repro.phy.packet import LoRaFramer
 from repro.phy.params import ChannelPlan, LoRaParams
-from repro.profile import context as profile_context
 from repro.profile.profiler import KernelProfiler
 from repro.profile.resources import ResourceAccountant, ResourceSummary
 from repro.trace.recorder import TraceConfig, TraceRecorder
@@ -633,9 +633,6 @@ class Gateway:
                 sample_rate=recorder.config.sample_rate,
                 always_sample_failures=recorder.config.always_sample_failures,
             )
-            ground_truth = getattr(source, "ground_truth", None)
-            if callable(ground_truth):
-                recorder.set_ground_truth(ground_truth())
         channelizer = (
             None if config.plan is None else PolyphaseChannelizer(config.plan)
         )
@@ -707,11 +704,11 @@ class Gateway:
                         min(scanner.release_pos for scanner in scanners[channel])
                     )
 
-        # The run-level ambient profiler covers work done in the ingest
-        # loop itself (channelizer pushes, detection scans); per-job
-        # decode work uses job-local profilers merged by the pool, so
-        # nothing is counted twice.
-        with profile_context.use_profiler(self.profiler):
+        # The run-level observation covers work done in the ingest loop
+        # itself (channelizer pushes, detection scans); per-job decode
+        # work runs under job-local scopes merged by the pool, so nothing
+        # is counted twice.
+        with observe.scope(profiler=self.profiler):
             for chunk in source.chunks():
                 if channelizer is None:
                     bands: Sequence[np.ndarray] = (chunk,)
@@ -735,6 +732,10 @@ class Gateway:
             scan(final=True)
             outcomes = pool.close()
         wall = clock() - started
+        # A streaming source knows its truth only once it is consumed.
+        ground_truth = getattr(source, "ground_truth", None)
+        if recorder is not None and callable(ground_truth):
+            recorder.set_ground_truth(ground_truth())
         resources: Optional[ResourceSummary] = None
         if accountant is not None:
             resources = accountant.stop()

@@ -18,25 +18,20 @@ Sources yield chunks of a configurable size; the gateway never sees more
 than one chunk at a time, which is what makes the runtime streaming
 rather than batch.
 
-Two rendering modes share one scheduler and one waveform path:
-
-* ``materialize=True`` (default) -- the whole schedule (payload bytes and
-  start samples) is drawn up front and every node's radio is constructed
-  eagerly, so ``source.transmitted`` is complete before the first chunk
-  is pulled.  Memory scales with the population; right for tests and
-  small benchmarks.
-* ``materialize=False`` -- *streaming-windowed*: an event heap over the
-  per-node frame schedules pops only the frames that overlap the chunk
-  being rendered, radios exist only while their node is rendering (board
-  state -- oscillator, timing, RNG stream position -- is suspended into a
-  few-hundred-byte dormant record between frames), and finished waveforms
-  are dropped as the stream head passes them.  Peak memory is
-  O(concurrently-airborne frames), not O(population), which is what makes
-  10^4-node capacity campaigns and soak runs possible.  The two modes are
-  sample-for-sample identical for a fixed seed and chunk size (pinned by
-  tests): phases are drawn per node in population order, payloads in
-  global ``(start_sample, node_id)`` arrival order, and per-node radio
-  streams are position-preserved across suspend/resume.
+The synthetic source renders *streaming-windowed*: an event heap over
+the per-node frame schedules pops only the frames that overlap the chunk
+being rendered, radios exist only while their node is rendering (board
+state -- oscillator, timing, RNG stream position -- is suspended into a
+few-hundred-byte dormant record between frames), and finished waveforms
+are dropped as the stream head passes them.  Peak memory is
+O(concurrently-airborne frames), not O(population), which is what makes
+10^4-node capacity campaigns and soak runs possible.  The stream is fixed
+by the seed and chunk size alone (pinned by recorded digests): phases
+are drawn per node in population order, payloads in global
+``(start_sample, node_id)`` arrival order, and per-node radio streams are
+position-preserved across suspend/resume.  Ground truth therefore grows
+as the stream is consumed: ``transmitted`` is complete only once
+``chunks()`` is exhausted.
 """
 
 from __future__ import annotations
@@ -120,7 +115,7 @@ class _NodeSchedule:
 
 @dataclass
 class _DormantRadio:
-    """Suspended board state of one node between frames (streaming mode).
+    """Suspended board state of one node between frames.
 
     Holds exactly what :class:`repro.hardware.LoRaRadio` cannot re-derive:
     the sampled hardware models and the position of the per-packet draw
@@ -138,9 +133,8 @@ class _TrafficScheduler:
 
     Payload bytes are drawn *at pop time* from the shared schedule RNG.
     Pops happen in global ``(start_sample, node_id, population_index)``
-    order -- exactly the order the materialized path sorts arrivals into
-    before drawing payloads -- so lazily- and eagerly-driven schedules
-    consume identical draw sequences and emit identical packets.
+    order, so the draw sequence -- and with it every emitted packet --
+    depends only on the schedule, never on chunk geometry.
     """
 
     def __init__(
@@ -253,21 +247,12 @@ class SyntheticTrafficSource:
         devaddr/fcnt headers onto synthesized uplinks.  Returned bytes
         must be exactly ``payload_len`` long.  The default (``None``)
         leaves the legacy random-payload draw sequence untouched.
-    materialize:
-        ``True`` (default) drains the scheduler at construction --
-        ``transmitted`` is complete immediately and every radio persists
-        for the whole run, the legacy population-scale memory profile.
-        ``False`` streams: frames are scheduled, rendered and discarded
-        as the chunk cursor passes them, radios live only while rendering
-        (suspended to :class:`_DormantRadio` records between frames), and
-        memory stays O(concurrently-airborne frames).  The emitted stream
-        is identical either way.
     record_ground_truth:
-        Streaming mode only: ``False`` stops ``transmitted`` from
-        accumulating per-packet truth rows (``packets_scheduled`` still
-        counts), for soak runs where even metadata must stay bounded.
+        ``False`` stops ``transmitted`` from accumulating per-packet
+        truth rows (``packets_scheduled`` still counts), for soak runs
+        where even metadata must stay bounded.
     max_active_nodes:
-        Streaming-mode memory guard: hard cap on concurrently resident
+        Memory guard: hard cap on concurrently resident
         rendered frames.  Exceeding it raises ``RuntimeError`` instead of
         quietly growing -- a saturated mis-configuration (thousands of
         overlapping frames) fails fast rather than OOMing the host.
@@ -289,7 +274,6 @@ class SyntheticTrafficSource:
         plan: ChannelPlan | None = None,
         rng: RngLike = None,
         payload_fn: Optional[Callable[[int, int], bytes]] = None,
-        materialize: bool = True,
         record_ground_truth: bool = True,
         max_active_nodes: Optional[int] = None,
         telemetry: Optional[Telemetry] = None,
@@ -308,7 +292,6 @@ class SyntheticTrafficSource:
         self.payload_fn = payload_fn
         self.chunk_samples = int(chunk_samples)
         self.noise_power = noise_power
-        self.materialize = materialize
         self._record_ground_truth = record_ground_truth
         self._max_active = max_active_nodes
         self._telemetry = telemetry
@@ -339,20 +322,11 @@ class SyntheticTrafficSource:
         #: admission order: ``{seq: (start_sample, waveform)}``.
         self._rendered: Dict[int, Tuple[int, np.ndarray]] = {}
         self._render_seq = 0
-        self._next_to_render = 0
-        self._radios: Dict[int, LoRaRadio] = {}
         self._dormant: Dict[int, _DormantRadio] = {}
         #: High-water mark of concurrently resident rendered frames.
         self.active_peak = 0
-        if materialize:
-            self.transmitted: List[TransmittedPacket] = list(
-                self._scheduler.pop_until(self.duration_samples)
-            )
-            for cfg in nodes:
-                if cfg.node_id not in self._radios:
-                    self._radios[cfg.node_id] = self._build_radio(cfg.node_id)
-        else:
-            self.transmitted = []
+        #: Ground truth of every frame scheduled so far, in air order.
+        self.transmitted: List[TransmittedPacket] = []
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -456,40 +430,33 @@ class SyntheticTrafficSource:
     # ------------------------------------------------------------------
     # Radio lifecycle
     # ------------------------------------------------------------------
-    def _build_radio(self, node_id: int) -> LoRaRadio:
-        """A node's persistent radio, with its dedicated derived RNG stream."""
-        return LoRaRadio(
-            self._node_params[node_id],
-            node_id=node_id,
-            rng=derive_rng(self._seed_seq, 2, node_id),
-        )
-
     def _acquire_radio(self, node_id: int) -> LoRaRadio:
-        """The node's radio: persistent, resumed from dormancy, or fresh."""
-        radio = self._radios.get(node_id)
-        if radio is not None:
-            return radio
+        """The node's radio: resumed from dormancy, or fresh on first use.
+
+        A fresh radio draws its board from the node's dedicated derived
+        RNG stream.
+        """
         dormant = self._dormant.pop(node_id, None)
         if dormant is None:
-            radio = self._build_radio(node_id)
-        else:
-            # ensure_rng cannot restore a saved bit-generator state; the
-            # seed below is discarded the moment .state is assigned
-            resumed = np.random.Generator(np.random.PCG64(0))  # noqa: R001
-            resumed.bit_generator.state = dormant.rng_state
-            radio = LoRaRadio(
+            return LoRaRadio(
                 self._node_params[node_id],
-                oscillator=dormant.oscillator,
-                timing=dormant.timing,
                 node_id=node_id,
-                rng=resumed,
+                rng=derive_rng(self._seed_seq, 2, node_id),
             )
-        self._radios[node_id] = radio
-        return radio
+        # ensure_rng cannot restore a saved bit-generator state; the
+        # seed below is discarded the moment .state is assigned
+        resumed = np.random.Generator(np.random.PCG64(0))  # noqa: R001
+        resumed.bit_generator.state = dormant.rng_state
+        return LoRaRadio(
+            self._node_params[node_id],
+            oscillator=dormant.oscillator,
+            timing=dormant.timing,
+            node_id=node_id,
+            rng=resumed,
+        )
 
-    def _suspend_radio(self, node_id: int) -> None:
-        """Park a streaming-mode radio: keep only the resumable board state."""
-        radio = self._radios.pop(node_id)
+    def _suspend_radio(self, node_id: int, radio: LoRaRadio) -> None:
+        """Park a radio between frames: keep only the resumable board state."""
         self._dormant[node_id] = _DormantRadio(
             oscillator=radio.oscillator,
             timing=radio.timing,
@@ -522,8 +489,7 @@ class SyntheticTrafficSource:
                 packet.channel,
                 start_sample=packet.start_sample,
             )
-        if not self.materialize:
-            self._suspend_radio(packet.node_id)
+        self._suspend_radio(packet.node_id, radio)
         return waveform
 
     def _admit(self, packet: TransmittedPacket) -> None:
@@ -556,19 +522,10 @@ class SyntheticTrafficSource:
         so per-radio random phase draws are reproducible for any chunk
         size.
         """
-        if self.materialize:
-            while (
-                self._next_to_render < len(self.transmitted)
-                and self.transmitted[self._next_to_render].start_sample < end_sample
-            ):
-                packet = self.transmitted[self._next_to_render]
-                self._next_to_render += 1
-                self._admit(packet)
-        else:
-            for packet in self._scheduler.pop_until(end_sample):
-                if self._record_ground_truth:
-                    self.transmitted.append(packet)
-                self._admit(packet)
+        for packet in self._scheduler.pop_until(end_sample):
+            if self._record_ground_truth:
+                self.transmitted.append(packet)
+            self._admit(packet)
 
     def chunks(self) -> Iterator[np.ndarray]:
         """Yield the noisy stream chunk by chunk."""
@@ -600,8 +557,6 @@ class SyntheticTrafficSource:
     @property
     def packets_scheduled(self) -> int:
         """Frames scheduled so far (total offered load once exhausted)."""
-        if self.materialize:
-            return len(self.transmitted)
         return self._scheduler.n_scheduled
 
     def ground_truth(self) -> List[Dict[str, object]]:
@@ -611,9 +566,9 @@ class SyntheticTrafficSource:
         narrowband samples (a wideband plan's starts divide exactly by
         its oversample factor, since scheduling runs on the decimation
         grid), so forensics can match detections to transmissions
-        without knowing the channelizer geometry.  In streaming mode the
-        rows cover only the frames scheduled so far -- complete once the
-        stream has been consumed, empty before it starts.
+        without knowing the channelizer geometry.  The rows cover only
+        the frames scheduled so far -- complete once the stream has been
+        consumed, empty before it starts.
         """
         m = 1 if self.plan is None else self.plan.oversample_factor
         rows: List[Dict[str, object]] = []

@@ -21,13 +21,15 @@ job's shard key (:func:`repro.utils.derive_rng`), so which worker decodes
 which packet -- or whether any parallelism is used at all -- never
 changes the result.
 
-Observability rides the same outcome path on every executor: per-job
-instruments are recorded into a job-local registry and shipped back as a
-``telemetry_delta`` the pool merges, and a job's provenance span tree
-(when its :class:`repro.trace.TraceDirective` asks for one) is built
-inside the worker -- thread or process -- and travels home on the
-outcome, so counter totals and retained traces are identical across
-executors by construction.
+Observability rides the same outcome path on every executor: each job
+decodes under one ambient :mod:`repro.observe` scope -- a job-local
+telemetry registry, a provenance span tree when its
+:class:`repro.trace.TraceDirective` asks for one, and a job-local kernel
+profiler when the pool profiles -- built inside the worker, thread or
+process.  The scope ships home as one
+:class:`repro.observe.ObservationBundle` on the outcome and the pool
+merges it in one call, so counter totals, kernel tables and retained
+traces are identical across executors by construction.
 """
 
 from __future__ import annotations
@@ -37,17 +39,16 @@ import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import observe
 from repro.core.cascade import DECODE_TIERS, DEFAULT_DECODE_TIER, build_pipeline
 from repro.gateway.telemetry import Telemetry, clock, shard_label
 from repro.phy.params import LoRaParams
-from repro.profile import context as profile_context
 from repro.profile.profiler import KernelProfiler
 from repro.profile.resources import process_cpu
-from repro.trace import context as trace_context
 from repro.trace.model import PacketTrace, TraceBuilder
 from repro.trace.recorder import TraceDirective, TraceRecorder
 from repro.utils import RngLike, as_seed_sequence, derive_rng
@@ -87,6 +88,11 @@ class DecodeJob:
         """The job's deterministic identity (its RNG key)."""
         return self.rng_key
 
+    @property
+    def label(self) -> str:
+        """The job's shard label, e.g. ``ch0.sf7``."""
+        return shard_label(self.channel, self.params.spreading_factor)
+
 
 @dataclass(frozen=True)
 class UserResult:
@@ -101,11 +107,10 @@ class UserResult:
 class DecodeOutcome:
     """Result of decoding one packet window.
 
-    ``telemetry_delta`` is the job-local registry state recorded inside
-    the worker (merged into the pool registry on arrival), ``trace``
-    is the retained provenance span tree, and ``profile_delta`` is the
-    job-local kernel-profiler state (when the pool profiles) -- all
-    travel with the outcome so the process executor loses none of them.
+    ``observed`` is the job's observation bundle -- job-local telemetry,
+    the retained provenance span tree and the job-local kernel-profiler
+    state (when the pool profiles) -- built inside the worker and merged
+    by the pool on arrival, so the process executor loses none of it.
 
     ``tier`` names the pipeline tier that produced ``users`` (``"full"``
     or ``"tier0"``); ``escalation_reason`` is set when Tier 0 declined
@@ -128,9 +133,7 @@ class DecodeOutcome:
     rng_key: Tuple[int, ...] = ()
     tier: str = "full"
     escalation_reason: Optional[str] = None
-    telemetry_delta: Optional[Dict[str, Dict[str, Any]]] = None
-    trace: Optional[PacketTrace] = None
-    profile_delta: Optional[Dict[str, Any]] = None
+    observed: observe.ObservationBundle = observe.ObservationBundle()
 
     @property
     def n_users(self) -> int:
@@ -167,8 +170,8 @@ def decode_packet_window(
     always lies within the first three) and retries a small ladder of
     alternative alignments with CRC as the oracle; ``"fast"`` is Tier 0
     alone.  This function owns the job plumbing around the
-    pipeline: RNG derivation, the trace builder, job-local telemetry,
-    and the outcome record.
+    pipeline: RNG derivation, the job's observation scope, and the
+    outcome record.
 
     Module-level (rather than a pool method) so the process executor can
     ship it to workers; everything it touches -- including the trace
@@ -179,11 +182,14 @@ def decode_packet_window(
     whose per-shard sequence numbers keep results independent of how
     shards interleave their submissions.
 
-    With ``profile=True`` a job-local :class:`KernelProfiler` is
-    installed for the decode (so per-kernel wall/FFT/bytes accounting
-    works identically on every executor) and its state ships home as
-    ``profile_delta``; the whole decode runs under a ``decode.window``
-    root kernel, so summed kernel wall times cover the job end to end.
+    The decode runs under one :func:`repro.observe.scope` holding a
+    job-local :class:`Telemetry`, the trace builder (when the directive
+    builds one) and, with ``profile=True``, a job-local
+    :class:`KernelProfiler` (so per-kernel wall/FFT/bytes accounting
+    works identically on every executor).  All three ship home as the
+    outcome's ``observed`` bundle; the whole decode runs under a
+    ``decode.window`` root kernel, so summed kernel wall times cover the
+    job end to end.
     """
     started = clock()
     rng_key = job.rng_key
@@ -199,7 +205,6 @@ def decode_packet_window(
             start_sample=job.start_sample,
             detection_score=job.detection_score,
         )
-    local = Telemetry()
     pipeline = build_pipeline(
         decode_tier,
         params,
@@ -211,14 +216,10 @@ def decode_packet_window(
     )
     job_profiler = KernelProfiler() if profile else None
     cpu_started = process_cpu() if profile else 0.0
-    with trace_context.use_builder(builder), profile_context.use_profiler(
-        job_profiler
-    ):
-        with profile_context.kernel(
-            "decode.window", f"sf{params.spreading_factor}"
-        ):
+    with observe.scope(Telemetry(), builder, job_profiler) as observation:
+        with observe.kernel("decode.window", f"sf{spreading_factor}"):
             window = pipeline.decode_window(
-                job.samples, job.n_data_symbols, job.payload_len, instruments=local
+                job.samples, job.n_data_symbols, job.payload_len
             )
         results = [
             UserResult(
@@ -228,8 +229,8 @@ def decode_packet_window(
         ]
         verified = [r for r in results if r.crc_ok]
         retries = window.sync_retries
-        local.counter("decode.users_found").inc(len(results))
-        trace_context.add_event(
+        observe.counter("decode.users_found", len(results))
+        observe.add_event(
             "result",
             crc_ok=bool(verified),
             n_users=len(results),
@@ -269,11 +270,7 @@ def decode_packet_window(
         rng_key=rng_key,
         tier=window.tier,
         escalation_reason=window.escalation_reason,
-        telemetry_delta=local.state(),
-        trace=trace,
-        profile_delta=(
-            job_profiler.state() if job_profiler is not None else None
-        ),
+        observed=observation.bundle(trace),
     )
 
 
@@ -319,10 +316,10 @@ class DecodeWorkerPool:
         and every outcome (with its retained span tree) is recorded.
     profiler:
         Optional :class:`repro.profile.KernelProfiler`; when set, every
-        job decodes under a job-local profiler whose state ships back on
-        the outcome and is merged here -- per-kernel totals are
-        identical across executors by construction, exactly like
-        telemetry deltas.
+        job decodes under a job-local profiler whose state ships back in
+        the outcome's observation bundle and is merged here -- per-kernel
+        totals are identical across executors by construction, exactly
+        like job telemetry.
     on_outcome:
         Optional live outcome hook, called once per recorded outcome
         (after aggregation, outside the pool lock) -- the gateway's
@@ -377,6 +374,8 @@ class DecodeWorkerPool:
         self.trace_recorder = trace_recorder
         self.profiler = profiler
         self.on_outcome = on_outcome
+        # Where job bundles merge; traces go to the recorder with their row.
+        self._sinks = observe.Observation(self.telemetry, profiler=profiler)
         self._base_seed = as_seed_sequence(rng)
         self._outcomes: List[DecodeOutcome] = []
         self._lock = threading.Lock()
@@ -465,10 +464,7 @@ class DecodeWorkerPool:
     def _record(self, outcome: DecodeOutcome) -> None:
         with self._lock:
             self._outcomes.append(outcome)
-        if outcome.telemetry_delta:
-            self.telemetry.merge(outcome.telemetry_delta)
-        if outcome.profile_delta and self.profiler is not None:
-            self.profiler.merge_state(outcome.profile_delta)
+        self._sinks.merge(outcome.observed)
         self.telemetry.histogram("decode.queue_wait_s").record(outcome.queue_wait_s)
         self.telemetry.histogram("decode.decode_s").record(outcome.decode_s)
         if outcome.error is None:
@@ -516,17 +512,15 @@ class DecodeWorkerPool:
                     (u.offset_bins, u.payload.hex(), u.crc_ok)
                     for u in outcome.users
                 ],
-                trace=outcome.trace,
+                trace=outcome.observed.trace,
             )
         if self.on_outcome is not None:
             self.on_outcome(outcome)
 
-    def _count_drop(self, job: Optional[DecodeJob] = None) -> None:
-        """Count one dropped job, with its shard label when known."""
+    def _count_drop(self, label: str) -> None:
+        """Count one dropped job, in total and under its shard label."""
         self.telemetry.counter("dispatch.dropped").inc()
-        if job is not None:
-            label = shard_label(job.channel, job.params.spreading_factor)
-            self.telemetry.counter(f"{label}.dispatch.dropped").inc()
+        self.telemetry.counter(f"{label}.dispatch.dropped").inc()
 
     # ------------------------------------------------------------------
     # Thread executor
@@ -548,7 +542,7 @@ class DecodeWorkerPool:
                 return True
             except queue.Full:
                 if self.drop_policy == "newest":
-                    self._count_drop(job)
+                    self._count_drop(job.label)
                     return False
                 if self.drop_policy == "block":
                     self._queue.put(job)
@@ -557,7 +551,7 @@ class DecodeWorkerPool:
                 try:
                     evicted = self._queue.get_nowait()
                     self._queue.task_done()
-                    self._count_drop(evicted)
+                    self._count_drop(evicted.label)
                 except queue.Empty:
                     pass  # a worker drained it first; just retry
 
@@ -572,7 +566,7 @@ class DecodeWorkerPool:
         assert self._pool is not None
         while self._in_flight() >= self.queue_capacity:
             if self.drop_policy == "newest":
-                self._count_drop(job)
+                self._count_drop(job.label)
                 return False
             if self.drop_policy == "oldest":
                 with self._lock:
@@ -583,16 +577,16 @@ class DecodeWorkerPool:
                 for jid in pending:
                     with self._lock:
                         future = self._futures.get(jid)
-                    if future is not None and future.cancel():
-                        with self._lock:
-                            self._futures.pop(jid, None)
-                            self._job_meta.pop(jid, None)
-                        self._count_drop()
+                        meta = self._job_meta.get(jid)
+                    # cancel() runs _process_done at once, which forgets
+                    # the job -- so its shard is read beforehand.
+                    if future is not None and meta is not None and future.cancel():
+                        self._count_drop(shard_label(meta[2], meta[3]))
                         cancelled = True
                         break
                 if not cancelled:
                     # Everything already running; drop the incoming job.
-                    self._count_drop(job)
+                    self._count_drop(job.label)
                     return False
                 continue
             time.sleep(0.001)  # block: poll until a slot frees

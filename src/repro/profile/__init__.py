@@ -7,10 +7,10 @@ given change made any of it worse.
 
 Four cooperating pieces:
 
-* :mod:`repro.profile.context` + :mod:`repro.profile.profiler` -- the
-  ambient :class:`KernelProfiler`.  Core DSP kernels declare themselves
-  with ``profile.context.kernel("engine.gram_solve", shape=...)`` and
-  the ContextVar plumbing (mirroring ``repro.trace.context``) keeps the
+* :mod:`repro.profile.profiler` -- the :class:`KernelProfiler`.  Core
+  DSP kernels declare themselves with
+  ``observe.kernel("engine.gram_solve", shape=...)`` through the ambient
+  observation context (:mod:`repro.observe`), which keeps the
   dependency arrow pointing the right way: core never imports gateway.
 * :mod:`repro.profile.resources` -- CPU-vs-wall, peak RSS, and optional
   ``tracemalloc`` top-N accounting.  The *only* module allowed to touch
@@ -22,8 +22,9 @@ Four cooperating pieces:
   ``repro diff`` and ``tools/bench_report.py --compare``.
 
 Exports resolve lazily (PEP 562): the core DSP modules import
-``repro.profile.context`` from inside the gateway import graph, so this
-``__init__`` must stay import-free to keep that graph acyclic.
+``repro.profile.profiler`` (for :func:`shape_bucket`) from inside the
+gateway import graph, so this ``__init__`` must stay import-free to keep
+that graph acyclic.
 """
 
 from typing import Any

@@ -4,7 +4,7 @@ Stage histograms (PR 5) say *which pipeline stage* is slow;
 :class:`KernelProfiler` says *which numerical kernel, at which batch
 shape, with how many FFTs* -- the per-block complexity accounting a
 hardware-or-rewrite decision actually needs.  Kernels are declared with
-the ambient API in :mod:`repro.profile.context`; each declaration opens
+the ambient API in :mod:`repro.observe`; each declaration opens
 a frame on a per-thread stack, so nested kernels account **self time**
 (elapsed minus time inside child kernels).  Summed self times therefore
 never double-count, and the stack paths double as flamegraph input.
@@ -23,8 +23,8 @@ vary per call should be bucketed with :func:`shape_bucket` (next power
 of two) to keep metric cardinality bounded.
 
 State round-trips as a plain dict (:meth:`state` / :meth:`merge_state`)
-so per-job profiles ship back across the process executor exactly like
-telemetry deltas, and :meth:`fold_into` aggregates everything into a
+so per-job profiles ship back across the process executor in the job's
+observation bundle, and :meth:`fold_into` aggregates everything into a
 :class:`~repro.gateway.telemetry.Telemetry` registry under
 ``profile.kernel.*`` for the existing JSONL / Prometheus exports.
 """
@@ -57,7 +57,7 @@ def clock() -> float:
     """The profiler's stopwatch: ``repro.gateway.telemetry.clock``.
 
     Bound lazily on first use so that importing this module (which the
-    core DSP kernels reach via :mod:`repro.profile.context`) never pulls
+    core DSP kernels import for :func:`shape_bucket`) never pulls
     in the gateway package at import time -- the dependency arrow stays
     core -> profile, with the single timing authority shared at runtime.
     """

@@ -123,8 +123,8 @@ def build_source(
 ) -> SyntheticTrafficSource:
     """The streaming traffic source for one sweep point.
 
-    Always ``materialize=False``: campaigns exist to sweep populations
-    whose IQ must never be resident all at once, and
+    Campaigns exist to sweep populations whose IQ must never be resident
+    all at once; the source renders only airborne frames, and
     ``sweep.max_active_frames`` guards the promise.
     """
     effective_seed = spec.sweep.seed if seed is None else seed
@@ -136,7 +136,6 @@ def build_source(
         chunk_samples=spec.gateway.chunk_samples,
         plan=build_plan(spec),
         rng=source_seed(spec, n_nodes, effective_seed),
-        materialize=False,
         record_ground_truth=record_ground_truth,
         max_active_nodes=spec.sweep.max_active_frames,
         telemetry=telemetry,

@@ -36,6 +36,8 @@ RULES: dict[str, str] = {
     "selection and escalation belong to repro.core.cascade.build_pipeline",
     "R013": "tracemalloc/resource/time.process_time outside repro/profile/; "
     "route resource accounting through repro.profile.resources",
+    "R014": "contextvars.ContextVar constructed outside repro/observe.py; "
+    "ambient state lives in the one observation context",
 }
 
 

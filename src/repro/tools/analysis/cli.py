@@ -23,7 +23,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point: 0 when clean, 1 on any diagnostic, 2 on bad usage."""
     parser = argparse.ArgumentParser(
         prog="repro-lint",
-        description="Choir repo-specific static analysis (rules R001-R013).",
+        description="Choir repo-specific static analysis (rules R001-R014).",
     )
     parser.add_argument(
         "paths",

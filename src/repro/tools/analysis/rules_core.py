@@ -1,4 +1,4 @@
-"""Rules R001-R008 (legacy scanner ports) plus R012/R013 (layering rules).
+"""Rules R001-R008 (legacy scanner ports) plus R012-R014 (layering rules).
 
 One visitor collects all of them in a single traversal of the shared
 :class:`repro.tools.analysis.model.ModuleModel` tree.  Diagnostics are
@@ -36,6 +36,10 @@ _FASTPATH_MODULE: Tuple[str, ...] = ("repro", "core", "fastpath")
 #: to ``repro/profile/`` so the places that can perturb timing or start
 #: allocation tracing stay auditable (R013).
 _R013_MODULES = frozenset({"tracemalloc", "resource"})
+
+#: The one module allowed to construct a ``contextvars.ContextVar``: every
+#: ambient sink lives in its single observation context (R014).
+_OBSERVE_SUFFIX: Tuple[str, ...] = ("repro", "observe.py")
 
 #: Terminal attribute names that make an operand a *property of* an
 #: offset/bin array (its size, shape, ...) rather than the quantity itself.
@@ -76,6 +80,7 @@ class CoreRulesVisitor(ast.NodeVisitor):
             part in ("gateway", "server") for part in path.parent.parts
         )
         self._resource_scope = "profile" not in path.parent.parts
+        self._contextvar_scope = tuple(path.parts[-2:]) != _OBSERVE_SUFFIX
         # Class nesting depth, to distinguish methods from nested closures.
         self._scope_stack: List[ast.AST] = [model.tree]
 
@@ -96,7 +101,7 @@ class CoreRulesVisitor(ast.NodeVisitor):
     # -- R001/R007/R008: call-site discipline --------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        """R001/R007/R008: flag disallowed direct call targets."""
+        """R001/R007/R008/R012-R014: flag disallowed direct call targets."""
         resolved, spelled = self._resolved(node.func)
         if resolved is not None:
             if (
@@ -144,6 +149,13 @@ class CoreRulesVisitor(ast.NodeVisitor):
                     f"direct call to {spelled} outside repro/profile/; use "
                     "repro.profile.resources (ResourceAccountant, "
                     "process_cpu, peak_rss_kb)",
+                )
+            if self._contextvar_scope and resolved == ("contextvars", "ContextVar"):
+                self._report(
+                    "R014",
+                    node.lineno,
+                    f"{spelled} constructed outside repro/observe.py; add "
+                    "the sink to the one ambient observation context",
                 )
         self.generic_visit(node)
 
@@ -351,7 +363,7 @@ class CoreRulesVisitor(ast.NodeVisitor):
 
 
 def check_core_rules(model: ModuleModel) -> Iterator[Diagnostic]:
-    """Run R001-R008, R012 and R013 over one module model."""
+    """Run R001-R008 and R012-R014 over one module model."""
     visitor = CoreRulesVisitor(model)
     visitor.visit(model.tree)
     return iter(visitor.diagnostics)

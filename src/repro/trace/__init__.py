@@ -2,21 +2,13 @@
 
 This package is the observability layer under the gateway's telemetry
 registry: span trees per detection->decode job (:mod:`repro.trace.model`),
-ambient context propagation through the DSP stack
-(:mod:`repro.trace.context`), deterministic sampling and collection
-(:mod:`repro.trace.recorder`), JSONL / Chrome trace-event export
-(:mod:`repro.trace.export`), and per-packet drop-reason post-mortems
-(:mod:`repro.trace.forensics`).
+deterministic sampling and collection (:mod:`repro.trace.recorder`),
+JSONL / Chrome trace-event export (:mod:`repro.trace.export`), and
+per-packet drop-reason post-mortems (:mod:`repro.trace.forensics`).
+Deep pipeline stages reach a job's span tree through the ambient
+observation context, :mod:`repro.observe`.
 """
 
-from repro.trace.context import (
-    add_event,
-    annotate,
-    current,
-    span,
-    trace_active,
-    use_builder,
-)
 from repro.trace.export import (
     TRACE_FORMAT,
     chrome_trace,
@@ -46,18 +38,12 @@ __all__ = [
     "TraceConfig",
     "TraceDirective",
     "TraceRecorder",
-    "add_event",
     "analyze",
-    "annotate",
     "chrome_trace",
-    "current",
     "load_packets",
     "load_trace",
     "sample_key",
-    "span",
     "to_jsonl",
-    "trace_active",
     "trace_data",
-    "use_builder",
     "write_trace",
 ]

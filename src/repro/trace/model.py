@@ -183,8 +183,8 @@ class TraceBuilder:
     """Incremental span-tree builder for one decode job.
 
     Not thread-safe by design: one builder belongs to exactly one job,
-    and a job runs on exactly one worker.  The builder is installed as
-    the ambient trace context (:mod:`repro.trace.context`) for the
+    and a job runs on exactly one worker.  The builder is installed in
+    the job's ambient observation scope (:mod:`repro.observe`) for the
     duration of the job, which is how deep pipeline stages
     (:func:`repro.core.sic.phased_sic`, the decoder's conflict loop)
     emit events without threading a handle through every signature.

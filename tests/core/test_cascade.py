@@ -7,11 +7,10 @@ full Choir pipeline, and escalated windows produce results identical to
 running the full pipeline directly.
 """
 
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 
+from repro import observe
 from repro.channel.noise import awgn
 from repro.core.cascade import (
     DECODE_TIERS,
@@ -27,6 +26,7 @@ from repro.core.cascade import (
     WindowDecode,
     build_pipeline,
 )
+from repro.gateway.telemetry import Telemetry
 from repro.hardware import LoRaRadio, OscillatorModel, TimingModel
 from repro.phy.packet import LoRaFramer
 from repro.phy.params import LoRaParams
@@ -88,26 +88,17 @@ def _n_data(params, payload_len=len(PAYLOAD)):
     return LoRaFramer(params).n_symbols_for_payload(payload_len)
 
 
-class _Recorder:
-    """Duck-typed instruments that record counter increments and timers."""
-
-    def __init__(self):
-        self.counts = {}
-        self.timers = []
-
-    def counter(self, name):
-        recorder = self
-
-        class _Counter:
-            def inc(self, n=1):
-                recorder.counts[name] = recorder.counts.get(name, 0) + n
-
-        return _Counter()
-
-    @contextmanager
-    def timer(self, name):
-        self.timers.append(name)
-        yield
+def _observed(pipeline, samples):
+    """Decode under an observation scope; return (result, counter values)."""
+    telemetry = Telemetry()
+    with observe.scope(telemetry):
+        result = pipeline.decode_window(samples, _n_data(PARAMS), len(PAYLOAD))
+    counts = {
+        name: state["value"]
+        for name, state in telemetry.state().items()
+        if state["type"] == "counter"
+    }
+    return result, counts
 
 
 class TestBuildPipeline:
@@ -190,13 +181,10 @@ class TestCleanWindow:
 
     def test_clean_window_increments_tier0_counters(self):
         samples, _ = _frame_in_window(PARAMS, seed=3)
-        instruments = _Recorder()
-        build_pipeline("cascade", PARAMS).decode_window(
-            samples, _n_data(PARAMS), len(PAYLOAD), instruments
-        )
-        assert instruments.counts["decode.tier0.attempts"] == 1
-        assert instruments.counts["decode.tier0.ok"] == 1
-        assert "decode.escalated" not in instruments.counts
+        _, counts = _observed(build_pipeline("cascade", PARAMS), samples)
+        assert counts["decode.tier0.attempts"] == 1
+        assert counts["decode.tier0.ok"] == 1
+        assert "decode.escalated" not in counts
 
 
 class TestEscalation:
@@ -224,15 +212,17 @@ class TestEscalation:
 
     def test_escalation_increments_reason_counter(self):
         samples = _collided_window(PARAMS, seed=6)
-        instruments = _Recorder()
-        build_pipeline(
-            "cascade", PARAMS, rng=np.random.default_rng(0), max_users=4
-        ).decode_window(samples, _n_data(PARAMS), len(PAYLOAD), instruments)
-        assert instruments.counts["decode.escalated"] == 1
-        assert instruments.counts[f"decode.escalated.{REASON_COLLIDED}"] == 1
+        _, counts = _observed(
+            build_pipeline(
+                "cascade", PARAMS, rng=np.random.default_rng(0), max_users=4
+            ),
+            samples,
+        )
+        assert counts["decode.escalated"] == 1
+        assert counts[f"decode.escalated.{REASON_COLLIDED}"] == 1
         # The full pipeline ran, so its attempt counter moved too.
-        assert instruments.counts["decode.attempts"] >= 1
-        assert "decode.tier0.ok" not in instruments.counts
+        assert counts["decode.attempts"] >= 1
+        assert "decode.tier0.ok" not in counts
 
     def test_crc_failure_falls_back_to_full(self):
         # Hamming(8,4) + interleaving absorbs 2 corrupted symbols; 3
@@ -270,15 +260,12 @@ class TestFastTier:
 
     def test_collision_records_reason_but_never_escalates(self):
         samples = _collided_window(PARAMS, seed=10)
-        instruments = _Recorder()
-        result = build_pipeline("fast", PARAMS).decode_window(
-            samples, _n_data(PARAMS), len(PAYLOAD), instruments
-        )
+        result, counts = _observed(build_pipeline("fast", PARAMS), samples)
         assert result.tier == TIER0
         assert result.escalation_reason == REASON_COLLIDED
         assert not result.escalated
         assert result.users == ()
-        assert "decode.escalated" not in instruments.counts
+        assert "decode.escalated" not in counts
 
     def test_crc_failure_keeps_the_partial_result(self):
         frame = LoRaFramer(PARAMS).encode(PAYLOAD)

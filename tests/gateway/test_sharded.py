@@ -168,6 +168,40 @@ class TestShardReporting:
         assert len(got) == report.packets_decoded > 0
 
 
+class TestDropAccounting:
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_evicted_jobs_keep_their_shard_label(self, executor):
+        # An overloaded one-worker pool under "oldest" evicts queued jobs;
+        # every eviction must land on its shard's row, not only in the
+        # pool-wide total.
+        plan = ChannelPlan.eu868_style(2)
+        nodes = _mixed_nodes(plan, (7,), 8, period_s=0.05)
+        source = SyntheticTrafficSource(
+            LoRaParams(spreading_factor=7),
+            nodes,
+            duration_s=0.5,
+            payload_len=PAYLOAD_LEN,
+            plan=plan,
+            rng=3,
+        )
+        config = GatewayConfig(
+            plan=plan,
+            sf_set=(7,),
+            payload_len=PAYLOAD_LEN,
+            executor=executor,
+            n_workers=1,
+            queue_capacity=6,
+            drop_policy="oldest",
+            seed=0,
+        )
+        report = Gateway(config).run(source)
+        assert report.packets_dropped > 0
+        assert (
+            sum(row["dropped"] for row in report.shards.values())
+            == report.packets_dropped
+        )
+
+
 class TestDeterminism:
     def test_thread_executor_matches_serial(self, mixed_run):
         # Job submission order is fixed by the scan loop and decode RNG is

@@ -20,8 +20,9 @@ class TestSyntheticTrafficSource:
             )
 
         a, b = make(), make()
-        assert [p.payload for p in a.transmitted] == [p.payload for p in b.transmitted]
         np.testing.assert_array_equal(_stream(a), _stream(b))
+        assert a.transmitted
+        assert [p.payload for p in a.transmitted] == [p.payload for p in b.transmitted]
 
     def test_chunk_size_does_not_change_signal(self):
         # The rendered *signal* is identical for any chunking (noise is
@@ -66,7 +67,9 @@ class TestSyntheticTrafficSource:
             PARAMS, [periodic_node(period_s=0.2)], duration_s=1.0,
             payload_len=PAYLOAD_LEN, rng=1,
         )
+        _stream(source)
         starts = [p.start_sample for p in source.transmitted]
+        assert len(starts) > 1
         period = int(round(0.2 * PARAMS.sample_rate))
         assert np.all(np.diff(starts) == period)
 
@@ -78,6 +81,7 @@ class TestSyntheticTrafficSource:
             payload_len=PAYLOAD_LEN,
             rng=0,
         )
+        _stream(source)
         starts = [p.start_sample for p in source.transmitted]
         slot = source.transmitted[0].frame_samples(PARAMS) + PARAMS.samples_per_symbol
         assert len(starts) > 5
@@ -89,6 +93,8 @@ class TestSyntheticTrafficSource:
             payload_len=PAYLOAD_LEN, rng=2,
         )
         assert source.duration_samples == int(0.7 * PARAMS.sample_rate)
+        _stream(source)
+        assert source.transmitted
         for packet in source.transmitted:
             assert packet.start_sample + packet.frame_samples(PARAMS) <= source.duration_samples
 

@@ -1,44 +1,43 @@
-"""Ambient profiler context: install/no-op semantics and isolation."""
+"""Profiler sink of the ambient observation context: install/no-op semantics."""
 
 import threading
 
+from repro import observe
 from repro.profile import KernelProfiler
-from repro.profile import context as profile_context
 
 
 class TestAmbientInstall:
     def test_inactive_by_default(self):
-        assert profile_context.current() is None
-        assert not profile_context.profile_active()
+        assert observe.current() is None
 
     def test_use_profiler_installs_and_restores(self):
         profiler = KernelProfiler()
-        with profile_context.use_profiler(profiler):
-            assert profile_context.current() is profiler
-            assert profile_context.profile_active()
-        assert profile_context.current() is None
+        with observe.scope(profiler=profiler) as observation:
+            assert observe.current() is observation
+            assert observation.profiler is profiler
+        assert observe.current() is None
 
     def test_use_profiler_none_is_allowed(self):
         # One `with` statement serves both the profiled and unprofiled
-        # paths; None just leaves profiling off.
-        with profile_context.use_profiler(None):
-            assert profile_context.current() is None
-            with profile_context.kernel("anything"):
+        # paths; an empty scope just leaves observation off.
+        with observe.scope(profiler=None):
+            assert observe.current() is None
+            with observe.kernel("anything"):
                 pass  # must not raise
 
     def test_nested_install_restores_outer(self):
         outer, inner = KernelProfiler(), KernelProfiler()
-        with profile_context.use_profiler(outer):
-            with profile_context.use_profiler(inner):
-                assert profile_context.current() is inner
-            assert profile_context.current() is outer
+        with observe.scope(profiler=outer):
+            with observe.scope(profiler=inner):
+                assert observe.current().profiler is inner
+            assert observe.current().profiler is outer
 
 
 class TestAmbientRecording:
     def test_kernel_records_into_installed_profiler(self):
         profiler = KernelProfiler()
-        with profile_context.use_profiler(profiler):
-            with profile_context.kernel("k", "sf7", fft_count=2, fft_points=256):
+        with observe.scope(profiler=profiler):
+            with observe.kernel("k", "sf7", fft_count=2, fft_points=256):
                 pass
         stats = profiler.stats()
         assert stats[("k", "sf7")]["calls"] == 1
@@ -48,23 +47,23 @@ class TestAmbientRecording:
     def test_kernel_noop_without_profiler(self):
         # The profiling-off path: the block still runs, nothing records.
         ran = False
-        with profile_context.kernel("k"):
+        with observe.kernel("k"):
             ran = True
         assert ran
 
     def test_add_attributes_to_innermost_frame(self):
         profiler = KernelProfiler()
-        with profile_context.use_profiler(profiler):
-            with profile_context.kernel("outer"):
-                with profile_context.kernel("inner"):
-                    profile_context.add(fft_count=3, bytes_touched=64)
+        with observe.scope(profiler=profiler):
+            with observe.kernel("outer"):
+                with observe.kernel("inner"):
+                    observe.add(fft_count=3, bytes_touched=64)
         stats = profiler.stats()
         assert stats[("inner", "")]["fft_count"] == 3
         assert stats[("inner", "")]["bytes_touched"] == 64
         assert stats[("outer", "")]["fft_count"] == 0
 
     def test_add_noop_without_profiler(self):
-        profile_context.add(fft_count=1)  # must not raise
+        observe.add(fft_count=1)  # must not raise
 
     def test_new_thread_does_not_inherit_profiler(self):
         # ContextVar semantics: a worker thread starts with a fresh
@@ -72,9 +71,9 @@ class TestAmbientRecording:
         # unless explicitly installed there.
         profiler = KernelProfiler()
         seen = []
-        with profile_context.use_profiler(profiler):
+        with observe.scope(profiler=profiler):
             t = threading.Thread(
-                target=lambda: seen.append(profile_context.current())
+                target=lambda: seen.append(observe.current())
             )
             t.start()
             t.join()

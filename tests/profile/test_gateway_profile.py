@@ -6,6 +6,8 @@ decode time to within 20% -- if an instrumented kernel is dropped or a
 frame leaks, the two totals diverge.
 """
 
+import pytest
+
 from repro.gateway import Gateway, GatewayConfig, SyntheticTrafficSource
 from repro.scenario.campaign import run_variant
 from repro.scenario.spec import (
@@ -79,16 +81,33 @@ class TestProfileOff:
 
 
 class TestExecutorParity:
-    def test_kernel_call_counts_identical_serial_vs_thread(self):
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_kernel_call_counts_identical_serial_vs_thread(self, executor):
         # Wall times are machine noise, but the (kernel, shape) table's
-        # call counts are deterministic: the same air must run the same
-        # kernels the same number of times under every executor.
-        serial = run_profiled(executor="serial")
-        threaded = run_profiled(executor="thread", n_workers=4)
+        # call counts and the job-telemetry counters are deterministic:
+        # the same air must run the same kernels and take the same tier
+        # decisions under every executor -- including across the pickle
+        # boundary, where each job's observation bundle travels home.
+        # Three staggered nodes make one window escalate; "block" keeps
+        # every job.
+        nodes = [periodic_node(node_id=i, period_s=0.2 + 0.05 * i) for i in range(3)]
+        serial = run_profiled(executor="serial", drop_policy="block", nodes=nodes)
+        other = run_profiled(
+            executor=executor, n_workers=2, drop_policy="block", nodes=nodes
+        )
         calls = lambda report: {  # noqa: E731
             key: stat["calls"] for key, stat in report.profile.stats().items()
         }
-        assert calls(serial) == calls(threaded)
+        counters = lambda report: {  # noqa: E731
+            name: state["value"]
+            for name, state in report.telemetry.items()
+            if name.startswith("decode.") and state["type"] == "counter"
+        }
+        assert calls(serial) == calls(other)
+        assert counters(serial) == counters(other)
+        assert counters(serial)["decode.escalated"] >= 1
+        assert counters(serial)["decode.tier0.ok"] >= 1
+        assert other.packets_dropped == 0
 
 
 class TestResources:

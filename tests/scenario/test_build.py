@@ -171,7 +171,6 @@ class TestByteIdenticalReports:
             chunk_samples=4096,
             plan=plan,
             rng=source_seed(spec, n_nodes, 3),
-            materialize=False,
             max_active_nodes=1024,
         )
         hand_config = GatewayConfig(

@@ -431,6 +431,7 @@ class TestDiagnosticsAndCli:
             "R011",
             "R012",
             "R013",
+            "R014",
         ]
 
     def test_lint_paths_walks_directories(self, tmp_path):

@@ -6,6 +6,7 @@ and threaded executions of the same stream must produce identical trees.
 """
 
 import numpy as np
+import pytest
 import time
 
 from repro.gateway import (
@@ -70,12 +71,15 @@ class TestGatewayTracing:
         align = next(s for s in packet.root.walk() if s.name == "align")
         assert align.attrs["score"] > 0
 
-    def test_serial_and_thread_trees_identical(self):
-        serial = _run(executor="serial")
-        threaded = _run(executor="thread")
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_serial_and_thread_trees_identical(self, executor):
+        # The process executor ships each tree home in the job's pickled
+        # observation bundle; "block" keeps every job.
+        serial = _run(executor="serial", drop_policy="block")
+        other = _run(executor=executor, drop_policy="block")
         serial_trees = [p.structure() for p in serial.trace.packets]
-        thread_trees = [p.structure() for p in threaded.trace.packets]
-        assert serial_trees == thread_trees
+        other_trees = [p.structure() for p in other.trace.packets]
+        assert serial_trees == other_trees
         assert len(serial_trees) == 4
 
     def test_sample_rate_zero_keeps_no_healthy_traces(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.trace import context as trace_context
+from repro import observe
 from repro.trace.model import PacketTrace, Span, SpanEvent, TraceBuilder
 
 
@@ -104,22 +104,21 @@ class TestTraceBuilder:
 
 class TestAmbientContext:
     def test_inactive_is_noop(self):
-        assert trace_context.current() is None
-        assert not trace_context.trace_active()
-        trace_context.add_event("x", a=1)
-        trace_context.annotate(a=1)
-        with trace_context.span("x"):
+        assert observe.current() is None
+        observe.add_event("x", a=1)
+        observe.annotate(a=1)
+        with observe.span("x"):
             pass  # must not raise without an active builder
 
     def test_use_builder_routes_calls(self):
         builder = TraceBuilder("job")
-        with trace_context.use_builder(builder):
-            assert trace_context.trace_active()
-            assert trace_context.current() is builder
-            with trace_context.span("stage", kind="test"):
-                trace_context.add_event("evt", value=2)
-                trace_context.annotate(extra=True)
-        assert not trace_context.trace_active()
+        with observe.scope(builder=builder) as observation:
+            assert observe.current() is observation
+            assert observation.builder is builder
+            with observe.span("stage", kind="test"):
+                observe.add_event("evt", value=2)
+                observe.annotate(extra=True)
+        assert observe.current() is None
         root = builder.finish()
         stage = root.children[0]
         assert stage.name == "stage"
@@ -127,13 +126,13 @@ class TestAmbientContext:
         assert stage.events[0].attrs == {"value": 2}
 
     def test_use_builder_accepts_none(self):
-        with trace_context.use_builder(None):
-            assert not trace_context.trace_active()
+        with observe.scope(builder=None):
+            assert observe.current() is None
 
     def test_nesting_restores_previous(self):
         outer, inner = TraceBuilder("outer"), TraceBuilder("inner")
-        with trace_context.use_builder(outer):
-            with trace_context.use_builder(inner):
-                assert trace_context.current() is inner
-            assert trace_context.current() is outer
-        assert trace_context.current() is None
+        with observe.scope(builder=outer):
+            with observe.scope(builder=inner):
+                assert observe.current().builder is inner
+            assert observe.current().builder is outer
+        assert observe.current() is None
