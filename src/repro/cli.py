@@ -52,6 +52,7 @@ from repro.experiments import (
     run_unb_separation,
 )
 from repro.experiments.ablations import (
+    ablation_detection_resolution,
     ablation_fft_oversampling,
     ablation_fine_vs_coarse,
     ablation_preamble_accumulation,
@@ -83,6 +84,7 @@ EXPERIMENTS: dict[str, tuple[Callable, str]] = {
     "ablation-sic": (ablation_sic_strategies, "SIC strategies"),
     "ablation-fft": (ablation_fft_oversampling, "FFT oversampling"),
     "ablation-accum": (ablation_preamble_accumulation, "preamble accumulation"),
+    "ablation-detect": (ablation_detection_resolution, "detection zero-padding factor"),
     "ablation-splice": (ablation_splicing, "data splicing"),
 }
 

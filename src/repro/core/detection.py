@@ -15,10 +15,13 @@ false-alarms constantly on the exponential tail of a single window.
 
 Both null quantiles depend only on ``(n_windows, n_bins, pfa)``, so they
 are computed once per key (:func:`null_quantiles`).  The sliding search
-scores every start in one vectorized pass, and a :class:`ScanMemo` lets a
-stream scanner carry window power spectra and per-start statistics from
-one chunk's search to the next, so a window is dechirped and FFT'd once
-per stream rather than once per scan.
+decides on every start at a coarse :data:`SCAN_OVERSAMPLE` resolution in
+one vectorized pass, and re-scores at the caller's fine resolution only
+the starts around a crossing, where it picks the start.  A
+:class:`ScanMemo` lets a stream scanner carry both resolutions' window
+power spectra and per-start statistics from one chunk's search to the
+next, so a window is dechirped and FFT'd once per stream rather than
+once per scan.
 """
 
 from __future__ import annotations
@@ -35,9 +38,11 @@ from repro.core.peaks import Peak, find_peaks
 from repro.phy.params import LoRaParams
 from repro.profile.profiler import shape_bucket
 
-#: Starts scored per vectorized block: bounds the ``(starts, windows,
-#: bins)`` gather a long batch capture would otherwise materialize.
-_STARTS_PER_BLOCK = 16
+#: Zero-padding factor every start is decided at.  2x keeps the
+#: scalloping loss a fraction of a dB (1x loses ~3 dB); the start itself
+#: is picked at the caller's finer ``oversample`` (see
+#: :func:`sliding_packet_search`).
+SCAN_OVERSAMPLE = 2
 
 
 def accumulate_preamble(
@@ -270,21 +275,18 @@ def align_to_window_grid(
     return start, best_score
 
 
-class ScanMemo:
-    """Window power spectra and per-start statistics of the last search.
+class _ScanRows:
+    """One resolution's window power rows and start statistics.
 
     Rows are keyed by absolute sample index: ``power[k]`` is the
     oversampled power spectrum of the window starting at sample
     ``origin + k * n`` and ``stats[k]`` the ``(max, median)`` of the
-    accumulated spectrum of the start at that window.  A search whose
-    segment starts at ``origin' >= origin`` with ``origin' - origin`` a
-    multiple of ``n`` (same PHY, same oversample) reuses every row both
-    segments cover; any other segment recomputes everything.  Only the
-    current segment is held, never the whole stream, and the caller
-    must hand in the same samples at the same absolute indices.
-
-    ``windows_transformed`` / ``windows_reused`` count the last search's
-    freshly computed and carried-over windows.
+    accumulated spectrum of the start at that window.  A request whose
+    first window lies at or after ``origin`` on the same window grid
+    (same PHY, same oversample) reuses every row the two cover, and rows
+    past the request's end are kept for a later, longer one; any other
+    request recomputes everything.  ``fresh`` / ``kept`` count the last
+    request's freshly computed and carried-over windows.
     """
 
     def __init__(self) -> None:
@@ -292,54 +294,115 @@ class ScanMemo:
         self.origin = 0
         self.power = np.zeros((0, 0))
         self.stats = np.zeros((0, 2))
-        self.windows_transformed = 0
-        self.windows_reused = 0
+        self.fresh = 0
+        self.kept = 0
 
-    def update(
+    def cover(
         self,
         params: LoRaParams,
         samples: np.ndarray,
         oversample: int,
         origin: int,
+        first: int,
         n_starts: int,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Power rows and start statistics covering ``n_starts`` starts."""
+        """Power rows and statistics of starts ``first .. first + n_starts - 1``.
+
+        ``samples[0]`` sits at absolute index ``origin``; start ``s`` is
+        the window at ``samples[s * n]``.
+        """
         n = params.samples_per_symbol
         span = params.preamble_len
         n_windows = n_starts + span - 1
         key = (params, oversample)
-        shift = kept_windows = kept_starts = 0
-        if (
-            self.key == key
-            and origin >= self.origin
-            and (origin - self.origin) % n == 0
-        ):
-            shift = (origin - self.origin) // n
-            kept_windows = min(max(self.power.shape[0] - shift, 0), n_windows)
-            kept_starts = min(max(self.stats.shape[0] - shift, 0), n_starts)
-        power = self.power[shift : shift + kept_windows]
-        if kept_windows < n_windows:
+        at = origin + first * n
+        power, stats_rows = self.power[:0], self.stats[:0]
+        if self.key == key and at >= self.origin and (at - self.origin) % n == 0:
+            shift = (at - self.origin) // n
+            power, stats_rows = self.power[shift:], self.stats[shift:]
+        kept = min(power.shape[0], n_windows)
+        if kept < n_windows:
             windows = dechirp_windows(
-                params, samples, n_windows=n_windows - kept_windows, start=kept_windows * n
+                params, samples, n_windows=n_windows - kept, start=(first + kept) * n
             )
             fresh = np.abs(oversampled_spectrum(windows, oversample)) ** 2
-            power = np.concatenate([power, fresh]) if kept_windows else fresh
-        # Same reduction forms as accumulating one start at a time (rows
-        # summed in window order, per-row median), so scores match a
-        # per-start search bit for bit -- a prefix sum would not.
-        blocks = [self.stats[shift : shift + kept_starts]]
-        offsets = np.arange(span)
-        for lo in range(kept_starts, n_starts, _STARTS_PER_BLOCK):
-            starts = np.arange(lo, min(lo + _STARTS_PER_BLOCK, n_starts))
-            accumulated = power[starts[:, None] + offsets].mean(axis=1)
-            peak = accumulated.max(axis=1)
-            blocks.append(np.stack([peak, np.median(accumulated, axis=1)], axis=1))
-        stats_rows = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
-        self.key, self.origin = key, origin
+            power = np.concatenate([power, fresh]) if kept else fresh
+        lo = stats_rows.shape[0]
+        if lo < n_starts:
+            # Same reduction forms as accumulating one start at a time (rows
+            # summed in window order, per-row median), so scores match a
+            # per-start search bit for bit -- a prefix sum would not.
+            total = power[lo:n_starts].copy()
+            for k in range(1, span):
+                total += power[lo + k : n_starts + k]
+            accumulated = total / span
+            fresh_stats = np.empty((n_starts - lo, 2))
+            fresh_stats[:, 0] = accumulated.max(axis=1)
+            fresh_stats[:, 1] = np.median(accumulated, axis=1)
+            stats_rows = np.concatenate([stats_rows, fresh_stats]) if lo else fresh_stats
+        self.key, self.origin = key, at
         self.power, self.stats = power, stats_rows
-        self.windows_transformed = n_windows - kept_windows
-        self.windows_reused = kept_windows
-        return power, stats_rows
+        self.fresh, self.kept = n_windows - kept, kept
+        return power[:n_windows], stats_rows[:n_starts]
+
+
+class ScanMemo:
+    """Both resolutions' rows of a stream's last search (:class:`_ScanRows`).
+
+    ``coarse`` holds the :data:`SCAN_OVERSAMPLE` rows every start is
+    decided on, ``fine`` the caller-``oversample`` rows of the starts
+    around a crossing that the pick re-scored.  Both are keyed by
+    absolute sample, so a pending detection re-scanned on the next chunk
+    transforms its fine rows once, not once per scan.  Only the current
+    segment (and the last pick's span) is held, never the whole stream,
+    and the caller must hand in the same samples at the same absolute
+    indices.
+
+    ``windows_transformed`` / ``windows_reused`` count the last search's
+    freshly computed and carried-over coarse windows,
+    ``windows_refined`` its freshly computed fine ones.
+    """
+
+    def __init__(self) -> None:
+        self.coarse = _ScanRows()
+        self.fine = _ScanRows()
+        self.windows_transformed = 0
+        self.windows_reused = 0
+        self.windows_refined = 0
+
+
+def _scores(
+    start_stats: np.ndarray, threshold_factor: float, gamma_median: float
+) -> np.ndarray:
+    """:func:`detect_preamble`'s score, elementwise over every start."""
+    noise_power = start_stats[:, 1] / max(gamma_median, 1e-30)
+    return start_stats[:, 0] / np.maximum(noise_power * threshold_factor, 1e-30)
+
+
+def _pick(scores: np.ndarray, span: int, earliest: bool) -> tuple[int | None, int, int]:
+    """The start-picking rule over one run of start scores.
+
+    Returns ``(crossing, best, horizon)``: the first start scoring at
+    least 1 (``None`` if none does), the picked start and the last start
+    the rule reads.  Without ``earliest`` or without a crossing the pick
+    is the plain best and the rule reads every start.  With both, the
+    pick is the best start from the crossing up to the horizon, which
+    sits one preamble span past the best so far -- it may lie past the
+    end of ``scores``, telling the caller the pick needs more starts.
+    """
+    crossed = np.flatnonzero(~(scores < 1.0))
+    if not crossed.size or not earliest:
+        crossing = int(crossed[0]) if crossed.size else None
+        return crossing, int(np.argmax(scores)), scores.size - 1
+    crossing = best = int(crossed[0])
+    tail = scores[crossing:].tolist()
+    best_score = tail[0]
+    for offset, score in enumerate(tail):
+        if offset > best - crossing + span - 1:
+            break
+        if score > best_score:
+            best, best_score = crossing + offset, score
+    return crossing, best, best + span - 1
 
 
 def sliding_packet_search(
@@ -372,14 +435,25 @@ def sliding_packet_search(
     this one -- so a caller consuming the buffer front-to-back never skips
     a packet.
 
-    ``memo`` carries window spectra between calls on one stream, with
-    ``origin`` the absolute index of ``samples[0]`` (see
+    The search runs at two resolutions.  Every start is *decided* at
+    :data:`SCAN_OVERSAMPLE`: the rule above finds the first crossing and
+    its horizon.  Only the starts from one preamble span before that
+    crossing through the horizon are re-scored at ``oversample``, and the
+    same rule on those scores *picks* ``start_window`` and ``score`` --
+    widening the re-scored range while the fine horizon keeps moving out.
+    A coarse crossing the fine scores do not confirm is passed over and
+    the coarse decision resumes after it, so it never hides a later
+    packet.  A non-detection reports the best coarse score, with the
+    passed-over starts read at their fine scores (all below 1).
+
+    ``memo`` carries both resolutions' window spectra between calls on
+    one stream, with ``origin`` the absolute index of ``samples[0]`` (see
     :class:`ScanMemo`); ``None`` searches from scratch.  Results are
     identical either way.
 
     A detection's ``peaks`` are :func:`detect_preamble`'s peaks of the
-    best start's accumulated spectrum, picked on their first read (see
-    :class:`DetectionResult`).
+    picked start's accumulated ``oversample`` spectrum, picked on their
+    first read (see :class:`DetectionResult`).
     """
     samples = np.asarray(samples)
     n = params.samples_per_symbol
@@ -393,41 +467,47 @@ def sliding_packet_search(
     if memo is None:
         memo = ScanMemo()
     with observe.kernel("detect.scan", f"N{n}.S{shape_bucket(n_starts)}"):
-        power, start_stats = memo.update(params, samples, oversample, origin, n_starts)
         per_start_pfa = pfa / n_starts
-        threshold_factor, gamma_median = null_quantiles(
-            span, power.shape[1] // max(oversample, 1), per_start_pfa
+        quantiles = null_quantiles(span, n, per_start_pfa)
+        _, coarse_stats = memo.coarse.cover(
+            params, samples, SCAN_OVERSAMPLE, origin, 0, n_starts
         )
-        # detect_preamble's score, elementwise over every start.
-        noise_power = start_stats[:, 1] / max(gamma_median, 1e-30)
-        scores = start_stats[:, 0] / np.maximum(noise_power * threshold_factor, 1e-30)
-        best_start, best_score, best_detected = 0, -np.inf, False
-        last_start: int | None = None
-        for start, score in enumerate(scores.tolist()):
-            if last_start is not None and start > last_start:
+        memo.windows_transformed = memo.coarse.fresh
+        memo.windows_reused = memo.coarse.kept
+        memo.windows_refined = 0
+        scores = _scores(coarse_stats, *quantiles)
+        pos = 0
+        while pos < n_starts:
+            crossing, _, horizon = _pick(scores[pos:], span, earliest)
+            if crossing is None:
                 break
-            detected = not score < 1.0
-            if score > best_score:
-                best_start, best_score, best_detected = start, score, detected
-                if earliest and last_start is not None:
-                    # Still climbing towards the preamble's score peak: give
-                    # the refinement another preamble span to keep improving.
-                    last_start = max(last_start, start + span - 1)
-            if earliest and detected and last_start is None:
-                # Keep refining within one preamble span of the first crossing
-                # (extended while the score rises), then stop -- later packets
-                # must not outbid this one.
-                last_start = start + span - 1
-        if not best_detected:
-            return DetectionResult(
-                detected=False, start_window=best_start, peaks=(), score=best_score
-            )
-        accumulated = np.mean(power[best_start : best_start + span], axis=0)
-    # Peak picking is deferred to the first read of ``peaks``.
-    peaks = partial(_preamble_peaks, accumulated, oversample, span, per_start_pfa)
-    return DetectionResult(
-        detected=True, start_window=best_start, peaks=peaks, score=best_score
-    )
+            lo = max(pos + crossing - span + 1, pos)
+            hi = min(pos + horizon, n_starts - 1)
+            while True:
+                power, fine_stats = memo.fine.cover(
+                    params, samples, oversample, origin, lo, hi - lo + 1
+                )
+                memo.windows_refined += memo.fine.fresh
+                fine = _scores(fine_stats, *quantiles)
+                confirmed, best, fine_horizon = _pick(fine, span, earliest)
+                if lo + fine_horizon <= hi or hi == n_starts - 1:
+                    break
+                hi = min(lo + fine_horizon, n_starts - 1)
+            if confirmed is not None:
+                accumulated = np.mean(power[best : best + span], axis=0)
+                # Peak picking is deferred to the first read of ``peaks``.
+                peaks = partial(_preamble_peaks, accumulated, oversample, span, per_start_pfa)
+                return DetectionResult(
+                    detected=True, start_window=lo + best, peaks=peaks, score=float(fine[best])
+                )
+            # Passed over: the fine scores stand for these starts.
+            scores = scores.copy()
+            scores[lo : hi + 1] = fine
+            pos = hi + 1
+        best = int(np.argmax(scores))
+        return DetectionResult(
+            detected=False, start_window=best, peaks=(), score=float(scores[best])
+        )
 
 
 def _preamble_peaks(

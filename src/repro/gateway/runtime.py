@@ -20,13 +20,15 @@ Stages (each instrumented through :mod:`repro.gateway.telemetry`):
 3. **detect** -- every channel is scanned once per spreading factor in
    ``sf_set`` by a :class:`StreamScanner`, which slides
    :func:`repro.core.detection.sliding_packet_search` (``earliest=True``)
-   over the unscanned span of the ring.  Each scanner keeps a
-   :class:`repro.core.detection.ScanMemo` keyed by absolute sample
-   index, so a window already transformed and a start already scored on
-   an earlier chunk are reused, not recomputed (``detect.windows_*``
-   counters).  A detection whose frame tail has not arrived yet stays
-   pending until the next chunk, which is how packets straddling chunk
-   boundaries survive.  Scanners sharing a ring
+   over the unscanned span of the ring: every start is decided at 2x
+   zero padding, and only the starts around a crossing are re-scored at
+   10x to pick the packet start.  Each scanner keeps a
+   :class:`repro.core.detection.ScanMemo` of both resolutions keyed by
+   absolute sample index, so a window already transformed and a start
+   already scored on an earlier chunk are reused, not recomputed
+   (``detect.windows_*`` counters).  A detection whose frame tail has
+   not arrived yet stays pending until the next chunk, which is how
+   packets straddling chunk boundaries survive.  Scanners sharing a ring
    publish release positions and the ring consumes their minimum, so an
    SF7 and an SF8 scanner multiplex one channel without stealing each
    other's samples.
@@ -369,6 +371,11 @@ class GatewayReport:
         if "channelize.push_s" in self.telemetry:
             lines.append(self._stage_line("channelize", "channelize.push_s"))
         lines.append(self._stage_line("detect", "detect.scan_s"))
+        lines.append(
+            f"  {'  windows':<12} transformed={self._counter('detect.windows_transformed')}"
+            f" reused={self._counter('detect.windows_reused')}"
+            f" refined={self._counter('detect.windows_refined')}"
+        )
         lines.append(self._stage_line("queue-wait", "decode.queue_wait_s"))
         lines.append(self._stage_line("decode", "decode.decode_s"))
         if "decode.tier0.decode_s" in self.telemetry:
@@ -525,6 +532,7 @@ class StreamScanner:
                 self._memo.windows_transformed
             )
             telemetry.counter("detect.windows_reused").inc(self._memo.windows_reused)
+            telemetry.counter("detect.windows_refined").inc(self._memo.windows_refined)
             if not result.detected:
                 # Keep a preamble's worth of overlap so a packet whose
                 # head just arrived is still detectable next scan.

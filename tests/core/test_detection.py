@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from repro.core import detection
-from repro.core.dechirp import DEFAULT_OVERSAMPLE, dechirp_windows, oversampled_spectrum
+from repro.core.dechirp import (
+    DEFAULT_OVERSAMPLE,
+    cached_downchirp,
+    dechirp_windows,
+    oversampled_spectrum,
+)
 from repro.core.detection import (
     DetectionResult,
     ScanMemo,
@@ -173,6 +178,23 @@ def _stream(seed: int, packet_at: int, amplitude: float) -> np.ndarray:
     return stream
 
 
+def _tone_stream(seed: int, tones, n_windows: int = 24) -> np.ndarray:
+    """``n_windows`` windows of noise plus preamble-like tones.
+
+    Each tone is ``(first_window, n_windows, bin, amplitude)``; a
+    quarter-bin ``bin`` is where 2x and 10x scores differ most.
+    """
+    rng = np.random.default_rng(seed)
+    size = n_windows * _N
+    stream = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
+    upchirp = np.conj(cached_downchirp(PARAMS))
+    for first, count, bin_, amplitude in tones:
+        tone = amplitude * np.exp(2j * np.pi * bin_ * np.arange(_N) / _N) * upchirp
+        for window in range(first, first + count):
+            stream[window * _N : (window + 1) * _N] += tone
+    return stream
+
+
 def _assert_same(memoized, fresh):
     assert memoized.detected == fresh.detected
     assert memoized.start_window == fresh.start_window
@@ -189,43 +211,93 @@ _ORIGIN_STEP = st.one_of(
 )
 
 
-def _reference_search(segment, max_start_windows=None, earliest=False, pfa=1e-3):
-    """The per-start search the vectorized one replaced, kept as an oracle.
-
-    Accumulates each start with ``np.mean`` over its own slice, scores it
-    with :func:`detect_preamble` and applies the ``earliest`` horizon rule
-    start by start.
-    """
-    n, span = PARAMS.samples_per_symbol, PARAMS.preamble_len
-    n_starts = segment.size // n - span + 1
-    if max_start_windows is not None:
-        n_starts = min(n_starts, max_start_windows)
-    if n_starts <= 0:
-        return DetectionResult(detected=False, start_window=0, peaks=(), score=0.0)
-    windows = dechirp_windows(PARAMS, segment)
-    power = np.abs(oversampled_spectrum(windows, DEFAULT_OVERSAMPLE)) ** 2
-    best = DetectionResult(detected=False, start_window=0, peaks=(), score=-np.inf)
-    last_start = None
-    for start in range(n_starts):
-        if last_start is not None and start > last_start:
-            break
-        result = detect_preamble(
+def _per_start(segment, n_starts, oversample, pfa):
+    """:func:`detect_preamble` of every start's own accumulation."""
+    span = PARAMS.preamble_len
+    power = np.abs(oversampled_spectrum(dechirp_windows(PARAMS, segment), oversample)) ** 2
+    return [
+        detect_preamble(
             np.mean(power[start : start + span], axis=0),
-            DEFAULT_OVERSAMPLE,
+            oversample,
             n_windows=span,
             pfa=pfa / n_starts,
         )
+        for start in range(n_starts)
+    ]
+
+
+def _rule(results, first, earliest):
+    """The start-picking loop over ``results[first:]``, one start at a time.
+
+    Returns ``(best, crossing, last_start)``: the picked start's result,
+    the first detected start (``None`` if none) and the ``earliest``
+    horizon (``None`` when the loop read every start).
+    """
+    span = PARAMS.preamble_len
+    best = DetectionResult(detected=False, start_window=0, peaks=(), score=-np.inf)
+    crossing = last_start = None
+    for start in range(first, len(results)):
+        if last_start is not None and start > last_start:
+            break
+        result = results[start]
+        if result.detected and crossing is None:
+            crossing = start
         if result.score > best.score:
             best = DetectionResult(result.detected, start, result.peaks, result.score)
             if earliest and last_start is not None:
                 last_start = max(last_start, start + span - 1)
         if earliest and result.detected and last_start is None:
             last_start = start + span - 1
-    return best
+    return best, crossing, last_start
+
+
+def _n_starts(segment, max_start_windows):
+    n_starts = segment.size // _N - PARAMS.preamble_len + 1
+    if max_start_windows is not None:
+        n_starts = min(n_starts, max_start_windows)
+    return n_starts
+
+
+def _fine_only_search(segment, max_start_windows=None, earliest=False, pfa=1e-3):
+    """The search before the two-resolution split: every start at 10x."""
+    n_starts = _n_starts(segment, max_start_windows)
+    if n_starts <= 0:
+        return DetectionResult(detected=False, start_window=0, peaks=(), score=0.0)
+    return _rule(_per_start(segment, n_starts, DEFAULT_OVERSAMPLE, pfa), 0, earliest)[0]
+
+
+def _reference_search(segment, max_start_windows=None, earliest=False, pfa=1e-3):
+    """The two-resolution search, one start at a time, kept as an oracle.
+
+    Decides with :func:`detect_preamble` at ``SCAN_OVERSAMPLE`` per start;
+    at the first crossing, picks with the same loop over the 10x results
+    from one preamble span before the crossing, provided some 10x start
+    up to the coarse horizon is detected.  Otherwise the 10x results
+    stand for those starts and the coarse decision resumes after them.
+    """
+    span = PARAMS.preamble_len
+    n_starts = _n_starts(segment, max_start_windows)
+    if n_starts <= 0:
+        return DetectionResult(detected=False, start_window=0, peaks=(), score=0.0)
+    coarse = _per_start(segment, n_starts, detection.SCAN_OVERSAMPLE, pfa)
+    fine = _per_start(segment, n_starts, DEFAULT_OVERSAMPLE, pfa)
+    believed = list(coarse)
+    pos = 0
+    while pos < n_starts:
+        _, crossing, last_start = _rule(coarse, pos, earliest)
+        if crossing is None:
+            break
+        lo = max(crossing - span + 1, pos)
+        hi = n_starts - 1 if last_start is None else min(last_start, n_starts - 1)
+        if any(fine[start].detected for start in range(lo, hi + 1)):
+            return _rule(fine, lo, earliest)[0]
+        believed[lo : hi + 1] = fine[lo : hi + 1]
+        pos = hi + 1
+    return _rule(believed, 0, earliest=False)[0]
 
 
 class TestReferenceEquivalence:
-    """Vectorized scoring, memoized or not, against the per-start oracle."""
+    """Vectorized scoring, memoized or not, against the per-start oracles."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**16),
@@ -251,6 +323,72 @@ class TestReferenceEquivalence:
                 sliding_packet_search(PARAMS, segment, memo=memo, origin=origin, **options),
                 expected,
             )
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        packet_at=st.integers(min_value=0, max_value=24 * _N),
+        amplitude=st.sampled_from([0.0, 0.05, 0.08, 0.12, 2.0]),
+        earliest=st.booleans(),
+        max_start_windows=st.one_of(st.none(), st.integers(min_value=1, max_value=12)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_detections_match_the_fine_only_search(
+        self, seed, packet_at, amplitude, earliest, max_start_windows
+    ):
+        # Only the decision moved to 2x: whenever both searches detect,
+        # the pick is the one scoring every start at 10x gave.
+        segment = _stream(seed, packet_at, amplitude)[: 24 * _N]
+        options = dict(earliest=earliest, max_start_windows=max_start_windows)
+        result = sliding_packet_search(PARAMS, segment, **options)
+        before = _fine_only_search(segment, **options)
+        if result.detected and before.detected:
+            _assert_same(result, before)
+
+    @pytest.mark.parametrize("earliest", [False, True])
+    def test_strong_packet_matches_the_fine_only_search(self, earliest):
+        segment = _stream(3, 9 * _N + 37, 2.0)
+        result = sliding_packet_search(PARAMS, segment, earliest=earliest)
+        assert result.detected
+        _assert_same(result, _fine_only_search(segment, earliest=earliest))
+
+    @pytest.mark.parametrize("with_packet", [False, True])
+    def test_unconfirmed_coarse_crossing(self, with_packet):
+        # A weak on-bin tone in windows 2-11 crosses at 2x but not at 10x:
+        # the 10x scores overrule the coarse decision, and the search
+        # moves on to the strong preamble at window 22.
+        segment = _tone_stream(39, [(2, 10, 40.0, 0.12)], n_windows=50)
+        if with_packet:
+            packet = _preamble_packet()
+            segment[22 * _N + 37 : 22 * _N + 37 + packet.size] += 2.0 * packet
+        n_starts = segment.size // _N - PARAMS.preamble_len + 1
+        tone_starts = slice(0, 13)  # starts clear of the packet
+        coarse = _per_start(segment, n_starts, detection.SCAN_OVERSAMPLE, 1e-3)[tone_starts]
+        fine = _per_start(segment, n_starts, DEFAULT_OVERSAMPLE, 1e-3)[tone_starts]
+        assert max(r.score for r in coarse) >= 1 > max(r.score for r in fine)
+        expected = _reference_search(segment, earliest=True)
+        assert expected.detected == with_packet
+        assert expected.detected or expected.score < 1
+        _assert_same(sliding_packet_search(PARAMS, segment, earliest=True), expected)
+        memo = ScanMemo()
+        _assert_same(sliding_packet_search(PARAMS, segment, earliest=True, memo=memo), expected)
+        assert memo.windows_refined > 0
+
+    @pytest.mark.parametrize(
+        "seed,tones,earliest",
+        [
+            # The 10x horizon runs past the 2x one: the range must widen.
+            (36637, [(2, 8, 2.75, 0.223), (8, 10, 147.25, 0.242)], True),
+            # 10x crosses before 2x: the range must start a span earlier.
+            (46658, [(11, 9, 125.75, 0.134)], True),
+            (46658, [(11, 9, 125.75, 0.134)], False),
+        ],
+    )
+    def test_pick_range_edges(self, seed, tones, earliest):
+        segment = _tone_stream(seed, tones)
+        expected = _reference_search(segment, earliest=earliest)
+        assert expected.detected
+        _assert_same(sliding_packet_search(PARAMS, segment, earliest=earliest), expected)
+        _assert_same(expected, _fine_only_search(segment, earliest=earliest))
 
     @pytest.mark.parametrize("seed,amplitude", [(0, 0.0), (1, 0.08), (2, 0.08), (3, 2.0)])
     @pytest.mark.parametrize("earliest", [False, True])
@@ -302,6 +440,18 @@ class TestScanMemoEquivalence:
         )
         assert (memo.windows_transformed, memo.windows_reused) == (6, 16)
         _assert_same(result, sliding_packet_search(PARAMS, stream[4 * _N : 26 * _N]))
+
+    def test_pending_rescan_refines_each_window_once(self):
+        # A detection whose frame has not arrived is rescanned from the
+        # same origin on a longer segment: its 10x rows come from the memo.
+        stream = _stream(9, 12 * _N, 2.0)
+        memo = ScanMemo()
+        first = sliding_packet_search(PARAMS, stream[: 30 * _N], memo=memo, earliest=True)
+        assert first.detected and 0 < memo.windows_refined < 30
+        again = sliding_packet_search(PARAMS, stream[: 32 * _N], memo=memo, earliest=True)
+        assert again.start_window == first.start_window
+        assert memo.windows_refined == 0
+        _assert_same(again, sliding_packet_search(PARAMS, stream[: 32 * _N], earliest=True))
 
     def test_off_grid_origin_recomputes(self):
         stream = _stream(8, 5 * _N, 2.0)

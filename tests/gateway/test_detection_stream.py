@@ -4,17 +4,26 @@ The gateway consumes its ring front-to-back, so detection must (a) find
 the *first* packet when several sit in one capture, (b) not fire on pure
 noise, and (c) recover packets whose samples arrive split across chunk
 boundaries, and (d) dispatch the same jobs whether or not a scanner
-carries window spectra across scans.
+carries window spectra across scans, and (e) place every packet start
+exactly where a search scoring every start at 10x would, although the
+scan decides at 2x.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.channel.noise import awgn
 from repro.core import detection
-from repro.core.detection import align_to_window_grid, sliding_packet_search
+from repro.core.dechirp import (
+    DEFAULT_OVERSAMPLE,
+    cached_downchirp,
+    dechirp_windows,
+    oversampled_spectrum,
+)
+from repro.core.detection import align_to_window_grid, detect_preamble, sliding_packet_search
 from repro.gateway import Gateway, GatewayConfig, SyntheticTrafficSource
 from repro.gateway import runtime
 from repro.gateway.ring import SampleRing
@@ -177,6 +186,97 @@ class TestScannerMemo:
         assert memoized == fresh  # exact start samples and scores
         assert telemetry.counter("detect.windows_reused").value > 0
         assert telemetry.counter("detect.windows_transformed").value > 0
+        assert telemetry.counter("detect.windows_refined").value > 0
+
+
+def _scan_capture(capture, chunk_samples):
+    """Jobs one SF7 scanner dispatches from ``capture`` fed in chunks."""
+    ring = SampleRing(1 << 16)
+    scanner = StreamScanner(PARAMS, PAYLOAD_LEN, Telemetry())
+    pool = _RecordingPool()
+    job_id = 0
+    for lo in range(0, capture.size, chunk_samples):
+        ring.append(capture[lo : lo + chunk_samples])
+        job_id = scanner.scan(ring, pool, job_id)
+        ring.consume(scanner.release_pos)
+    scanner.scan(ring, pool, job_id, final=True)
+    return pool.jobs
+
+
+def _fine_everywhere(monkeypatch):
+    """Make the scan decide at 10x too: the search before the split."""
+    monkeypatch.setattr(detection, "SCAN_OVERSAMPLE", DEFAULT_OVERSAMPLE)
+
+
+def _per_start_scores(capture, oversample):
+    """detect_preamble's score of every start of ``capture`` as one segment."""
+    n, span = PARAMS.samples_per_symbol, PARAMS.preamble_len
+    n_starts = capture.size // n - span + 1
+    power = np.abs(oversampled_spectrum(dechirp_windows(PARAMS, capture), oversample)) ** 2
+    return np.array(
+        [
+            detect_preamble(
+                power[start : start + span].mean(axis=0),
+                oversample,
+                n_windows=span,
+                pfa=1e-3 / n_starts,
+            ).score
+            for start in range(n_starts)
+        ]
+    )
+
+
+class TestTwoResolutionScan:
+    def test_weak_collision_then_strong_packet_keeps_fine_starts(self, monkeypatch):
+        # Two weak packets collide and a strong one follows back to back.
+        # Picked at 2x, the weak detection lands one window late, and the
+        # frame skip then pushes the strong packet's start one window late
+        # too -- the chain that cost a packet on the urban scenario.
+        n = PARAMS.samples_per_symbol
+        rng = np.random.default_rng(1)
+        weak_a, weak_b, strong = _frame(4, 0.5), _frame(5, 0.55), _frame(6, 6.4)
+        lead, gap = 3 * n + 50, 77
+        size = lead + weak_a.size + gap + strong.size + 4 * n
+        capture = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
+        capture[lead : lead + weak_a.size] += weak_a
+        capture[lead + 2 : lead + 2 + weak_b.size] += weak_b
+        at = lead + weak_a.size + gap
+        capture[at : at + strong.size] += strong
+        jobs = _scan_capture(capture, 1000)
+
+        picked_at_2x = partial(
+            sliding_packet_search, oversample=detection.SCAN_OVERSAMPLE
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(runtime, "sliding_packet_search", picked_at_2x)
+            coarse = _scan_capture(capture, 1000)
+        _fine_everywhere(monkeypatch)
+        reference = _scan_capture(capture, 1000)
+        assert [start for start, _ in reference] == [128, 3328]
+        assert [start for start, _ in coarse] == [256, 3456]
+        assert jobs == reference  # exact start samples and scores
+
+    def test_unconfirmed_coarse_crossing_does_not_hide_a_later_packet(self, monkeypatch):
+        # Ten windows of a weak on-bin tone whose 2x score just crosses the
+        # threshold while no 10x score does, then a real packet in the
+        # same segment.
+        n = PARAMS.samples_per_symbol
+        rng = np.random.default_rng(13)
+        packet = _frame(13, 4.0)
+        size = 23 * n + packet.size
+        capture = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
+        tone = 0.144 * np.exp(2j * np.pi * 40 * np.arange(n) / n)
+        tone = tone * np.conj(cached_downchirp(PARAMS))
+        for window in range(2, 12):
+            capture[window * n : (window + 1) * n] += tone
+        capture[20 * n + 37 : 20 * n + 37 + packet.size] += packet
+        phantom_starts = slice(0, 13)  # starts clear of the packet
+        assert _per_start_scores(capture, detection.SCAN_OVERSAMPLE)[phantom_starts].max() >= 1
+        assert _per_start_scores(capture, DEFAULT_OVERSAMPLE)[phantom_starts].max() < 1
+        jobs = _scan_capture(capture, capture.size)  # one scan, one segment
+        _fine_everywhere(monkeypatch)
+        assert jobs == _scan_capture(capture, capture.size)
+        assert [start for start, _ in jobs] == [20 * n - 2 * n]
 
 
 class TestLazyPeaks:
