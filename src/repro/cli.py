@@ -345,7 +345,6 @@ def cmd_server(args: argparse.Namespace) -> int:
         ServerConfig(
             dedup_window_s=args.dedup_window,
             adr_initial_sf=args.initial_sf,
-            decode_tier=args.decode_tier,
         )
         if args.dedup_window is not None
         else None  # build_scenario defaults the window to two slots
@@ -356,7 +355,6 @@ def cmd_server(args: argparse.Namespace) -> int:
         initial_sf=args.initial_sf,
         seed=args.seed,
         server_config=server_config,
-        decode_tier=args.decode_tier,
     )
     if args.state_in:
         with open(args.state_in) as handle:
@@ -365,8 +363,7 @@ def cmd_server(args: argparse.Namespace) -> int:
     print(
         f"closed-loop scenario: {args.gateways} gateway(s), {args.nodes} "
         f"node(s) at {args.snr_hi:.0f}/{args.snr_lo:.0f} dB, initial SF"
-        f"{args.initial_sf}, {args.duration:.1f}s simulated, "
-        f"{args.ingest} ingest, {server.config.decode_tier} decode tier"
+        f"{args.initial_sf}, {args.duration:.1f}s simulated"
     )
     accountant = None
     if args.profile_out:
@@ -374,9 +371,7 @@ def cmd_server(args: argparse.Namespace) -> int:
 
         accountant = ResourceAccountant(alloc_top_n=args.profile_alloc)
         accountant.start()
-    report = run_closed_loop(
-        sim, phy, server, args.duration, ingest=args.ingest
-    )
+    report = run_closed_loop(sim, phy, server, args.duration)
     resources = accountant.stop() if accountant is not None else None
     faster, slower = report.moved_faster(), report.moved_slower()
     print(
@@ -414,9 +409,7 @@ def cmd_server(args: argparse.Namespace) -> int:
                 "snr_hi_db": args.snr_hi,
                 "snr_lo_db": args.snr_lo,
                 "initial_sf": args.initial_sf,
-                "ingest": args.ingest,
                 "seed": args.seed,
-                "decode_tier": args.decode_tier,
             },
             args.seed,
             telemetry=server.telemetry,
@@ -758,20 +751,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="dedup window seconds (default: two slot times)",
     )
-    srv.add_argument(
-        "--ingest",
-        choices=("serial", "thread", "async"),
-        default="serial",
-        help="ingest transport (all three are deterministic and agree)",
-    )
     srv.add_argument("--seed", type=int, default=0, help="master seed")
-    srv.add_argument(
-        "--decode-tier",
-        choices=DECODE_TIERS,
-        default=DEFAULT_DECODE_TIER,
-        help="decode pipeline the fronting IQ gateways run (recorded in"
-        " the server config; the packet-level scenario reports it)",
-    )
     srv.add_argument(
         "--metrics-out",
         default=None,

@@ -134,7 +134,6 @@ class ChoirPipeline:
         self,
         params: LoRaParams,
         rng: RngLike = None,
-        synchronize: bool = True,
         coding_rate: int = 4,
         sync_search_symbols: int = 0,
         max_users: Optional[int] = None,
@@ -142,7 +141,6 @@ class ChoirPipeline:
         self.params = params
         self.decoder = ChoirDecoder(params, rng=rng)
         self.framer = LoRaFramer(params, coding_rate=coding_rate)
-        self.synchronize = synchronize
         self.sync_search_symbols = sync_search_symbols
         self.max_users = max_users
 
@@ -179,31 +177,28 @@ class ChoirPipeline:
     ) -> WindowDecode:
         """Align, then decode with the CRC-oracle alignment ladder."""
         n = self.params.samples_per_symbol
-        if self.synchronize:
-            candidate_range = (
-                (0, self.sync_search_symbols * n)
-                if self.sync_search_symbols > 0
-                else None
+        candidate_range = (
+            (0, self.sync_search_symbols * n)
+            if self.sync_search_symbols > 0
+            else None
+        )
+        with observe.stage("align", timer="decode.align_s"):
+            base, align_score = align_to_window_grid(
+                self.params,
+                samples,
+                candidate_range=candidate_range,
             )
-            with observe.stage("align", timer="decode.align_s"):
-                base, align_score = align_to_window_grid(
-                    self.params,
-                    samples,
-                    candidate_range=candidate_range,
-                )
-                observe.annotate(offset=base, score=float(align_score))
-            # The decoder's sweet spot is a grid a fraction of a window
-            # *after* the true boundary (the small data leak is absorbed by
-            # the boundary-glitch model), while the ridge's "latest" pick can
-            # overshoot it by a variable amount.  Quarter-window ladder steps
-            # cover the overshoot spread (biased earlier) without gaps.
-            offsets = [base]
-            for delta in (-n // 4, n // 4, -n // 2, -3 * n // 4):
-                candidate = base + delta
-                if candidate >= 0 and candidate not in offsets:
-                    offsets.append(candidate)
-        else:
-            offsets = [0]
+            observe.annotate(offset=base, score=float(align_score))
+        # The decoder's sweet spot is a grid a fraction of a window
+        # *after* the true boundary (the small data leak is absorbed by
+        # the boundary-glitch model), while the ridge's "latest" pick can
+        # overshoot it by a variable amount.  Quarter-window ladder steps
+        # cover the overshoot spread (biased earlier) without gaps.
+        offsets = [base]
+        for delta in (-n // 4, n // 4, -n // 2, -3 * n // 4):
+            candidate = base + delta
+            if candidate >= 0 and candidate not in offsets:
+                offsets.append(candidate)
         results: List[UserFrame] = []
         retries = 0
         for attempt, offset in enumerate(offsets):
@@ -342,7 +337,6 @@ def build_pipeline(
     tier: str,
     params: LoRaParams,
     rng: RngLike = None,
-    synchronize: bool = True,
     coding_rate: int = 4,
     sync_search_symbols: int = 0,
     max_users: Optional[int] = None,
@@ -362,7 +356,6 @@ def build_pipeline(
     full = ChoirPipeline(
         params,
         rng=rng,
-        synchronize=synchronize,
         coding_rate=coding_rate,
         sync_search_symbols=sync_search_symbols,
         max_users=max_users,

@@ -75,7 +75,6 @@ from repro.gateway.workers import (
     DecodeJob,
     DecodeOutcome,
     DecodeWorkerPool,
-    UserResult,
     decode_packet_window,
 )
 
@@ -108,7 +107,6 @@ __all__ = [
     "SyntheticTrafficSource",
     "Telemetry",
     "TransmittedPacket",
-    "UserResult",
     "clock",
     "decode_packet_window",
     "parse_prometheus_text",

@@ -146,7 +146,6 @@ class GatewayConfig:
     ring_symbols: int = 0
     detection_pfa: float = 1e-3
     coding_rate: int = 4
-    synchronize: bool = True
     max_users: Optional[int] = 4
     decode_tier: str = DEFAULT_DECODE_TIER
     seed: Optional[int] = None
@@ -649,7 +648,6 @@ class Gateway:
             executor=config.executor,
             queue_capacity=config.queue_capacity,
             drop_policy=config.drop_policy,
-            synchronize=config.synchronize,
             coding_rate=config.coding_rate,
             # The cut gives two symbols of lead before the (window-granular)
             # detected start, so the true boundary is inside the first three.

@@ -44,7 +44,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import observe
-from repro.core.cascade import DECODE_TIERS, DEFAULT_DECODE_TIER, build_pipeline
+from repro.core.cascade import (
+    DECODE_TIERS,
+    DEFAULT_DECODE_TIER,
+    UserFrame,
+    build_pipeline,
+)
 from repro.gateway.telemetry import Telemetry, clock, shard_label
 from repro.phy.params import LoRaParams
 from repro.profile.profiler import KernelProfiler
@@ -95,15 +100,6 @@ class DecodeJob:
 
 
 @dataclass(frozen=True)
-class UserResult:
-    """One decoded user's payload attempt within a window."""
-
-    offset_bins: float
-    payload: bytes
-    crc_ok: bool
-
-
-@dataclass(frozen=True)
 class DecodeOutcome:
     """Result of decoding one packet window.
 
@@ -120,7 +116,7 @@ class DecodeOutcome:
 
     job_id: int
     start_sample: int
-    users: Tuple[UserResult, ...]
+    users: Tuple[UserFrame, ...]
     payload: Optional[bytes]
     crc_ok: bool
     queue_wait_s: float
@@ -148,9 +144,7 @@ class DecodeOutcome:
 
 def decode_packet_window(
     job: DecodeJob,
-    params: LoRaParams,
     base_seed: np.random.SeedSequence,
-    synchronize: bool = True,
     coding_rate: int = 4,
     sync_search_symbols: int = 0,
     max_users: Optional[int] = None,
@@ -158,7 +152,7 @@ def decode_packet_window(
     trace_directive: Optional[TraceDirective] = None,
     profile: bool = False,
 ) -> DecodeOutcome:
-    """Decode one packet window as ``params`` with a job-keyed RNG.
+    """Decode one packet window as ``job.params`` with a job-keyed RNG.
 
     The decode itself is delegated to the tier pipeline named by
     ``decode_tier`` (:func:`repro.core.cascade.build_pipeline`): the
@@ -177,10 +171,10 @@ def decode_packet_window(
     ship it to workers; everything it touches -- including the trace
     directive in and the span tree out -- is picklable.
 
-    The pool passes each job's own ``params`` (its shard's PHY
-    configuration); the decoder RNG derives from the job's ``rng_key``,
-    whose per-shard sequence numbers keep results independent of how
-    shards interleave their submissions.
+    Each job carries its own ``params`` (its shard's PHY configuration);
+    the decoder RNG derives from the job's ``rng_key``, whose per-shard
+    sequence numbers keep results independent of how shards interleave
+    their submissions.
 
     The decode runs under one :func:`repro.observe.scope` holding a
     job-local :class:`Telemetry`, the trace builder (when the directive
@@ -193,6 +187,7 @@ def decode_packet_window(
     """
     started = clock()
     rng_key = job.rng_key
+    params = job.params
     spreading_factor = params.spreading_factor
     builder: Optional[TraceBuilder] = None
     if trace_directive is not None and trace_directive.build:
@@ -209,7 +204,6 @@ def decode_packet_window(
         decode_tier,
         params,
         rng=derive_rng(base_seed, *rng_key),
-        synchronize=synchronize,
         coding_rate=coding_rate,
         sync_search_symbols=sync_search_symbols,
         max_users=max_users,
@@ -221,24 +215,19 @@ def decode_packet_window(
             window = pipeline.decode_window(
                 job.samples, job.n_data_symbols, job.payload_len
             )
-        results = [
-            UserResult(
-                offset_bins=u.offset_bins, payload=u.payload, crc_ok=u.crc_ok
-            )
-            for u in window.users
-        ]
-        verified = [r for r in results if r.crc_ok]
+        users = window.users
+        verified = [u for u in users if u.crc_ok]
         retries = window.sync_retries
-        observe.counter("decode.users_found", len(results))
+        observe.counter("decode.users_found", len(users))
         observe.add_event(
             "result",
             crc_ok=bool(verified),
-            n_users=len(results),
+            n_users=len(users),
             sync_retries=retries,
         )
     if job_profiler is not None:
         job_profiler.add_cpu(max(process_cpu() - cpu_started, 0.0))
-    best = verified[0] if verified else (results[0] if results else None)
+    best = verified[0] if verified else (users[0] if users else None)
     crc_ok = bool(verified)
     trace: Optional[PacketTrace] = None
     if builder is not None and trace_directive is not None:
@@ -258,7 +247,7 @@ def decode_packet_window(
     return DecodeOutcome(
         job_id=job.job_id,
         start_sample=job.start_sample,
-        users=tuple(results),
+        users=users,
         payload=best.payload if best is not None else None,
         crc_ok=crc_ok,
         queue_wait_s=max(started - job.created_at, 0.0),
@@ -290,10 +279,6 @@ class DecodeWorkerPool:
         Maximum windows awaiting decode before the drop policy applies.
     drop_policy:
         Overload behavior; see :data:`DROP_POLICIES`.
-    synchronize:
-        Snap each window to the preamble grid first (needed when windows
-        are cut at detection granularity, as the gateway does; disable
-        for pre-aligned captures).
     sync_search_symbols:
         Bound the grid search to the first so-many symbols of each
         window (0 = unbounded); set by callers that control the cut.
@@ -336,7 +321,6 @@ class DecodeWorkerPool:
         executor: str = "thread",
         queue_capacity: int = 8,
         drop_policy: str = "newest",
-        synchronize: bool = True,
         coding_rate: int = 4,
         sync_search_symbols: int = 0,
         max_users: Optional[int] = None,
@@ -365,7 +349,6 @@ class DecodeWorkerPool:
         self.executor = executor
         self.queue_capacity = queue_capacity
         self.drop_policy = drop_policy
-        self.synchronize = synchronize
         self.coding_rate = coding_rate
         self.sync_search_symbols = sync_search_symbols
         self.max_users = max_users
@@ -439,9 +422,7 @@ class DecodeWorkerPool:
         try:
             return decode_packet_window(
                 job,
-                job.params,
                 self._base_seed,
-                synchronize=self.synchronize,
                 coding_rate=self.coding_rate,
                 sync_search_symbols=self.sync_search_symbols,
                 max_users=self.max_users,
@@ -525,13 +506,18 @@ class DecodeWorkerPool:
     # ------------------------------------------------------------------
     # Thread executor
     # ------------------------------------------------------------------
+    def _queued_jobs(self) -> int:
+        """Jobs waiting in the thread queue; shutdown sentinels excluded."""
+        with self._queue.mutex:
+            return sum(1 for job in self._queue.queue if job is not None)
+
     def _thread_worker(self) -> None:
         while True:
             job = self._queue.get()
             if job is None:
                 self._queue.task_done()
                 return
-            self.telemetry.gauge("dispatch.queue_depth").set(self._queue.qsize())
+            self.telemetry.gauge("dispatch.queue_depth").set(self._queued_jobs())
             self._record(self._decode(job))
             self._queue.task_done()
 
@@ -593,9 +579,7 @@ class DecodeWorkerPool:
         future = self._pool.submit(
             decode_packet_window,
             job,
-            job.params,
             self._base_seed,
-            synchronize=self.synchronize,
             coding_rate=self.coding_rate,
             sync_search_symbols=self.sync_search_symbols,
             max_users=self.max_users,
@@ -657,7 +641,7 @@ class DecodeWorkerPool:
             return True
         if self.executor == "thread":
             accepted = self._submit_thread(job)
-            self.telemetry.gauge("dispatch.queue_depth").set(self._queue.qsize())
+            self.telemetry.gauge("dispatch.queue_depth").set(self._queued_jobs())
             return accepted
         return self._submit_process(job)
 

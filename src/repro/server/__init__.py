@@ -2,8 +2,8 @@
 
 The deployment-wide layer the paper's Sec. 3 rate-adaptation story
 implies: gateways decode, the network server coordinates.  Uplink
-records from every gateway in range flow through bounded ingest feeds
-(:mod:`repro.server.ingest`), get deduplicated to the best-SNR copy
+records from every gateway in range are merged into one deterministic
+order (:mod:`repro.server.ingest`), get deduplicated to the best-SNR copy
 (:mod:`repro.server.dedup`), validated against per-device sessions
 (:mod:`repro.server.sessions`) and fed to the ADR control loop
 (:mod:`repro.server.adr`), which emits the downlink data-rate commands
@@ -30,16 +30,7 @@ from repro.server.frames import (
     uplink_from_outcome,
     uplinks_from_report,
 )
-from repro.server.ingest import (
-    GatewayFeed,
-    IngestPlane,
-    ThreadedIngestor,
-    ingest_async,
-    merge_streams,
-    run_streams,
-    run_streams_async,
-    run_streams_threaded,
-)
+from repro.server.ingest import merge_streams, run_streams
 from repro.server.scenario import (
     GatewayProfile,
     MultiGatewayPhy,
@@ -66,28 +57,22 @@ __all__ = [
     "DownlinkCommand",
     "FCNT_PERIOD",
     "FrameDeduplicator",
-    "GatewayFeed",
     "GatewayProfile",
-    "IngestPlane",
     "MultiGatewayPhy",
     "NetworkServer",
     "ScenarioReport",
     "ServerConfig",
     "ServerReport",
-    "ThreadedIngestor",
     "UplinkFrame",
     "build_scenario",
     "decode_uplink_payload",
     "encode_uplink_payload",
-    "ingest_async",
     "merge_streams",
     "overlapping_profiles",
     "power_for_headroom",
     "run_closed_loop",
     "run_scenario",
     "run_streams",
-    "run_streams_async",
-    "run_streams_threaded",
     "uplink_from_outcome",
     "uplinks_from_report",
 ]

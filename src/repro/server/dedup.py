@@ -13,8 +13,8 @@ be time-ordered, tracks the latest ``received_s`` seen across all feeds,
 and emits a pending frame once the watermark has advanced ``window_s``
 past the frame's first reception -- at that point no in-order feed can
 still produce a copy.  This makes emission a pure function of the merged
-frame sequence, so the serial, thread and asyncio ingest paths produce
-byte-identical deliveries (the E2E determinism guarantee).
+frame sequence (the E2E determinism guarantee; see
+:mod:`repro.server.ingest`).
 
 Memory is bounded by construction: at most ``max_pending`` in-window
 entries (oldest evicted first, counted) and a ``done_window`` ring of

@@ -1,43 +1,24 @@
-"""Multi-gateway ingestion plane: bounded feeds, deterministic merge.
+"""Multi-gateway ingestion: one deterministic merge into the server.
 
-Three transports deliver gateway uplink streams into one
-:class:`repro.server.NetworkServer`, all funneling through the same
-**deterministic k-way merge**: frames are consumed in ascending
-``(received_s, gateway_id, seq)`` order regardless of how producer
-threads or coroutines interleave.  Because the deduplicator's output is
-a pure function of that merged order, the serial, threaded and asyncio
-paths produce byte-identical deliveries -- the subsystem's determinism
-guarantee, checked end-to-end by the scenario tests.
+Gateway uplink streams reach one :class:`repro.server.NetworkServer`
+through a **deterministic k-way merge**: frames are consumed in
+ascending ``(received_s, gateway_id, seq)`` order.  Because the
+deduplicator's output is a pure function of that merged order, a run's
+deliveries depend only on the streams' contents, never on how they were
+produced.
 
-* :func:`merge_streams` + :func:`run_streams` -- synchronous reference
-  path over plain iterables (heap-based merge).
-* :class:`ThreadedIngestor` -- one bounded :class:`queue.Queue` per
-  gateway fed by producer threads, drained by a merging consumer that
-  only commits the globally-smallest head.  Queue bounds provide real
-  backpressure (``block``) or accounted dropping (``newest`` /
-  ``oldest``).
-* :class:`GatewayFeed` / :class:`IngestPlane` -- the asyncio equivalent:
-  per-gateway ``asyncio.Queue`` feeds with the same overflow policies,
-  merged by an async consumer awaiting every open feed's head.
-
-The merge requires each per-gateway feed to be time-ordered (gateways
+The merge requires each per-gateway stream to be time-ordered (gateways
 emit decode outcomes in stream order), which is also what the dedup
 watermark assumes.
 """
 
 from __future__ import annotations
 
-import asyncio
 import heapq
-import queue
-import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from repro.server.frames import UplinkFrame
 from repro.server.server import NetworkServer
-
-#: Sentinel closing a feed (queues can't carry ``None`` ambiguity-free).
-_CLOSE = object()
 
 
 def _order_key(frame: UplinkFrame) -> Tuple[float, int, int]:
@@ -45,9 +26,6 @@ def _order_key(frame: UplinkFrame) -> Tuple[float, int, int]:
     return (frame.received_s, frame.gateway_id, frame.seq)
 
 
-# ----------------------------------------------------------------------
-# Serial reference path
-# ----------------------------------------------------------------------
 def merge_streams(
     streams: Sequence[Iterable[UplinkFrame]],
 ) -> Iterable[UplinkFrame]:
@@ -66,268 +44,4 @@ def run_streams(
     return n
 
 
-# ----------------------------------------------------------------------
-# Threaded path
-# ----------------------------------------------------------------------
-class ThreadedIngestor:
-    """Producer threads -> bounded per-gateway queues -> merging drain.
-
-    One producer thread per gateway stream pushes into that gateway's
-    bounded queue; :meth:`run` (the caller's thread) pops exclusively in
-    merge order, never committing a frame while another open feed might
-    still yield an earlier one.  Overflow follows the server config's
-    ``drop_policy``; drops are accounted via
-    :meth:`NetworkServer.record_feed_drop`.
-    """
-
-    def __init__(
-        self,
-        server: NetworkServer,
-        streams: Dict[int, Iterable[UplinkFrame]],
-    ) -> None:
-        self.server = server
-        capacity = server.config.queue_capacity
-        self.drop_policy = server.config.drop_policy
-        self._streams = dict(streams)
-        self._queues: Dict[int, "queue.Queue"] = {
-            gw: queue.Queue(maxsize=capacity) for gw in streams
-        }
-        # Producer threads and the draining thread share the counters.
-        self._lock = threading.Lock()
-        self.n_ingested = 0
-        self.n_dropped = 0
-
-    def _produce(self, gateway_id: int) -> None:
-        q = self._queues[gateway_id]
-        for frame in self._streams[gateway_id]:
-            if self.drop_policy == "block":
-                q.put(frame)
-                continue
-            try:
-                q.put_nowait(frame)
-            except queue.Full:
-                if self.drop_policy == "oldest":
-                    try:
-                        q.get_nowait()
-                    except queue.Empty:
-                        pass
-                    else:
-                        self.server.record_feed_drop(gateway_id)
-                        with self._lock:
-                            self.n_dropped += 1
-                    q.put(frame)
-                else:  # "newest": shed the arriving frame
-                    self.server.record_feed_drop(gateway_id)
-                    with self._lock:
-                        self.n_dropped += 1
-        q.put(_CLOSE)
-
-    def run(self) -> int:
-        """Start producers, drain to the server; returns frames ingested.
-
-        Blocks until every stream is exhausted.
-        """
-        producers = [
-            threading.Thread(
-                target=self._produce,
-                args=(gw,),
-                name=f"ingest-gw{gw}",
-                daemon=True,
-            )
-            for gw in sorted(self._queues)
-        ]
-        for thread in producers:
-            thread.start()
-        # heads[gw] is the gateway's next frame; a feed with no entry is
-        # exhausted.  Block on one queue at a time: every open feed must
-        # show its head before the global minimum can be committed.
-        heads: Dict[int, UplinkFrame] = {}
-        open_feeds = set(self._queues)
-        while open_feeds or heads:
-            for gw in sorted(open_feeds):
-                if gw in heads:
-                    continue
-                item = self._queues[gw].get()
-                if item is _CLOSE:
-                    open_feeds.discard(gw)
-                else:
-                    heads[gw] = item
-            if not heads:
-                break
-            gw_min = min(heads, key=lambda gw: _order_key(heads[gw]))
-            self.server.record_queue_depth(
-                sum(q.qsize() for q in self._queues.values())
-            )
-            self.server.handle_uplink(heads.pop(gw_min))
-            with self._lock:
-                self.n_ingested += 1
-        for thread in producers:
-            thread.join()
-        with self._lock:
-            return self.n_ingested
-
-
-# ----------------------------------------------------------------------
-# Asyncio path
-# ----------------------------------------------------------------------
-class GatewayFeed:
-    """One gateway's bounded async uplink queue.
-
-    Producers (gateway adapters) call :meth:`publish` per decoded frame
-    and :meth:`close` at end of stream; :class:`IngestPlane` consumes.
-    ``drop_policy`` mirrors the threaded path: ``"block"`` awaits space
-    (true backpressure), ``"newest"`` sheds the arriving frame,
-    ``"oldest"`` sheds the queue head.
-    """
-
-    def __init__(
-        self,
-        gateway_id: int,
-        capacity: int = 64,
-        drop_policy: str = "newest",
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.gateway_id = gateway_id
-        self.capacity = capacity
-        self.drop_policy = drop_policy
-        # The queue itself is unbounded so the close sentinel can always
-        # enter; frame capacity is enforced explicitly (a semaphore for
-        # the blocking policy, a level check for the shedding ones).
-        self._queue: "asyncio.Queue" = asyncio.Queue()
-        self._slots = asyncio.Semaphore(capacity)
-        self._buffered = 0
-        self.n_published = 0
-        self.n_dropped = 0
-        self._closed = False
-
-    async def publish(self, frame: UplinkFrame) -> bool:
-        """Offer one frame; returns False when overflow shed it."""
-        if self._closed:
-            raise RuntimeError(f"feed gw{self.gateway_id} already closed")
-        self.n_published += 1
-        if self.drop_policy == "block":
-            await self._slots.acquire()  # backpressure: wait for a slot
-        elif self._buffered >= self.capacity:
-            if self.drop_policy == "oldest":
-                self._queue.get_nowait()
-                self._buffered -= 1
-                self.n_dropped += 1
-            else:  # "newest": shed the arriving frame
-                self.n_dropped += 1
-                return False
-        self._queue.put_nowait(frame)
-        self._buffered += 1
-        return True
-
-    async def close(self) -> None:
-        """Signal end of stream (idempotent; never blocks)."""
-        if not self._closed:
-            self._closed = True
-            self._queue.put_nowait(_CLOSE)
-
-    async def get(self) -> object:
-        """Next frame or the close sentinel (consumer side)."""
-        item = await self._queue.get()
-        if item is not _CLOSE:
-            self._buffered -= 1
-            if self.drop_policy == "block":
-                self._slots.release()
-        return item
-
-    def qsize(self) -> int:
-        """Frames currently buffered."""
-        return self._buffered
-
-
-class IngestPlane:
-    """Async consumer merging N :class:`GatewayFeed` s into the server."""
-
-    def __init__(self, server: NetworkServer, feeds: Sequence[GatewayFeed]) -> None:
-        ids = [feed.gateway_id for feed in feeds]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate gateway ids in feeds: {ids}")
-        self.server = server
-        self.feeds = {feed.gateway_id: feed for feed in feeds}
-        self.n_ingested = 0
-
-    async def run(self) -> int:
-        """Drain all feeds in deterministic merge order; see module docs."""
-        heads: Dict[int, UplinkFrame] = {}
-        open_feeds = set(self.feeds)
-        while open_feeds or heads:
-            for gw in sorted(open_feeds):
-                if gw in heads:
-                    continue
-                item = await self.feeds[gw].get()
-                if item is _CLOSE:
-                    open_feeds.discard(gw)
-                else:
-                    assert isinstance(item, UplinkFrame)
-                    heads[gw] = item
-            if not heads:
-                break
-            gw_min = min(heads, key=lambda gw: _order_key(heads[gw]))
-            self.server.record_queue_depth(
-                sum(feed.qsize() for feed in self.feeds.values())
-            )
-            self.server.handle_uplink(heads.pop(gw_min))
-            self.n_ingested += 1
-        for gw in sorted(self.feeds):
-            if self.feeds[gw].n_dropped:
-                self.server.record_feed_drop(gw, self.feeds[gw].n_dropped)
-        return self.n_ingested
-
-
-async def ingest_async(
-    server: NetworkServer,
-    streams: Dict[int, Iterable[UplinkFrame]],
-    capacity: Optional[int] = None,
-    drop_policy: Optional[str] = None,
-) -> int:
-    """Convenience: pump iterables through feeds + plane concurrently."""
-    feeds = [
-        GatewayFeed(
-            gw,
-            capacity=capacity or server.config.queue_capacity,
-            drop_policy=drop_policy or server.config.drop_policy,
-        )
-        for gw in sorted(streams)
-    ]
-    plane = IngestPlane(server, feeds)
-
-    async def pump(feed: GatewayFeed) -> None:
-        for frame in streams[feed.gateway_id]:
-            await feed.publish(frame)
-        await feed.close()
-
-    results = await asyncio.gather(
-        plane.run(), *(pump(feed) for feed in feeds)
-    )
-    return int(results[0])
-
-
-def run_streams_threaded(
-    server: NetworkServer, streams: Dict[int, Iterable[UplinkFrame]]
-) -> int:
-    """Synchronous facade over :class:`ThreadedIngestor`."""
-    return ThreadedIngestor(server, streams).run()
-
-
-def run_streams_async(
-    server: NetworkServer, streams: Dict[int, Iterable[UplinkFrame]]
-) -> int:
-    """Synchronous facade over :func:`ingest_async` (fresh event loop)."""
-    return asyncio.run(ingest_async(server, streams))
-
-
-__all__ = [
-    "GatewayFeed",
-    "IngestPlane",
-    "ThreadedIngestor",
-    "ingest_async",
-    "merge_streams",
-    "run_streams",
-    "run_streams_async",
-    "run_streams_threaded",
-]
+__all__ = ["merge_streams", "run_streams"]

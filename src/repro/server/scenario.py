@@ -3,7 +3,7 @@
 This module wires the whole subsystem into one measurable experiment --
 the E2E the issue demands: N gateways with *different* per-node link
 quality all hear the same MAC-simulator deployment, their receptions
-stream into a :class:`repro.server.NetworkServer` (any ingest transport),
+stream into a :class:`repro.server.NetworkServer` through one merge,
 and the server's ADR downlinks are applied back onto the simulator's
 nodes mid-run.  A device with strong links converges to a fast SF, a
 weak one to a slow SF -- the Fig. 8(a) regime separation, now produced
@@ -20,21 +20,16 @@ ground truth the dedup/best-gateway assertions compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.cascade import DEFAULT_DECODE_TIER
 from repro.mac.phy import PhyModel, SingleUserPhy, Transmission
 from repro.mac.protocols import OracleMac
 from repro.mac.simulator import NetworkSimulator, NodeConfig, SlotResult
 from repro.phy.params import LoRaParams
 from repro.server.frames import UplinkFrame, encode_uplink_payload
-from repro.server.ingest import run_streams_async, run_streams_threaded
+from repro.server.ingest import run_streams
 from repro.server.server import NetworkServer, ServerConfig, ServerReport
 from repro.utils import RngLike
-
-#: Ingest transports a scenario can exercise.
-INGEST_MODES = ("serial", "thread", "async")
-
 
 @dataclass(frozen=True)
 class GatewayProfile:
@@ -181,7 +176,6 @@ def run_closed_loop(
     phy: MultiGatewayPhy,
     server: NetworkServer,
     duration_s: float,
-    ingest: str = "serial",
     payload_len: int = 8,
 ) -> ScenarioReport:
     """Drive the simulator with the server's ADR loop closed over it.
@@ -189,13 +183,10 @@ def run_closed_loop(
     Per transmission-carrying slot: every gateway reception becomes an
     :class:`UplinkFrame` (``fcnt`` counts the device's transmission
     attempts, payload carries the devaddr/fcnt header), the slot's
-    frames flow into the server through the chosen ``ingest`` transport,
-    and drained downlink commands are applied to the simulator so they
-    bind from the next slot.  All three transports produce identical
-    reports (the merge discipline; see :mod:`repro.server.ingest`).
+    frames flow into the server through :func:`run_streams`, and drained
+    downlink commands are applied to the simulator so they bind from the
+    next slot.
     """
-    if ingest not in INGEST_MODES:
-        raise ValueError(f"ingest must be one of {INGEST_MODES}, got {ingest!r}")
     fcnt: Dict[int, int] = {}
     seq: Dict[int, int] = {}
     initial_sf = {nid: sim.node_sf(nid) for nid in sim.nodes}
@@ -203,18 +194,6 @@ def run_closed_loop(
     n_receptions = 0
     n_commands = 0
     best_truth: Dict[int, Tuple[float, int]] = {}
-
-    def feed_server(streams: Dict[int, List[UplinkFrame]]) -> None:
-        if ingest == "serial":
-            for frame in sorted(
-                (f for frames in streams.values() for f in frames),
-                key=lambda f: (f.received_s, f.gateway_id, f.seq),
-            ):
-                server.handle_uplink(frame)
-        elif ingest == "thread":
-            run_streams_threaded(server, dict(streams))
-        else:
-            run_streams_async(server, dict(streams))
 
     def on_slot(result: SlotResult) -> None:
         nonlocal n_receptions, n_commands
@@ -250,7 +229,7 @@ def run_closed_loop(
             key = (rec.snr_db, -rec.gateway_id)
             if truth is None or key > (truth[0], -truth[1]):
                 best_truth[rec.node_id] = (rec.snr_db, rec.gateway_id)
-        feed_server({gw: frames for gw, frames in streams.items() if frames})
+        run_streams(server, [streams[gw] for gw in sorted(streams)])
         for command in server.drain_commands():
             n_commands += 1
             sim.apply_downlink(command.device_addr, command.spreading_factor)
@@ -285,7 +264,6 @@ def build_scenario(
     near_offset_db: float = 0.0,
     far_offset_db: float = -4.0,
     seed: int = 0,
-    decode_tier: str = DEFAULT_DECODE_TIER,
 ) -> Tuple[NetworkSimulator, MultiGatewayPhy, NetworkServer]:
     """Assemble a canonical overlapping 2+-gateway deployment.
 
@@ -293,10 +271,7 @@ def build_scenario(
     room to move in both directions); an :class:`OracleMac` serializes
     transmissions so convergence depends on link quality, not collision
     luck.  ``node_snrs_db[i]`` is node ``i``'s baseline SNR before
-    gateway offsets.  ``decode_tier`` stamps the default
-    :class:`ServerConfig` with the decode pipeline the fronting IQ
-    gateways run (ignored when ``server_config`` is supplied -- that
-    config's own field wins).
+    gateway offsets.
     """
     params = params or LoRaParams(spreading_factor=initial_sf)
     node_ids = list(range(len(node_snrs_db)))
@@ -320,7 +295,6 @@ def build_scenario(
     config = server_config or ServerConfig(
         dedup_window_s=2.0 * sim.slot_s,
         adr_initial_sf=initial_sf,
-        decode_tier=decode_tier,
     )
     return sim, phy, NetworkServer(config=config)
 
@@ -328,17 +302,15 @@ def build_scenario(
 def run_scenario(
     n_gateways: int = 2,
     duration_s: float = 200.0,
-    ingest: str = "serial",
     **kwargs: object,
 ) -> ScenarioReport:
     """One-call canonical scenario: build, run closed-loop, report."""
     sim, phy, server = build_scenario(n_gateways=n_gateways, **kwargs)  # type: ignore[arg-type]
-    return run_closed_loop(sim, phy, server, duration_s, ingest=ingest)
+    return run_closed_loop(sim, phy, server, duration_s)
 
 
 __all__ = [
     "GatewayProfile",
-    "INGEST_MODES",
     "MultiGatewayPhy",
     "Reception",
     "ScenarioReport",

@@ -12,9 +12,9 @@ commands for the caller to drain.
 Thread safety: every public method serializes on one server lock -- the
 sub-components are deliberately lock-free and documented as externally
 synchronized, mirroring the decode pool's single-aggregation-lock
-design.  That makes the server safe to drive from the threaded ingest
-path and keeps the race-witness story simple (one lock to hold, one set
-of shared attributes to watch).
+design.  That makes the server safe to drive from decode worker threads
+(the live ``Gateway(on_outcome=...)`` tap) and keeps the race-witness
+story simple (one lock to hold, one set of shared attributes to watch).
 
 Telemetry reuses the gateway registry unchanged, so
 ``Telemetry.prometheus()`` exposition works on server metrics too; the
@@ -29,7 +29,6 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.cascade import DECODE_TIERS, DEFAULT_DECODE_TIER
 from repro.gateway.telemetry import Telemetry
 from repro.mac.adr import DEFAULT_ASSIGNMENT_MARGIN_DB
 from repro.server.adr import AdrEngine
@@ -41,25 +40,13 @@ from repro.server.sessions import (
     DeviceRegistry,
 )
 
-#: Ingest-queue overflow policies (enforced by the async/threaded feeds).
-DROP_POLICIES = ("newest", "oldest", "block")
-
-
 @dataclass(frozen=True)
 class ServerConfig:
     """Knobs for one :class:`NetworkServer` deployment.
 
-    ``queue_capacity`` / ``drop_policy`` govern the per-gateway ingest
-    feeds (bounded queues; ``"newest"`` drops the arriving frame when
-    full, ``"oldest"`` drops the queue head to admit it, ``"block"``
-    applies backpressure to the producer).  ``max_delivered_log`` caps
-    the in-memory delivered-uplink log (``None`` keeps everything --
-    fine for tests, unsuitable for soak runs).  ``decode_tier`` records
-    which decode pipeline the IQ gateways fronting this server run
-    (``"cascade"`` by default, ``"full"`` or ``"fast"``; see
-    :mod:`repro.core.cascade`) -- the protocol scenario itself decodes
-    at packet level, so the field is deployment metadata the server
-    validates and reports, not a switch it acts on.
+    ``max_delivered_log`` caps the in-memory delivered-uplink log
+    (``None`` keeps everything -- fine for tests, unsuitable for soak
+    runs).
     """
 
     dedup_window_s: float = DEFAULT_WINDOW_S
@@ -73,26 +60,9 @@ class ServerConfig:
     adr_smoothing: float = 0.25
     adr_initial_sf: int = 12
     adjust_power: bool = True
-    queue_capacity: int = 64
-    drop_policy: str = "newest"
-    decode_tier: str = DEFAULT_DECODE_TIER
     max_delivered_log: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.drop_policy not in DROP_POLICIES:
-            raise ValueError(
-                f"drop_policy must be one of {DROP_POLICIES}, "
-                f"got {self.drop_policy!r}"
-            )
-        if self.decode_tier not in DECODE_TIERS:
-            raise ValueError(
-                f"decode_tier must be one of {DECODE_TIERS}, "
-                f"got {self.decode_tier!r}"
-            )
-        if self.queue_capacity < 1:
-            raise ValueError(
-                f"queue_capacity must be >= 1, got {self.queue_capacity}"
-            )
         if not 7 <= self.adr_initial_sf <= 12:
             raise ValueError(
                 f"adr_initial_sf must be 7..12, got {self.adr_initial_sf}"
@@ -229,14 +199,6 @@ class NetworkServer:
         ``gateway`` label in Prometheus exposition).
         """
         self.telemetry.merge(state, prefix=f"gw{gateway_id}.")
-
-    def record_feed_drop(self, gateway_id: int, n: int = 1) -> None:
-        """Account frames an ingest feed dropped under overflow."""
-        self.telemetry.counter(f"gw{gateway_id}.ingest.dropped").inc(n)
-
-    def record_queue_depth(self, depth: int) -> None:
-        """Sample the merged ingest-queue depth."""
-        self.telemetry.gauge("ingest.queue_depth").set(depth)
 
     # ------------------------------------------------------------------
     # Introspection / shutdown

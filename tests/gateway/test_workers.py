@@ -51,9 +51,7 @@ def _clean_window(seed: int = 0, lead: int = 0, snr_db: float = 15.0) -> tuple[D
 class TestDecodePacketWindow:
     def test_prealigned_window_decodes(self):
         job, payload = _clean_window(seed=1)
-        outcome = decode_packet_window(
-            job, PARAMS, np.random.SeedSequence(0), synchronize=False
-        )
+        outcome = decode_packet_window(job, np.random.SeedSequence(0))
         assert outcome.crc_ok
         assert outcome.payload == payload
 
@@ -61,8 +59,7 @@ class TestDecodePacketWindow:
         # One symbol of lead, like the gateway's cut.
         job, payload = _clean_window(seed=2, lead=PARAMS.samples_per_symbol)
         outcome = decode_packet_window(
-            job, PARAMS, np.random.SeedSequence(0), synchronize=True,
-            sync_search_symbols=2,
+            job, np.random.SeedSequence(0), sync_search_symbols=2
         )
         assert outcome.crc_ok
         assert outcome.payload == payload
@@ -70,15 +67,15 @@ class TestDecodePacketWindow:
     def test_deterministic_given_seed_and_job_id(self):
         job, _ = _clean_window(seed=3, lead=64)
         seeds = np.random.SeedSequence(42)
-        a = decode_packet_window(job, PARAMS, seeds)
-        b = decode_packet_window(job, PARAMS, seeds)
+        a = decode_packet_window(job, seeds)
+        b = decode_packet_window(job, seeds)
         assert a.payload == b.payload
         assert a.crc_ok == b.crc_ok
         assert [u.offset_bins for u in a.users] == [u.offset_bins for u in b.users]
 
     def test_outcome_records_timing_and_score(self):
         job, _ = _clean_window(seed=4)
-        outcome = decode_packet_window(job, PARAMS, np.random.SeedSequence(0), synchronize=False)
+        outcome = decode_packet_window(job, np.random.SeedSequence(0))
         assert outcome.decode_s > 0
         assert outcome.queue_wait_s >= 0
         assert outcome.detection_score == 10.0
@@ -102,9 +99,7 @@ class TestPoolExecutors:
 
     def test_process_executor_decodes(self):
         job, payload = _clean_window(seed=12)
-        pool = DecodeWorkerPool(
-            n_workers=1, executor="process", synchronize=False, rng=0
-        )
+        pool = DecodeWorkerPool(n_workers=1, executor="process", rng=0)
         assert pool.submit(job)
         outcomes = pool.close()
         assert len(outcomes) == 1
@@ -118,7 +113,6 @@ class TestPoolExecutors:
             pool = DecodeWorkerPool(
                 n_workers=1,
                 executor=executor,
-                synchronize=False,
                 decode_tier="full",  # decode.attempts counts full-pipeline tries
                 rng=0,
             )
@@ -140,7 +134,7 @@ class TestPoolExecutors:
         assert serial["decode.crc_ok"] == 2
 
     def test_close_is_idempotent_and_sorted(self):
-        pool = DecodeWorkerPool(executor="serial", synchronize=False, rng=0)
+        pool = DecodeWorkerPool(executor="serial", rng=0)
         for seed in (21, 20):
             job, _ = _clean_window(seed=seed)
             pool.submit(job)
@@ -190,7 +184,7 @@ class _GatedDecode:
         self._lock = threading.Lock()
         self._first = True
 
-    def __call__(self, job, params, base_seed, **kwargs) -> DecodeOutcome:
+    def __call__(self, job, base_seed, **kwargs) -> DecodeOutcome:
         with self._lock:
             first, self._first = self._first, False
         if first:
@@ -213,14 +207,16 @@ class _GatedDecode:
 class TestDropPolicies:
     """Backpressure behavior with one gated worker and a one-slot queue."""
 
-    def _rig(self, monkeypatch, drop_policy: str) -> tuple[DecodeWorkerPool, _GatedDecode]:
+    def _rig(
+        self, monkeypatch, drop_policy: str, queue_capacity: int = 1
+    ) -> tuple[DecodeWorkerPool, _GatedDecode]:
         gate = _GatedDecode()
         monkeypatch.setattr("repro.gateway.workers.decode_packet_window", gate)
         telemetry = Telemetry()
         pool = DecodeWorkerPool(
             n_workers=1,
             executor="thread",
-            queue_capacity=1,
+            queue_capacity=queue_capacity,
             drop_policy=drop_policy,
             telemetry=telemetry,
         )
@@ -269,6 +265,26 @@ class TestDropPolicies:
         outcomes = pool.close()
         assert sorted(o.job_id for o in outcomes) == [0, 1, 2]
         assert pool.dropped == 0
+
+    def test_queue_depth_gauge_ignores_shutdown_sentinels(self, monkeypatch):
+        pool, gate = self._rig(monkeypatch, "block", queue_capacity=2)
+        assert pool.submit(_tiny_job(0))
+        assert gate.started.wait(timeout=10.0)  # worker holds job 0
+        assert pool.submit(_tiny_job(1))        # job 1 waits in the queue
+        closer = threading.Thread(target=pool.close)
+        closer.start()
+        # close() queues its sentinel behind job 1 while job 0 is held.
+        deadline = time.monotonic() + 10.0
+        while pool._queue.qsize() < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert pool._queue.qsize() == 2
+        gate.release.set()
+        closer.join(timeout=10.0)
+        assert not closer.is_alive()
+        assert sorted(o.job_id for o in pool.close()) == [0, 1]
+        gauge = pool.telemetry.gauge("dispatch.queue_depth")
+        assert gauge.value == 0
+        assert gauge.peak == 1
 
     def test_constants_exported(self):
         assert set(DROP_POLICIES) == {"newest", "oldest", "block"}

@@ -60,10 +60,3 @@ class TestServerCommand:
             "--assert-adr",
         )
         assert code == 1
-
-    def test_ingest_mode_flag(self, capsys):
-        code, out = run_cli(
-            capsys, "--duration", "30", "--ingest", "thread"
-        )
-        assert code == 0
-        assert "thread ingest" in out

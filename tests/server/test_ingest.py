@@ -1,17 +1,7 @@
-"""Ingest transports: deterministic merge, backpressure, drop accounting."""
-
-import pytest
+"""Ingest: the deterministic merge and its delivery into the server."""
 
 from repro.server.frames import UplinkFrame
-from repro.server.ingest import (
-    GatewayFeed,
-    IngestPlane,
-    ThreadedIngestor,
-    merge_streams,
-    run_streams,
-    run_streams_async,
-    run_streams_threaded,
-)
+from repro.server.ingest import merge_streams, run_streams
 from repro.server.server import NetworkServer, ServerConfig
 
 
@@ -37,8 +27,8 @@ def make_streams(n_gateways=3, n_frames=40):
     return streams
 
 
-def server(window_s=0.05, **kwargs):
-    return NetworkServer(ServerConfig(dedup_window_s=window_s, **kwargs))
+def server(window_s=0.05):
+    return NetworkServer(ServerConfig(dedup_window_s=window_s))
 
 
 class TestMerge:
@@ -48,104 +38,15 @@ class TestMerge:
         keys = [(f.received_s, f.gateway_id, f.seq) for f in merged]
         assert keys == sorted(keys)
 
-    def test_all_transports_agree(self):
-        reports = {}
-        for name, runner in (
-            ("serial", lambda s, st: run_streams(s, [st[g] for g in sorted(st)])),
-            ("thread", run_streams_threaded),
-            ("async", run_streams_async),
-        ):
-            srv = server()
-            runner(srv, make_streams())
-            reports[name] = srv.finish()
-        serial = reports.pop("serial")
-        assert serial.n_delivered > 0
-        for name, report in reports.items():
-            assert report.n_ingested == serial.n_ingested, name
-            assert report.n_delivered == serial.n_delivered, name
-            # Byte-identical deliveries: same frames, same winners, same order.
-            assert [
-                (u.frame.key, u.frame.gateway_id, u.fcnt32, u.verdict)
-                for u in report.delivered
-            ] == [
-                (u.frame.key, u.frame.gateway_id, u.fcnt32, u.verdict)
-                for u in serial.delivered
-            ], name
-
-    def test_threaded_ingests_everything_with_block_policy(self):
-        srv = server(queue_capacity=2, drop_policy="block")
-        ingestor = ThreadedIngestor(srv, make_streams(n_frames=60))
-        n = ingestor.run()
-        assert n == 3 * 60
-        assert ingestor.n_dropped == 0
-
-
-class TestDropPolicies:
-    def test_newest_policy_sheds_and_counts(self):
-        # Capacity 1 with a consumer that only drains after producers
-        # finish would deadlock under "block"; under "newest" the
-        # producer sheds.  Use the feed directly for a deterministic test.
-        feed = GatewayFeed(0, capacity=2, drop_policy="newest")
-
-        async def scenario():
-            assert await feed.publish(frame(0, 0, 0.0))
-            assert await feed.publish(frame(0, 1, 0.1))
-            assert not await feed.publish(frame(0, 2, 0.2))  # full: shed
-            assert feed.n_dropped == 1
-            await feed.close()
-            kept = []
-            while True:
-                item = await feed.get()
-                if not isinstance(item, UplinkFrame):
-                    break
-                kept.append(item.fcnt)
-            return kept
-
-        import asyncio
-
-        assert asyncio.run(scenario()) == [0, 1]
-
-    def test_oldest_policy_keeps_fresh_traffic(self):
-        feed = GatewayFeed(0, capacity=2, drop_policy="oldest")
-
-        async def scenario():
-            await feed.publish(frame(0, 0, 0.0))
-            await feed.publish(frame(0, 1, 0.1))
-            assert await feed.publish(frame(0, 2, 0.2))  # evicts fcnt=0
-            assert feed.n_dropped == 1
-            await feed.close()
-            kept = []
-            while True:
-                item = await feed.get()
-                if not isinstance(item, UplinkFrame):
-                    break
-                kept.append(item.fcnt)
-            return kept
-
-        import asyncio
-
-        assert asyncio.run(scenario()) == [1, 2]
-
-    def test_plane_rejects_duplicate_gateway_ids(self):
+    def test_run_streams_delivers_each_uplink_once_from_best_gateway(self):
         srv = server()
-        with pytest.raises(ValueError, match="duplicate gateway ids"):
-            IngestPlane(srv, [GatewayFeed(0), GatewayFeed(0)])
-
-    def test_drops_reach_server_telemetry(self):
-        srv = server(queue_capacity=1, drop_policy="newest")
-        # A stream longer than capacity with a slow consumer start is
-        # inherently racy thread-side; the async path is deterministic:
-        # publish beyond capacity before the plane starts draining.
-        import asyncio
-
-        async def scenario():
-            feed = GatewayFeed(0, capacity=1, drop_policy="newest")
-            plane = IngestPlane(srv, [feed])
-            for i in range(5):
-                await feed.publish(frame(0, i, 0.01 * i))
-            await feed.close()
-            return await plane.run()
-
-        n = asyncio.run(scenario())
-        assert n == 1
-        assert srv.telemetry.counter("gw0.ingest.dropped").value == 4
+        streams = make_streams()
+        n = run_streams(srv, [streams[g] for g in sorted(streams)])
+        report = srv.finish()
+        assert n == report.n_ingested == 3 * 40
+        # Every gateway heard every fcnt: one delivery each, two copies
+        # collapsed, and the highest-SNR gateway (gw2) wins every time.
+        assert [u.fcnt32 for u in report.delivered] == list(range(40))
+        assert report.n_duplicates == 2 * 40
+        assert {u.frame.gateway_id for u in report.delivered} == {2}
+        assert {u.verdict for u in report.delivered} == {"accepted"}

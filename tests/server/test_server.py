@@ -24,13 +24,7 @@ def server(**kwargs):
 
 
 class TestConfig:
-    def test_rejects_unknown_drop_policy(self):
-        with pytest.raises(ValueError, match="drop_policy"):
-            ServerConfig(drop_policy="random")
-
-    def test_rejects_bad_capacity_and_sf(self):
-        with pytest.raises(ValueError, match="queue_capacity"):
-            ServerConfig(queue_capacity=0)
+    def test_rejects_bad_initial_sf(self):
         with pytest.raises(ValueError, match="adr_initial_sf"):
             ServerConfig(adr_initial_sf=6)
 
@@ -117,14 +111,6 @@ class TestTelemetryAbsorption:
         samples = parse_prometheus_text(text)
         key = 'repro_decode_crc_ok_total{channel="3",gateway="1",sf="8"}'
         assert samples[key] == pytest.approx(7.0)
-
-    def test_feed_drop_and_queue_depth_accounting(self):
-        srv = server()
-        srv.record_feed_drop(2, 3)
-        srv.record_feed_drop(2)
-        srv.record_queue_depth(11)
-        assert srv.telemetry.counter("gw2.ingest.dropped").value == 4
-        assert srv.telemetry.gauge("ingest.queue_depth").value == 11
 
 
 class TestSessionRestore:

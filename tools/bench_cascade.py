@@ -169,7 +169,6 @@ def run_benchmark(
                 started = time.perf_counter()
                 outcome = decode_packet_window(
                     job,
-                    params,
                     base_seed,
                     sync_search_symbols=sync_search_symbols,
                     max_users=max_users,
