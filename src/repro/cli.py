@@ -28,7 +28,7 @@ import sys
 import time
 from typing import Callable
 
-from repro.core.cascade import DECODE_TIERS, DEFAULT_DECODE_TIER
+from repro.core.cascade import DEFAULT_DECODE_TIER
 from repro.experiments import (
     run_collision_peaks,
     run_density_vs_snr,
@@ -59,6 +59,7 @@ from repro.experiments.ablations import (
     ablation_sic_strategies,
     ablation_splicing,
 )
+from repro.gateway.workers import DECODE_TIERS, DROP_POLICIES, EXECUTORS
 from repro.utils.ascii_plot import ascii_bars, ascii_line
 
 EXPERIMENTS: dict[str, tuple[Callable, str]] = {
@@ -563,7 +564,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 def cmd_diff(args: argparse.Namespace) -> int:
     """Compare two run manifests; exit 1 on thresholded regressions."""
-    from repro.profile import diff_metrics, load_manifest
+    from repro.profile import diff_metrics, digest_line, load_manifest
 
     try:
         baseline = load_manifest(args.baseline)
@@ -584,6 +585,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
             f"note: comparing different run kinds "
             f"({baseline.kind} vs {candidate.kind})"
         )
+    if baseline.digest is not None and candidate.digest is not None:
+        print(digest_line(baseline.digest, candidate.digest))
     report = diff_metrics(
         baseline.metrics,
         candidate.metrics,
@@ -649,9 +652,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     gw.add_argument("--duration", type=float, default=5.0, help="stream seconds")
     gw.add_argument("--workers", type=int, default=1, help="decode workers")
-    gw.add_argument(
-        "--executor", choices=("serial", "thread", "process"), default="thread"
-    )
+    gw.add_argument("--executor", choices=EXECUTORS, default="thread")
     gw.add_argument("--sf", type=int, default=7, help="spreading factor")
     gw.add_argument(
         "--channels",
@@ -673,7 +674,7 @@ def main(argv: list[str] | None = None) -> int:
     gw.add_argument("--payload-len", type=int, default=4, help="payload bytes")
     gw.add_argument("--seed", type=int, default=0, help="master seed")
     gw.add_argument("--queue-capacity", type=int, default=8)
-    gw.add_argument("--drop-policy", choices=("newest", "oldest", "block"), default="newest")
+    gw.add_argument("--drop-policy", choices=DROP_POLICIES, default="newest")
     gw.add_argument(
         "--decode-tier",
         choices=DECODE_TIERS,

@@ -44,7 +44,6 @@ from repro.core.fastpath import (
     AMBIGUOUS,
     CLEAN,
     COLLIDED,
-    FASTPATH_OVERSAMPLE,
     NO_PREAMBLE,
     CascadeThresholds,
     FastPathDecoder,
@@ -60,6 +59,13 @@ DECODE_TIERS: Tuple[str, ...] = ("full", "cascade", "fast")
 #: selectable: it is the cascade's escalation target and the reference
 #: path the parity suites compare against.
 DEFAULT_DECODE_TIER = "cascade"
+
+#: The window-cut contract: every packet window starts this many symbols
+#: before the detector's (window-granular) start.  The detected start can
+#: sit up to one symbol before the true boundary, so the boundary lies
+#: within the first ``WINDOW_LEAD_SYMBOLS + 1`` symbols -- the bound
+#: :class:`ChoirPipeline` puts on its grid search.
+WINDOW_LEAD_SYMBOLS = 2
 
 #: Tier labels stamped on outcomes and telemetry.
 TIER0 = "tier0"
@@ -134,14 +140,11 @@ class ChoirPipeline:
         self,
         params: LoRaParams,
         rng: RngLike = None,
-        coding_rate: int = 4,
-        sync_search_symbols: int = 0,
         max_users: Optional[int] = None,
     ) -> None:
         self.params = params
         self.decoder = ChoirDecoder(params, rng=rng)
-        self.framer = LoRaFramer(params, coding_rate=coding_rate)
-        self.sync_search_symbols = sync_search_symbols
+        self.framer = LoRaFramer(params)
         self.max_users = max_users
 
     def _decode_at(
@@ -175,18 +178,18 @@ class ChoirPipeline:
         n_data_symbols: int,
         payload_len: int,
     ) -> WindowDecode:
-        """Align, then decode with the CRC-oracle alignment ladder."""
+        """Align, then decode with the CRC-oracle alignment ladder.
+
+        ``samples`` is a window cut per :data:`WINDOW_LEAD_SYMBOLS`, so
+        the grid search only considers starts in its first
+        ``WINDOW_LEAD_SYMBOLS + 1`` symbols.
+        """
         n = self.params.samples_per_symbol
-        candidate_range = (
-            (0, self.sync_search_symbols * n)
-            if self.sync_search_symbols > 0
-            else None
-        )
         with observe.stage("align", timer="decode.align_s"):
             base, align_score = align_to_window_grid(
                 self.params,
                 samples,
-                candidate_range=candidate_range,
+                candidate_range=(0, (WINDOW_LEAD_SYMBOLS + 1) * n),
             )
             observe.annotate(offset=base, score=float(align_score))
         # The decoder's sweet spot is a grid a fraction of a window
@@ -238,15 +241,12 @@ class CascadePipeline:
         self,
         params: LoRaParams,
         full: Optional[ChoirPipeline] = None,
-        thresholds: Optional[CascadeThresholds] = None,
-        coding_rate: int = 4,
-        oversample: int = FASTPATH_OVERSAMPLE,
     ) -> None:
         self.params = params
         self.full = full
-        self.thresholds = thresholds if thresholds is not None else CascadeThresholds()
-        self.fast = FastPathDecoder(params, oversample=oversample)
-        self.framer = LoRaFramer(params, coding_rate=coding_rate)
+        self.thresholds = CascadeThresholds()
+        self.fast = FastPathDecoder(params)
+        self.framer = LoRaFramer(params)
 
     @property
     def tier(self) -> str:
@@ -337,10 +337,7 @@ def build_pipeline(
     tier: str,
     params: LoRaParams,
     rng: RngLike = None,
-    coding_rate: int = 4,
-    sync_search_symbols: int = 0,
     max_users: Optional[int] = None,
-    thresholds: Optional[CascadeThresholds] = None,
 ) -> "ChoirPipeline | CascadePipeline":
     """The single sanctioned pipeline constructor (R012).
 
@@ -350,18 +347,8 @@ def build_pipeline(
     if tier not in DECODE_TIERS:
         raise ValueError(f"decode tier must be one of {DECODE_TIERS}, got {tier!r}")
     if tier == "fast":
-        return CascadePipeline(
-            params, full=None, thresholds=thresholds, coding_rate=coding_rate
-        )
-    full = ChoirPipeline(
-        params,
-        rng=rng,
-        coding_rate=coding_rate,
-        sync_search_symbols=sync_search_symbols,
-        max_users=max_users,
-    )
+        return CascadePipeline(params)
+    full = ChoirPipeline(params, rng=rng, max_users=max_users)
     if tier == "full":
         return full
-    return CascadePipeline(
-        params, full=full, thresholds=thresholds, coding_rate=coding_rate
-    )
+    return CascadePipeline(params, full=full)

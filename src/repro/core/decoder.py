@@ -28,11 +28,7 @@ from repro.core.dechirp import (
     evaluate_spectrum_at,
     oversampled_spectrum,
 )
-from repro.core.detection import (
-    accumulate_preamble,
-    align_to_window_grid,
-    sliding_packet_search,
-)
+from repro.core.detection import accumulate_preamble, sliding_packet_search
 from repro.core.peaks import find_peaks
 from repro.core.joint_ml import TeamMember, joint_ml_decode, template_correlation_decode
 from repro.core.offsets import UserEstimate, build_user_estimates, refine_offsets
@@ -122,21 +118,6 @@ class ChoirDecoder:
         self.tier_ratio_db = tier_ratio_db
         self.refine = refine
         self._rng = ensure_rng(rng)
-
-    # ------------------------------------------------------------------
-    # Synchronization
-    # ------------------------------------------------------------------
-    def synchronize(self, samples: np.ndarray) -> np.ndarray:
-        """Align an arbitrarily-shifted capture to the window grid.
-
-        Real SDR captures start at a random sample; this trims the leading
-        samples so the preamble's window grid lines up (to within a
-        fraction of a window -- the per-user delay estimation absorbs the
-        rest).  Use before :meth:`decode` when the capture is not already
-        beacon-aligned.
-        """
-        offset, _ = align_to_window_grid(self.params, samples)
-        return np.asarray(samples)[offset:]
 
     # ------------------------------------------------------------------
     # Preamble stage

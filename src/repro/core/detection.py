@@ -187,13 +187,19 @@ def detect_preamble(
     return DetectionResult(detected=True, start_window=0, peaks=tuple(peaks), score=score)
 
 
+#: Grid alignment: candidate sub-window offsets per symbol, the
+#: zero-padding factor of their spectra, the guard taken off the latest
+#: ridge start, and the ridge's score floor as a fraction of the best
+#: (above the ~0.76 mid-chirp plateau, below the ridge's noise spread).
+ALIGN_OFFSETS = 16
+ALIGN_OVERSAMPLE = 4
+ALIGN_GUARD_SAMPLES = 8
+ALIGN_RIDGE_TOLERANCE = 0.85
+
+
 def align_to_window_grid(
     params: LoRaParams,
     samples: np.ndarray,
-    n_offsets: int = 16,
-    oversample: int = 4,
-    guard_samples: int = 8,
-    ridge_tolerance: float = 0.85,
     candidate_range: tuple[int, int] | None = None,
 ) -> tuple[int, float]:
     """Find the sample offset placing the preamble at the window grid start.
@@ -209,17 +215,19 @@ def align_to_window_grid(
     phase glitch to each window.)  Among near-maximal candidates we take
     the *latest* start minus a small guard, which leaves each user a small
     positive residual delay -- the regime the per-user delay estimator is
-    built for; ``ridge_tolerance`` must sit above the mid-chirp score
-    plateau (~0.76 of the peak) but below the ridge's own noise spread.
+    built for; :data:`ALIGN_RIDGE_TOLERANCE` must sit above the mid-chirp
+    score plateau (~0.76 of the peak) but below the ridge's own noise
+    spread.
 
     ``candidate_range`` restricts the considered start samples to the
     half-open interval ``[lo, hi)``.  Callers that already know where the
-    boundary must lie -- the streaming gateway cuts windows with one
-    symbol of lead, bounding the true start to the first two symbols --
-    should pass it: inside the preamble the repeated chirp is
-    phase-continuous, so when the first data symbol's tone happens to
-    fall near the preamble tone the ridge can stretch several windows
-    past the true boundary, and an unconstrained "latest" pick overshoots.
+    boundary must lie -- the gateway's window cut
+    (:data:`repro.core.cascade.WINDOW_LEAD_SYMBOLS`) bounds the true start
+    to the first three symbols -- should pass it: inside the preamble the
+    repeated chirp is phase-continuous, so when the first data symbol's
+    tone happens to fall near the preamble tone the ridge can stretch
+    several windows past the true boundary, and an unconstrained
+    "latest" pick overshoots.
 
     Returns ``(sample_offset, score)``; feed ``samples[sample_offset:]`` to
     :meth:`repro.core.ChoirDecoder.decode`.
@@ -229,7 +237,7 @@ def align_to_window_grid(
     span = params.preamble_len - 1
     if samples.size < (params.preamble_len + 1) * n:
         return 0, 0.0
-    step = max(n // n_offsets, 1)
+    step = max(n // ALIGN_OFFSETS, 1)
     max_windows: int | None = None
     if candidate_range is not None:
         lo, hi = candidate_range
@@ -245,7 +253,7 @@ def align_to_window_grid(
     candidates: list[tuple[int, float]] = []  # (start_sample, score)
     for offset in range(0, n, step):
         windows = dechirp_windows(params, samples, n_windows=max_windows, start=offset)
-        spectra = np.abs(oversampled_spectrum(windows, oversample)) ** 2
+        spectra = np.abs(oversampled_spectrum(windows, ALIGN_OVERSAMPLE)) ** 2
         n_starts = windows.shape[0] - span
         for w in range(max(n_starts, 0)):
             accumulated = spectra[w + 1 : w + 1 + span].mean(axis=0)
@@ -261,8 +269,10 @@ def align_to_window_grid(
     if not candidates:
         return 0, 0.0
     best_score = max(score for _, score in candidates)
-    ridge = [s for s, score in candidates if score >= ridge_tolerance * best_score]
-    start = max(max(ridge) - guard_samples, 0)
+    ridge = [
+        s for s, score in candidates if score >= ALIGN_RIDGE_TOLERANCE * best_score
+    ]
+    start = max(max(ridge) - ALIGN_GUARD_SAMPLES, 0)
     # Provenance: the ridge evidence behind the chosen grid offset; the
     # forensics layer calls a failed decode with a plateau-level score
     # misaligned.  No-op when tracing is off.

@@ -32,7 +32,8 @@ Stages (each instrumented through :mod:`repro.gateway.telemetry`):
    publish release positions and the ring consumes their minimum, so an
    SF7 and an SF8 scanner multiplex one channel without stealing each
    other's samples.
-4. **dispatch** -- cut the packet window (two guard symbols of lead for
+4. **dispatch** -- cut the packet window
+   (:data:`repro.core.cascade.WINDOW_LEAD_SYMBOLS` of lead for
    :func:`repro.core.detection.align_to_window_grid` to find the exact
    boundary) and submit it to the one shared
    :class:`repro.gateway.workers.DecodeWorkerPool`; the bounded queue's
@@ -56,7 +57,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import observe
-from repro.core.cascade import DECODE_TIERS, DEFAULT_DECODE_TIER
+from repro.core.cascade import DECODE_TIERS, DEFAULT_DECODE_TIER, WINDOW_LEAD_SYMBOLS
 from repro.core.detection import ScanMemo, sliding_packet_search
 from repro.gateway.channelizer import PolyphaseChannelizer
 from repro.gateway.ring import SampleRing
@@ -95,10 +96,6 @@ class GatewayConfig:
     n_workers, executor, queue_capacity, drop_policy:
         Shape of the single decode pool all shards share; see
         :class:`repro.gateway.workers.DecodeWorkerPool`.
-    ring_symbols:
-        Per-channel ring capacity in symbols of the largest configured SF
-        (must hold at least two of its frames; 0 sizes automatically to
-        four).
     detection_pfa:
         Search-level false-alarm probability per detection scan.
     max_users:
@@ -119,11 +116,10 @@ class GatewayConfig:
         trees per the sampling policy below.
     trace_sample_rate:
         Fraction of jobs whose span tree is retained unconditionally
-        (deterministic by rng_key; 1.0 = every job).
-    trace_always_sample_failures:
-        Retain the span tree of every job that fails CRC, whatever the
-        sample rate -- the mode that keeps forensics complete while
-        bounding trace volume on healthy traffic.
+        (deterministic by rng_key; 1.0 = every job).  The span tree of
+        every job that fails CRC is retained whatever the rate, which
+        keeps forensics complete while bounding trace volume on healthy
+        traffic.
     profile:
         Attach a :class:`repro.profile.KernelProfiler` to the run:
         per-kernel wall/FFT/bytes accounting on every executor, folded
@@ -143,15 +139,12 @@ class GatewayConfig:
     executor: str = "thread"
     queue_capacity: int = 8
     drop_policy: str = "newest"
-    ring_symbols: int = 0
     detection_pfa: float = 1e-3
-    coding_rate: int = 4
     max_users: Optional[int] = 4
     decode_tier: str = DEFAULT_DECODE_TIER
     seed: Optional[int] = None
     trace: bool = False
     trace_sample_rate: float = 1.0
-    trace_always_sample_failures: bool = True
     profile: bool = False
     profile_alloc: int = 0
 
@@ -178,16 +171,11 @@ class GatewayConfig:
 
     def trace_config(self) -> TraceConfig:
         """The sampling policy implied by the trace fields."""
-        return TraceConfig(
-            sample_rate=self.trace_sample_rate,
-            always_sample_failures=self.trace_always_sample_failures,
-        )
+        return TraceConfig(sample_rate=self.trace_sample_rate)
 
     def n_data_symbols(self) -> int:
         """Data symbols per frame of the largest-SF shard."""
-        framer = LoRaFramer(
-            self.shard_params(self.sf_set[-1]), coding_rate=self.coding_rate
-        )
+        framer = LoRaFramer(self.shard_params(self.sf_set[-1]))
         return framer.n_symbols_for_payload(self.payload_len)
 
     def frame_samples(self) -> int:
@@ -417,7 +405,7 @@ class StreamScanner:
         PHY configuration of this shard (sets the frame geometry the
         detector paces by, and the params every submitted job decodes
         with).
-    payload_len, coding_rate:
+    payload_len:
         Frame geometry of the expected traffic.
     telemetry:
         Shared registry; scan instruments use the common ``detect.*``
@@ -441,7 +429,6 @@ class StreamScanner:
         payload_len: int,
         telemetry: Telemetry,
         detection_pfa: float = 1e-3,
-        coding_rate: int = 4,
         channel: int = 0,
         trace_recorder: Optional[TraceRecorder] = None,
     ) -> None:
@@ -453,16 +440,16 @@ class StreamScanner:
         self.rng_prefix = (channel, params.spreading_factor)
         self.label = shard_label(channel, params.spreading_factor)
         self.trace_recorder = trace_recorder
-        framer = LoRaFramer(params, coding_rate=coding_rate)
+        framer = LoRaFramer(params)
         self.n_data_symbols = framer.n_symbols_for_payload(payload_len)
         n = params.samples_per_symbol
         self.frame_samples = (params.preamble_len + self.n_data_symbols) * n
-        # Lead/tail slack around the detected window-granular start: two
-        # symbols of lead so align_to_window_grid can find the true
-        # boundary even when a back-to-back predecessor's frame skip ate
-        # into this packet's preamble, two symbols of tail for
+        # Lead/tail slack around the detected window-granular start: the
+        # window-cut contract's lead so align_to_window_grid can find the
+        # true boundary even when a back-to-back predecessor's frame skip
+        # ate into this packet's preamble, two symbols of tail for
         # timing-offset spill.
-        self.lead = 2 * n
+        self.lead = WINDOW_LEAD_SYMBOLS * n
         self.tail = 2 * n
         self.min_span = (params.preamble_len + 1) * n
         self.scan_pos = 0  # absolute index of the next unscanned sample
@@ -606,20 +593,9 @@ class Gateway:
         if profiler is None and config.profile:
             profiler = KernelProfiler()
         self.profiler = profiler
-        frame = config.frame_samples()
-        if config.ring_symbols:
-            n = config.shard_params(config.sf_set[-1]).samples_per_symbol
-            capacity = config.ring_symbols * n
-            if capacity < 2 * frame:
-                raise ValueError(
-                    f"ring_symbols={config.ring_symbols} holds less than two "
-                    f"frames of the largest SF ({2 * frame // n} symbols needed)"
-                )
-        else:
-            # Default: four frames -- room for one packet mid-decode-cut,
-            # one arriving, and scan overlap, without unbounded growth.
-            capacity = 4 * frame
-        self._ring_capacity = capacity
+        # Four frames of the largest SF: room for one packet mid-decode-cut,
+        # one arriving, and scan overlap, without unbounded growth.
+        self._ring_capacity = 4 * config.frame_samples()
 
     # ------------------------------------------------------------------
     def run(self, source: SampleSource) -> GatewayReport:
@@ -638,7 +614,6 @@ class Gateway:
                 payload_len=config.payload_len,
                 decode_tier=config.decode_tier,
                 sample_rate=recorder.config.sample_rate,
-                always_sample_failures=recorder.config.always_sample_failures,
             )
         channelizer = (
             None if config.plan is None else PolyphaseChannelizer(config.plan)
@@ -648,10 +623,6 @@ class Gateway:
             executor=config.executor,
             queue_capacity=config.queue_capacity,
             drop_policy=config.drop_policy,
-            coding_rate=config.coding_rate,
-            # The cut gives two symbols of lead before the (window-granular)
-            # detected start, so the true boundary is inside the first three.
-            sync_search_symbols=3,
             max_users=config.max_users,
             decode_tier=config.decode_tier,
             rng=config.seed,
@@ -668,7 +639,6 @@ class Gateway:
                     config.payload_len,
                     telemetry,
                     detection_pfa=config.detection_pfa,
-                    coding_rate=config.coding_rate,
                     channel=channel,
                     trace_recorder=recorder,
                 )

@@ -309,14 +309,16 @@ class SyntheticTrafficSource:
                         f"ChannelPlan (node {cfg.node_id})"
                     )
             self.duration_samples = int(round(duration_s * params.sample_rate))
-            schedules = self._schedules_single(params, nodes, schedule_rng)
         else:
             for cfg in nodes:
                 plan.validate_channel(cfg.channel)
             self.duration_samples = int(round(duration_s * plan.wideband_rate))
-            schedules = self._schedules_wideband(plan, nodes, schedule_rng)
         self._scheduler = _TrafficScheduler(
-            schedules, self.duration_samples, schedule_rng, payload_len, payload_fn
+            self._schedules(nodes, schedule_rng),
+            self.duration_samples,
+            schedule_rng,
+            payload_len,
+            payload_fn,
         )
         #: Rendered frames currently overlapping the stream head, keyed by
         #: admission order: ``{seq: (start_sample, waveform)}``.
@@ -331,98 +333,63 @@ class SyntheticTrafficSource:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _schedules_single(
-        self,
-        params: LoRaParams,
-        nodes: List[NodeConfig],
-        schedule_rng: np.random.Generator,
+    def _schedules(
+        self, nodes: List[NodeConfig], schedule_rng: np.random.Generator
     ) -> List[_NodeSchedule]:
-        """Legacy narrowband schedule; RNG draw order is frozen (see tests)."""
-        self._node_params: Dict[int, LoRaParams] = {
-            cfg.node_id: params for cfg in nodes
-        }
-        self._node_symbols: Dict[int, int] = {
-            cfg.node_id: self.n_data_symbols for cfg in nodes
-        }
-        n = params.samples_per_symbol
-        frame_samples = (params.preamble_len + self.n_data_symbols) * n
-        schedules: List[_NodeSchedule] = []
-        for index, cfg in enumerate(nodes):
-            if cfg.period_s is None:
-                # Saturated: back-to-back frames separated by one guard
-                # symbol (the beacon-slot overhead the MAC model charges).
-                step = frame_samples + n
-                phase = int(schedule_rng.integers(0, step))
-            else:
-                step = max(int(round(cfg.period_s * params.sample_rate)), 1)
-                phase = int(schedule_rng.integers(0, step))
-            schedules.append(
-                _NodeSchedule(
-                    index=index,
-                    node_id=cfg.node_id,
-                    snr_db=cfg.snr_db,
-                    channel=0,
-                    spreading_factor=None,
-                    n_symbols=self.n_data_symbols,
-                    first_start=phase,
-                    step=step,
-                    tail=frame_samples + n,
-                )
-            )
-        return schedules
+        """Per-node frame schedules; the RNG draw order is frozen (see tests).
 
-    def _schedules_wideband(
-        self,
-        plan: ChannelPlan,
-        nodes: List[NodeConfig],
-        schedule_rng: np.random.Generator,
-    ) -> List[_NodeSchedule]:
-        """Multi-channel schedule: narrowband frames placed on the plan.
-
-        Scheduling runs in narrowband units and scales by the oversample
-        factor, so every start lands on the channelizer's decimation grid
-        and the through-bank signal is a pure integer delay of the
-        narrowband render.
+        Scheduling runs in narrowband units.  With a plan, every node
+        renders at its own spreading factor on the plan's grid and its
+        starts scale by the oversample factor, so each lands on the
+        channelizer's decimation grid and the through-bank signal is a
+        pure integer delay of the narrowband render; without one, every
+        node renders at ``params`` and the factor is 1.
         """
-        m = plan.oversample_factor
-        self._node_params = {}
-        self._node_symbols = {}
-        node_frames: Dict[int, int] = {}
+        plan = self.plan
+        m = 1 if plan is None else plan.oversample_factor
+        self._node_params: Dict[int, LoRaParams] = {}
+        self._node_symbols: Dict[int, int] = {}
         for cfg in nodes:
-            sf = (
-                cfg.spreading_factor
-                if cfg.spreading_factor is not None
-                else self.params.spreading_factor
-            )
-            node_params = plan.channel_params(sf, preamble_len=self.params.preamble_len)
+            node_params = self.params
+            if plan is not None:
+                sf = (
+                    cfg.spreading_factor
+                    if cfg.spreading_factor is not None
+                    else self.params.spreading_factor
+                )
+                node_params = plan.channel_params(
+                    sf, preamble_len=self.params.preamble_len
+                )
             self._node_params[cfg.node_id] = node_params
-            n_symbols = LoRaFramer(node_params).n_symbols_for_payload(self.payload_len)
-            self._node_symbols[cfg.node_id] = n_symbols
-            node_frames[cfg.node_id] = (
-                node_params.preamble_len + n_symbols
-            ) * node_params.samples_per_symbol
+            self._node_symbols[cfg.node_id] = LoRaFramer(
+                node_params
+            ).n_symbols_for_payload(self.payload_len)
         schedules: List[_NodeSchedule] = []
         for index, cfg in enumerate(nodes):
             node_params = self._node_params[cfg.node_id]
+            n_symbols = self._node_symbols[cfg.node_id]
             n = node_params.samples_per_symbol
-            frame_nb = node_frames[cfg.node_id]
+            frame = (node_params.preamble_len + n_symbols) * n
             if cfg.period_s is None:
-                step_nb = frame_nb + n
-                phase = int(schedule_rng.integers(0, step_nb))
+                # Saturated: back-to-back frames separated by one guard
+                # symbol (the beacon-slot overhead the MAC model charges).
+                step = frame + n
             else:
-                step_nb = max(int(round(cfg.period_s * node_params.sample_rate)), 1)
-                phase = int(schedule_rng.integers(0, step_nb))
+                step = max(int(round(cfg.period_s * node_params.sample_rate)), 1)
+            phase = int(schedule_rng.integers(0, step))
             schedules.append(
                 _NodeSchedule(
                     index=index,
                     node_id=cfg.node_id,
                     snr_db=cfg.snr_db,
                     channel=cfg.channel,
-                    spreading_factor=node_params.spreading_factor,
-                    n_symbols=self._node_symbols[cfg.node_id],
+                    spreading_factor=(
+                        None if plan is None else node_params.spreading_factor
+                    ),
+                    n_symbols=n_symbols,
                     first_start=phase * m,
-                    step=step_nb * m,
-                    tail=(frame_nb + n) * m,
+                    step=step * m,
+                    tail=(frame + n) * m,
                 )
             )
         return schedules

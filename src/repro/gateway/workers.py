@@ -13,8 +13,8 @@ The gateway's dispatch stage hands detected packet windows to a
 Backpressure is explicit: the queue is bounded and the drop policy says
 what happens when decode falls behind ingest -- drop the ``"newest"``
 window (default: keep latency bounded, lose the packet that arrived into
-an overloaded system), drop the ``"oldest"`` (favor fresh traffic), or
-``"block"`` ingest (lossless, at the price of stalling the stream).
+an overloaded system) or ``"block"`` ingest (lossless, at the price of
+stalling the stream).
 
 Every decode job carries its own RNG derived from the pool seed and the
 job's shard key (:func:`repro.utils.derive_rng`), so which worker decodes
@@ -59,7 +59,7 @@ from repro.trace.recorder import TraceDirective, TraceRecorder
 from repro.utils import RngLike, as_seed_sequence, derive_rng
 
 #: Accepted overload behaviors for the bounded decode queue.
-DROP_POLICIES: Tuple[str, ...] = ("newest", "oldest", "block")
+DROP_POLICIES: Tuple[str, ...] = ("newest", "block")
 
 #: Accepted executor kinds.
 EXECUTORS: Tuple[str, ...] = ("serial", "thread", "process")
@@ -145,8 +145,6 @@ class DecodeOutcome:
 def decode_packet_window(
     job: DecodeJob,
     base_seed: np.random.SeedSequence,
-    coding_rate: int = 4,
-    sync_search_symbols: int = 0,
     max_users: Optional[int] = None,
     decode_tier: str = DEFAULT_DECODE_TIER,
     trace_directive: Optional[TraceDirective] = None,
@@ -158,14 +156,12 @@ def decode_packet_window(
     ``decode_tier`` (:func:`repro.core.cascade.build_pipeline`): the
     default ``"cascade"`` tries the Tier-0 fast path first and escalates
     to the full pipeline on collision evidence or CRC failure; ``"full"``
-    snaps every window to the preamble grid (``sync_search_symbols``
-    bounds that search to the first so-many symbols -- the streaming
-    gateway cuts windows with two symbols of lead, so the true boundary
-    always lies within the first three) and retries a small ladder of
-    alternative alignments with CRC as the oracle; ``"fast"`` is Tier 0
-    alone.  This function owns the job plumbing around the
-    pipeline: RNG derivation, the job's observation scope, and the
-    outcome record.
+    snaps every window to the preamble grid (the window is cut per
+    :data:`repro.core.cascade.WINDOW_LEAD_SYMBOLS`, which bounds that
+    search) and retries a small ladder of alternative alignments with CRC
+    as the oracle; ``"fast"`` is Tier 0 alone.  This function owns the
+    job plumbing around the pipeline: RNG derivation, the job's
+    observation scope, and the outcome record.
 
     Module-level (rather than a pool method) so the process executor can
     ship it to workers; everything it touches -- including the trace
@@ -190,7 +186,7 @@ def decode_packet_window(
     params = job.params
     spreading_factor = params.spreading_factor
     builder: Optional[TraceBuilder] = None
-    if trace_directive is not None and trace_directive.build:
+    if trace_directive is not None:
         builder = TraceBuilder(
             "decode.job",
             job_id=job.job_id,
@@ -204,8 +200,6 @@ def decode_packet_window(
         decode_tier,
         params,
         rng=derive_rng(base_seed, *rng_key),
-        coding_rate=coding_rate,
-        sync_search_symbols=sync_search_symbols,
         max_users=max_users,
     )
     job_profiler = KernelProfiler() if profile else None
@@ -279,9 +273,6 @@ class DecodeWorkerPool:
         Maximum windows awaiting decode before the drop policy applies.
     drop_policy:
         Overload behavior; see :data:`DROP_POLICIES`.
-    sync_search_symbols:
-        Bound the grid search to the first so-many symbols of each
-        window (0 = unbounded); set by callers that control the cut.
     max_users:
         Cap on SIC user estimates per window (None = uncapped); bounds
         the worst-case decode time on windows full of interference.
@@ -321,8 +312,6 @@ class DecodeWorkerPool:
         executor: str = "thread",
         queue_capacity: int = 8,
         drop_policy: str = "newest",
-        coding_rate: int = 4,
-        sync_search_symbols: int = 0,
         max_users: Optional[int] = None,
         decode_tier: str = DEFAULT_DECODE_TIER,
         rng: RngLike = None,
@@ -349,8 +338,6 @@ class DecodeWorkerPool:
         self.executor = executor
         self.queue_capacity = queue_capacity
         self.drop_policy = drop_policy
-        self.coding_rate = coding_rate
-        self.sync_search_symbols = sync_search_symbols
         self.max_users = max_users
         self.decode_tier = decode_tier
         self.telemetry = telemetry if telemetry is not None else Telemetry()
@@ -369,9 +356,9 @@ class DecodeWorkerPool:
         self._threads: List[threading.Thread] = []
         self._pool: Optional[ProcessPoolExecutor] = None
         self._futures: Dict[int, "Future[DecodeOutcome]"] = {}
-        # Scalar facts about in-flight process jobs, kept parent-side so
-        # a worker crash can still be recorded as an error outcome.
-        self._job_meta: Dict[int, Tuple[int, float, int, int, Tuple[int, ...]]] = {}
+        # In-flight process jobs, kept parent-side so a worker crash can
+        # still be recorded as an error outcome.
+        self._jobs: Dict[int, DecodeJob] = {}
         if executor == "thread":
             self._threads = [
                 threading.Thread(
@@ -393,29 +380,21 @@ class DecodeWorkerPool:
             return None
         return self.trace_recorder.directive(job.key)
 
-    def _error_outcome(
-        self,
-        job_id: int,
-        start_sample: int,
-        detection_score: float,
-        channel: int,
-        spreading_factor: int,
-        rng_key: Tuple[int, ...],
-        exc: BaseException,
-    ) -> DecodeOutcome:
+    @staticmethod
+    def _error_outcome(job: DecodeJob, exc: BaseException) -> DecodeOutcome:
         return DecodeOutcome(
-            job_id=job_id,
-            start_sample=start_sample,
+            job_id=job.job_id,
+            start_sample=job.start_sample,
             users=(),
             payload=None,
             crc_ok=False,
             queue_wait_s=0.0,
             decode_s=0.0,
-            detection_score=detection_score,
+            detection_score=job.detection_score,
             error=f"{type(exc).__name__}: {exc}",
-            channel=channel,
-            spreading_factor=spreading_factor,
-            rng_key=rng_key,
+            channel=job.channel,
+            spreading_factor=job.params.spreading_factor,
+            rng_key=job.rng_key,
         )
 
     def _decode(self, job: DecodeJob) -> DecodeOutcome:
@@ -423,8 +402,6 @@ class DecodeWorkerPool:
             return decode_packet_window(
                 job,
                 self._base_seed,
-                coding_rate=self.coding_rate,
-                sync_search_symbols=self.sync_search_symbols,
                 max_users=self.max_users,
                 decode_tier=self.decode_tier,
                 trace_directive=self._directive(job),
@@ -432,15 +409,7 @@ class DecodeWorkerPool:
             )
         except Exception as exc:  # defensive: a worker must never die
             self.telemetry.counter("decode.errors").inc()
-            return self._error_outcome(
-                job.job_id,
-                job.start_sample,
-                job.detection_score,
-                job.channel,
-                job.params.spreading_factor,
-                job.rng_key,
-                exc,
-            )
+            return self._error_outcome(job, exc)
 
     def _record(self, outcome: DecodeOutcome) -> None:
         with self._lock:
@@ -522,24 +491,15 @@ class DecodeWorkerPool:
             self._queue.task_done()
 
     def _submit_thread(self, job: DecodeJob) -> bool:
-        while True:
-            try:
-                self._queue.put_nowait(job)
-                return True
-            except queue.Full:
-                if self.drop_policy == "newest":
-                    self._count_drop(job.label)
-                    return False
-                if self.drop_policy == "block":
-                    self._queue.put(job)
-                    return True
-                # oldest: evict one queued job, then retry the put.
-                try:
-                    evicted = self._queue.get_nowait()
-                    self._queue.task_done()
-                    self._count_drop(evicted.label)
-                except queue.Empty:
-                    pass  # a worker drained it first; just retry
+        if self.drop_policy == "block":
+            self._queue.put(job)
+            return True
+        try:
+            self._queue.put_nowait(job)
+            return True
+        except queue.Full:
+            self._count_drop(job.label)
+            return False
 
     # ------------------------------------------------------------------
     # Process executor
@@ -554,34 +514,11 @@ class DecodeWorkerPool:
             if self.drop_policy == "newest":
                 self._count_drop(job.label)
                 return False
-            if self.drop_policy == "oldest":
-                with self._lock:
-                    pending = sorted(
-                        (jid for jid, f in self._futures.items() if not f.done())
-                    )
-                cancelled = False
-                for jid in pending:
-                    with self._lock:
-                        future = self._futures.get(jid)
-                        meta = self._job_meta.get(jid)
-                    # cancel() runs _process_done at once, which forgets
-                    # the job -- so its shard is read beforehand.
-                    if future is not None and meta is not None and future.cancel():
-                        self._count_drop(shard_label(meta[2], meta[3]))
-                        cancelled = True
-                        break
-                if not cancelled:
-                    # Everything already running; drop the incoming job.
-                    self._count_drop(job.label)
-                    return False
-                continue
             time.sleep(0.001)  # block: poll until a slot frees
         future = self._pool.submit(
             decode_packet_window,
             job,
             self._base_seed,
-            coding_rate=self.coding_rate,
-            sync_search_symbols=self.sync_search_symbols,
             max_users=self.max_users,
             decode_tier=self.decode_tier,
             trace_directive=self._directive(job),
@@ -589,38 +526,24 @@ class DecodeWorkerPool:
         )
         with self._lock:
             self._futures[job.job_id] = future
-            self._job_meta[job.job_id] = (
-                job.start_sample,
-                job.detection_score,
-                job.channel,
-                job.params.spreading_factor,
-                job.rng_key,
-            )
+            self._jobs[job.job_id] = job
         future.add_done_callback(lambda f, jid=job.job_id: self._process_done(jid, f))
         return True
 
     def _process_done(self, job_id: int, future: "Future[DecodeOutcome]") -> None:
         with self._lock:
-            meta = self._job_meta.pop(job_id, None)
+            job = self._jobs.pop(job_id)
             # Drop the completed future so the table tracks only live
             # work; otherwise it grows for the pool's lifetime and every
             # _in_flight() scan pays for all jobs ever submitted.
             self._futures.pop(job_id, None)
-        if future.cancelled():
-            return
         exc = future.exception()
         if exc is not None:
             # A worker died outright (the in-worker try/except never got
             # to run); synthesize the error outcome parent-side so no
             # job goes unaccounted and telemetry matches serial runs.
             self.telemetry.counter("decode.errors").inc()
-            if meta is not None:
-                start_sample, score, channel, sf, rng_key = meta
-                self._record(
-                    self._error_outcome(
-                        job_id, start_sample, score, channel, sf, rng_key, exc
-                    )
-                )
+            self._record(self._error_outcome(job, exc))
             return
         self._record(future.result())
 
@@ -630,8 +553,7 @@ class DecodeWorkerPool:
     def submit(self, job: DecodeJob) -> bool:
         """Enqueue ``job``; returns False when the drop policy rejected it.
 
-        Dropped jobs (either the incoming one or an evicted older one,
-        per policy) are counted under ``dispatch.dropped``.
+        Rejected jobs are counted under ``dispatch.dropped``.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
@@ -668,11 +590,10 @@ class DecodeWorkerPool:
                 with self._lock:
                     futures = list(self._futures.values())
                 for future in futures:
-                    if not future.cancelled():
-                        try:
-                            future.result()
-                        except Exception:
-                            pass  # already counted in _process_done
+                    try:
+                        future.result()
+                    except Exception:
+                        pass  # already counted in _process_done
                 self._pool.shutdown()
         with self._lock:
             return sorted(self._outcomes, key=lambda o: o.job_id)

@@ -33,6 +33,7 @@ _EXPORTS = {
     "DiffReport": "repro.profile.diff",
     "MetricDelta": "repro.profile.diff",
     "diff_metrics": "repro.profile.diff",
+    "digest_line": "repro.profile.diff",
     "RunManifest": "repro.profile.manifest",
     "build_manifest": "repro.profile.manifest",
     "load_manifest": "repro.profile.manifest",

@@ -12,13 +12,14 @@ direction (raw event counts) are reported but never gated.
 ``tools/bench_report.py --compare`` calls back into this module with a
 forced lower-is-better direction and :func:`format_compare_line`, which
 reproduces its historical output byte for byte; ``repro diff`` uses the
-richer :class:`DiffReport` rendering over two run manifests.
+richer :class:`DiffReport` rendering over two run manifests, and reports
+whether their report digests match (:func:`digest_line`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 #: Name suffixes that mark a metric as lower-is-better.
 LOWER_SUFFIXES = ("_s", "_ms", "_kb", "_bytes", ".bytes")
@@ -268,3 +269,23 @@ def format_delta_line(delta: MetricDelta) -> str:
 def metric_table(metrics: Mapping[str, float]) -> Dict[str, float]:
     """Defensive float-casting copy of a metric mapping."""
     return {str(name): float(value) for name, value in metrics.items()}
+
+
+def digest_line(
+    baseline: Mapping[str, Any], candidate: Mapping[str, Any]
+) -> str:
+    """``digest: identical``, or the top-level digest keys that differ.
+
+    A digest is the deterministic projection of a run's decode results
+    (:func:`repro.scenario.build.report_digest`); two runs of the same
+    config that decode the same packets have identical digests whatever
+    their timings, so this is the equivalence check for code deletions.
+    """
+    differing = sorted(
+        key
+        for key in set(baseline) | set(candidate)
+        if baseline.get(key) != candidate.get(key)
+    )
+    if not differing:
+        return "digest: identical"
+    return "digest: differs in " + ", ".join(differing)

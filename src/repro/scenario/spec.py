@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.core.cascade import DECODE_TIERS, DEFAULT_DECODE_TIER
+from repro.core.cascade import DEFAULT_DECODE_TIER
+from repro.gateway.workers import DECODE_TIERS, DROP_POLICIES, EXECUTORS
 from repro.phy.params import VALID_SPREADING_FACTORS
 
 #: Geometry layouts the node builder understands.
@@ -340,9 +341,9 @@ class GatewaySpec:
 
     def validate(self) -> None:
         """Raise :class:`ScenarioError` on out-of-domain fields."""
-        if self.executor not in ("serial", "thread", "process"):
+        if self.executor not in EXECUTORS:
             raise ScenarioError(
-                f"executor must be serial/thread/process, got {self.executor!r}",
+                f"executor must be one of {EXECUTORS}, got {self.executor!r}",
                 key="gateway.executor",
             )
         if self.workers < 1:
@@ -354,9 +355,9 @@ class GatewaySpec:
                 f"queue_capacity must be >= 1, got {self.queue_capacity}",
                 key="gateway.queue_capacity",
             )
-        if self.drop_policy not in ("newest", "oldest", "block"):
+        if self.drop_policy not in DROP_POLICIES:
             raise ScenarioError(
-                f"drop_policy must be newest/oldest/block, got "
+                f"drop_policy must be one of {DROP_POLICIES}, got "
                 f"{self.drop_policy!r}",
                 key="gateway.drop_policy",
             )

@@ -10,10 +10,10 @@ whole thing; ``repro.trace.forensics`` consumes the serialized form.
 Sampling is *deterministic by rng_key*: whether a job is traced depends
 only on its key and the configured rate, never on wall clock or worker
 identity, so serial / thread / process runs of the same stream sample
-the same packets.  ``always_sample_failures`` additionally builds every
-job's trace but keeps only the ones whose decode failed -- the mode that
-makes the forensics post-mortem complete without paying full-rate trace
-retention on healthy traffic.
+the same packets.  Every job's trace is built, and the trace of every
+job whose decode failed is kept whatever the rate, so the forensics
+post-mortem is complete without paying full-rate trace retention on
+healthy traffic.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ class TraceConfig:
     """Sampling policy for one gateway run.
 
     ``sample_rate`` is the fraction of jobs whose trace is retained
-    regardless of outcome (1.0 = every job, 0.0 = none);
-    ``always_sample_failures`` retains the trace of every job that does
-    not produce a CRC-verified payload, whatever the rate.
+    regardless of outcome (1.0 = every job, 0.0 = none); the trace of
+    every job that does not produce a CRC-verified payload is retained
+    whatever the rate.
     """
 
     sample_rate: float = 1.0
-    always_sample_failures: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.sample_rate <= 1.0:
@@ -52,23 +51,16 @@ class TraceDirective:
     """Per-job tracing instruction, computed before dispatch.
 
     Frozen and picklable so the process executor can ship it to workers
-    alongside the job.  ``build`` says whether the worker should build a
-    span tree at all; ``sampled`` says whether the trace is kept
-    unconditionally (vs. only on failure, per ``keep_failures``).
+    alongside the job.  The worker always builds a span tree; ``sampled``
+    says whether it is kept unconditionally (vs. only on failure).
     """
 
     key: Tuple[int, ...]
     sampled: bool
-    keep_failures: bool
-
-    @property
-    def build(self) -> bool:
-        """Whether the decode worker should build a span tree."""
-        return self.sampled or self.keep_failures
 
     def keep(self, crc_ok: bool) -> bool:
         """Whether a finished job's trace is retained."""
-        return self.sampled or (self.keep_failures and not crc_ok)
+        return self.sampled or not crc_ok
 
 
 def sample_key(key: Sequence[int]) -> float:
@@ -116,11 +108,7 @@ class TraceRecorder:
             self.config.sample_rate > 0.0
             and sample_key(key) < self.config.sample_rate
         )
-        return TraceDirective(
-            key=key,
-            sampled=sampled,
-            keep_failures=self.config.always_sample_failures,
-        )
+        return TraceDirective(key=key, sampled=sampled)
 
     def record_detection(
         self,

@@ -173,7 +173,7 @@ class TestCleanWindow:
             samples, n_data, len(PAYLOAD)
         )
         full = build_pipeline(
-            "full", PARAMS, rng=np.random.default_rng(0), sync_search_symbols=3
+            "full", PARAMS, rng=np.random.default_rng(0)
         ).decode_window(samples, n_data, len(PAYLOAD))
         assert {u.payload for u in cascade.users if u.crc_ok} == {
             u.payload for u in full.users if u.crc_ok

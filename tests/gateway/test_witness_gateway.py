@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
+from typing import Optional
+
+import numpy as np
 
 from repro.gateway import Gateway, GatewayConfig, SyntheticTrafficSource
-from repro.gateway.workers import DecodeOutcome, DecodeWorkerPool
+from repro.gateway.workers import DecodeJob, DecodeOutcome, DecodeWorkerPool
 from repro.tools.analysis.witness import cross_check, install, static_verdicts
 from repro.trace.recorder import TraceRecorder
 from tests.gateway.conftest import PARAMS, PAYLOAD_LEN, periodic_node
@@ -50,6 +53,20 @@ class TestWitnessEndToEnd:
             assert "_outcomes" in witness.shared_written_attrs()
 
 
+def _dummy_job(job_id: int) -> DecodeJob:
+    return DecodeJob(
+        job_id=job_id,
+        samples=np.zeros(16, dtype=complex),
+        n_data_symbols=16,
+        payload_len=PAYLOAD_LEN,
+        start_sample=0,
+        detection_score=1.0,
+        created_at=0.0,
+        params=PARAMS,
+        rng_key=(0, PARAMS.spreading_factor, job_id),
+    )
+
+
 def _dummy_outcome(job_id: int) -> DecodeOutcome:
     return DecodeOutcome(
         job_id=job_id,
@@ -64,18 +81,26 @@ def _dummy_outcome(job_id: int) -> DecodeOutcome:
 
 
 class _FakeFuture:
-    """Minimal completed-future stand-in for _process_done."""
+    """Minimal completed-future stand-in for _process_done.
 
-    def __init__(self, outcome: DecodeOutcome) -> None:
+    With ``exc`` set it stands in for a job whose worker process died.
+    """
+
+    def __init__(
+        self,
+        outcome: Optional[DecodeOutcome] = None,
+        exc: Optional[BaseException] = None,
+    ) -> None:
         self._outcome = outcome
+        self._exc = exc
 
-    def cancelled(self) -> bool:
-        return False
-
-    def exception(self):
-        return None
+    def exception(self) -> Optional[BaseException]:
+        return self._exc
 
     def result(self) -> DecodeOutcome:
+        if self._exc is not None:
+            raise self._exc
+        assert self._outcome is not None
         return self._outcome
 
 
@@ -88,11 +113,35 @@ class TestFuturesTableRegression:
         fake = _FakeFuture(_dummy_outcome(7))
         with pool._lock:
             pool._futures[7] = fake  # type: ignore[assignment]
-            pool._job_meta[7] = (0, 1.0, 0, 7, (7,))
+            pool._jobs[7] = _dummy_job(7)
         pool._process_done(7, fake)  # type: ignore[arg-type]
         assert pool._futures == {}
-        assert pool._job_meta == {}
+        assert pool._jobs == {}
         assert [o.job_id for o in pool.close()] == [7]
+
+
+class TestWorkerDeath:
+    def test_dead_worker_becomes_one_error_outcome_on_its_shard(self):
+        # A process worker that dies outright never reaches the in-worker
+        # try/except; the parent must still account the job exactly once,
+        # as an error outcome on the job's own shard row.
+        pool = DecodeWorkerPool(executor="serial")
+        job = _dummy_job(3)
+        fake = _FakeFuture(exc=RuntimeError("worker died"))
+        with pool._lock:
+            pool._futures[3] = fake  # type: ignore[assignment]
+            pool._jobs[3] = job
+        pool._process_done(3, fake)  # type: ignore[arg-type]
+        outcomes = pool.close()
+        assert len(outcomes) == 1
+        (outcome,) = outcomes
+        assert outcome.error == "RuntimeError: worker died"
+        assert (outcome.channel, outcome.spreading_factor) == (0, 7)
+        assert outcome.key == job.key
+        assert not outcome.crc_ok
+        assert pool.telemetry.counter(f"{job.label}.decode.errors").value == 1
+        assert pool.telemetry.counter("decode.errors").value == 1
+        assert pool._jobs == {} and pool._futures == {}
 
 
 class TestRecorderLenRegression:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.channel.noise import awgn
+from repro.core.cascade import WINDOW_LEAD_SYMBOLS
 from repro.gateway.telemetry import Telemetry
 from repro.gateway.workers import (
     DROP_POLICIES,
@@ -56,11 +57,11 @@ class TestDecodePacketWindow:
         assert outcome.payload == payload
 
     def test_synchronized_window_decodes(self):
-        # One symbol of lead, like the gateway's cut.
-        job, payload = _clean_window(seed=2, lead=PARAMS.samples_per_symbol)
-        outcome = decode_packet_window(
-            job, np.random.SeedSequence(0), sync_search_symbols=2
+        # The gateway's cut: the window-cut contract's lead.
+        job, payload = _clean_window(
+            seed=2, lead=WINDOW_LEAD_SYMBOLS * PARAMS.samples_per_symbol
         )
+        outcome = decode_packet_window(job, np.random.SeedSequence(0))
         assert outcome.crc_ok
         assert outcome.payload == payload
 
@@ -86,9 +87,7 @@ class TestPoolExecutors:
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_executors_agree_with_each_other(self, executor):
         jobs = [_clean_window(seed=s, lead=32) for s in (10, 11)]
-        pool = DecodeWorkerPool(
-            n_workers=2, executor=executor, rng=5, sync_search_symbols=2
-        )
+        pool = DecodeWorkerPool(n_workers=2, executor=executor, rng=5)
         for job, _ in jobs:
             assert pool.submit(job)
         outcomes = pool.close()
@@ -233,17 +232,6 @@ class TestDropPolicies:
         assert sorted(o.job_id for o in outcomes) == [0, 1]
         assert pool.dropped == 1
 
-    def test_oldest_evicts_queued(self, monkeypatch):
-        pool, gate = self._rig(monkeypatch, "oldest")
-        assert pool.submit(_tiny_job(0))
-        assert gate.started.wait(timeout=10.0)
-        assert pool.submit(_tiny_job(1))
-        assert pool.submit(_tiny_job(2))  # evicts job 1, takes its slot
-        gate.release.set()
-        outcomes = pool.close()
-        assert sorted(o.job_id for o in outcomes) == [0, 2]
-        assert pool.dropped == 1
-
     def test_block_loses_nothing(self, monkeypatch):
         pool, gate = self._rig(monkeypatch, "block")
         assert pool.submit(_tiny_job(0))
@@ -287,5 +275,5 @@ class TestDropPolicies:
         assert gauge.peak == 1
 
     def test_constants_exported(self):
-        assert set(DROP_POLICIES) == {"newest", "oldest", "block"}
+        assert set(DROP_POLICIES) == {"newest", "block"}
         assert set(EXECUTORS) == {"serial", "thread", "process"}

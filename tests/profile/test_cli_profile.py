@@ -88,6 +88,33 @@ class TestDiffCommand:
         assert code == 1
         assert "missing" in capsys.readouterr().err
 
+    def test_self_diff_reports_identical_digest(self, manifest_path, capsys):
+        assert main(["diff", str(manifest_path), str(manifest_path)]) == 0
+        assert "digest: identical" in capsys.readouterr().out.splitlines()
+
+    def test_digest_difference_is_reported_not_gated(
+        self, manifest_path, tmp_path, capsys
+    ):
+        # A changed decode result names the differing digest keys, but
+        # the exit code stays the metric gate's alone.
+        data = json.loads(manifest_path.read_text())
+        data["digest"]["packets_decoded"] += 1
+        data["digest"]["decoded_payloads"] = []
+        changed = tmp_path / "changed.json"
+        changed.write_text(json.dumps(data))
+        code = main(["diff", str(manifest_path), str(changed)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "digest: differs in decoded_payloads, packets_decoded" in out
+
+    def test_digest_line_needs_both_digests(self, manifest_path, tmp_path, capsys):
+        data = json.loads(manifest_path.read_text())
+        del data["digest"]
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(data))
+        assert main(["diff", str(manifest_path), str(bare)]) == 0
+        assert "digest:" not in capsys.readouterr().out
+
     def test_unreadable_manifest_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         code = main(["diff", str(missing), str(missing)])

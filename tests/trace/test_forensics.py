@@ -269,7 +269,6 @@ class TestBenchScenario:
             decode_tier="full",
             trace=True,
             trace_sample_rate=0.0,
-            trace_always_sample_failures=True,
         )
         return Gateway(config).run(source)
 

@@ -83,7 +83,7 @@ class TestGatewayTracing:
         assert len(serial_trees) == 4
 
     def test_sample_rate_zero_keeps_no_healthy_traces(self):
-        report = _run(trace_sample_rate=0.0, trace_always_sample_failures=True)
+        report = _run(trace_sample_rate=0.0)
         # Clean traffic: every decode passes CRC, so nothing is retained --
         # but the detection/outcome rows (the forensics substrate) remain.
         assert len(report.trace.packets) == 0
@@ -91,9 +91,7 @@ class TestGatewayTracing:
         assert all(o["crc_ok"] for o in report.trace.outcomes)
 
     def test_sampling_is_deterministic_by_key(self):
-        recorder = TraceRecorder(
-            TraceConfig(sample_rate=0.5, always_sample_failures=False)
-        )
+        recorder = TraceRecorder(TraceConfig(sample_rate=0.5))
         keys = [(0, sf, seq) for sf in (7, 8) for seq in range(20)]
         decisions = {key: recorder.directive(key).sampled for key in keys}
         assert decisions == {key: sample_key(key) < 0.5 for key in keys}
@@ -118,9 +116,7 @@ class TestAlwaysSampleFailures:
         )
 
     def test_failed_job_trace_retained_at_rate_zero(self):
-        recorder = TraceRecorder(
-            TraceConfig(sample_rate=0.0, always_sample_failures=True)
-        )
+        recorder = TraceRecorder(TraceConfig(sample_rate=0.0))
         pool = DecodeWorkerPool(
             executor="serial", rng=0, trace_recorder=recorder
         )
@@ -133,14 +129,3 @@ class TestAlwaysSampleFailures:
         # Only the failure's span tree survives the rate-0 policy.
         assert [p.job_id for p in recorder.packets] == [99]
         assert len(recorder.outcomes) == 2
-
-    def test_failures_disabled_keeps_nothing(self):
-        recorder = TraceRecorder(
-            TraceConfig(sample_rate=0.0, always_sample_failures=False)
-        )
-        pool = DecodeWorkerPool(
-            executor="serial", rng=0, trace_recorder=recorder
-        )
-        pool.submit(self._noise_job())
-        pool.close()
-        assert len(recorder.packets) == 0

@@ -1,7 +1,8 @@
 """Cascade benchmark: tiered decode vs full Choir on a mixed workload.
 
 Renders a deterministic stream of packet windows the way the streaming
-gateway cuts them (two symbols of noise lead, one of tail) -- mostly
+gateway cuts them (:data:`repro.core.cascade.WINDOW_LEAD_SYMBOLS` of
+noise lead, one symbol of tail) -- mostly
 single-user clean packets with a configurable fraction of 2-4-user
 collisions -- and times :func:`repro.gateway.workers.decode_packet_window`
 on the *same* job set under each decode tier.  Records per-tier latency
@@ -33,6 +34,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.channel.noise import awgn  # noqa: E402
+from repro.core.cascade import WINDOW_LEAD_SYMBOLS  # noqa: E402
 from repro.gateway.workers import DecodeJob, decode_packet_window  # noqa: E402
 from repro.hardware import LoRaRadio, OscillatorModel, TimingModel  # noqa: E402
 from repro.phy.packet import LoRaFramer  # noqa: E402
@@ -62,7 +64,6 @@ def build_workload(
     payload_len: int,
     snr_db: float,
     seed: int,
-    coding_rate: int = 4,
 ) -> tuple[list[DecodeJob], list[set[bytes]], int]:
     """Render the mixed job set: mostly clean windows, some collisions.
 
@@ -77,9 +78,9 @@ def build_workload(
     thrash on hopeless windows.
     """
     rng = ensure_rng(seed)
-    framer = LoRaFramer(params, coding_rate=coding_rate)
-    n_data = framer.n_symbols_for_payload(payload_len)
+    n_data = LoRaFramer(params).n_symbols_for_payload(payload_len)
     n = params.samples_per_symbol
+    lead = WINDOW_LEAD_SYMBOLS * n
     amplitude = 10.0 ** (snr_db / 20.0)
     n_collided = int(round(n_packets * collided_fraction))
     jobs: list[DecodeJob] = []
@@ -107,13 +108,13 @@ def build_workload(
             if window is None:
                 window = np.concatenate(
                     [
-                        np.zeros(2 * n, dtype=complex),
+                        np.zeros(lead, dtype=complex),
                         waveform,
                         np.zeros(n, dtype=complex),
                     ]
                 )
             else:
-                window[2 * n : 2 * n + waveform.size] += waveform
+                window[lead : lead + waveform.size] += waveform
             truth.add(payload)
         samples = awgn(window, 1.0, rng=rng)
         jobs.append(
@@ -141,7 +142,6 @@ def run_benchmark(
     snr_db: float = 15.0,
     seed: int = 0,
     inner: int = 3,
-    sync_search_symbols: int = 3,
     max_users: int | None = 4,
 ) -> dict:
     """Time every tier over the identical mixed job set; return the report.
@@ -170,7 +170,6 @@ def run_benchmark(
                 outcome = decode_packet_window(
                     job,
                     base_seed,
-                    sync_search_symbols=sync_search_symbols,
                     max_users=max_users,
                     decode_tier=tier,
                 )
@@ -227,7 +226,6 @@ def run_benchmark(
             "snr_db": snr_db,
             "seed": seed,
             "inner": inner,
-            "sync_search_symbols": sync_search_symbols,
             "max_users": max_users,
         },
         "environment": {

@@ -34,6 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.cascade import DEFAULT_DECODE_TIER  # noqa: E402
 from repro.gateway import Gateway, GatewayConfig, SyntheticTrafficSource  # noqa: E402
+from repro.gateway.workers import EXECUTORS  # noqa: E402
 from repro.mac.simulator import NodeConfig  # noqa: E402
 from repro.phy.params import ChannelPlan, LoRaParams  # noqa: E402
 
@@ -323,9 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--snr", type=float, default=15.0)
     parser.add_argument("--payload-len", type=int, default=4)
     parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument(
-        "--executor", choices=("serial", "thread", "process"), default="thread"
-    )
+    parser.add_argument("--executor", choices=EXECUTORS, default="thread")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--sf", type=int, default=7)
     parser.add_argument(
