@@ -71,6 +71,10 @@ CAMPAIGN_STACKS   ?= campaign_stacks.txt
 
 ANALYZE_OUT ?= analysis_findings.json
 
+# The headline gateway workload (8-channel EU868, SF7+SF8), stated once:
+# bench-gateway measures it and bench-profile profiles the same run.
+HEADLINE_GATEWAY_ARGS := --channels 8 --sf-set 7,8 --nodes 8 --duration 1.0 --workers 2
+
 BENCH_SMOKE_OUT ?= .bench_out/smoke.json
 
 .PHONY: lint analyze typecheck test soak check ci campaign bench-gateway bench-decode bench-cascade bench-capacity bench-check bench-profile profile-check bench-smoke
@@ -141,8 +145,7 @@ campaign:
 # (the configuration the ROADMAP's realtime target is stated against).
 bench-gateway:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/bench_report.py \
-		--channels 8 --sf-set 7,8 --nodes 8 --duration 1.0 --workers 2 \
-		--out BENCH_gateway.json
+		$(HEADLINE_GATEWAY_ARGS) --out BENCH_gateway.json
 
 bench-decode:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/bench_decode.py --out $(BENCH_DECODE_OUT)
@@ -165,8 +168,7 @@ bench-check:
 # committed unprofiled baseline is never overwritten.
 bench-profile:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tools/bench_report.py \
-		--channels 8 --sf-set 7,8 --nodes 8 --duration 1.0 --workers 2 \
-		--out BENCH_gateway.profiled.json \
+		$(HEADLINE_GATEWAY_ARGS) --out BENCH_gateway.profiled.json \
 		--profile-out $(BENCH_PROFILE_OUT) --stacks-out $(BENCH_STACKS_OUT)
 
 # Diff a fresh manifest against the committed BENCH_profile.json.

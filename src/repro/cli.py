@@ -164,48 +164,6 @@ def _parse_sf_set(text: str) -> tuple[int, ...]:
     return values
 
 
-def _write_profile_artifacts(
-    args: argparse.Namespace,
-    kind: str,
-    config: dict,
-    seed,
-    digest=None,
-    telemetry=None,
-    profiler=None,
-    resources=None,
-    extra_metrics=None,
-    points=None,
-) -> None:
-    """Write the run manifest / collapsed stacks the profile flags asked for."""
-    if getattr(args, "profile_out", None):
-        from repro.profile import build_manifest
-
-        manifest = build_manifest(
-            kind,
-            config,
-            seed=seed,
-            digest=digest,
-            telemetry=telemetry,
-            profiler=profiler,
-            resources=resources,
-            extra_metrics=extra_metrics,
-            points=points,
-        )
-        manifest.write(args.profile_out)
-        print(
-            f"run manifest written to {args.profile_out}"
-            f" ({len(manifest.metrics)} comparable metric(s);"
-            f" diff with `python -m repro diff`)"
-        )
-    if getattr(args, "stacks_out", None) and profiler is not None:
-        with open(args.stacks_out, "w") as handle:
-            handle.write(profiler.collapsed())
-        print(
-            f"collapsed stacks written to {args.stacks_out}"
-            " (flamegraph.pl / speedscope ready)"
-        )
-
-
 def cmd_gateway(args: argparse.Namespace) -> int:
     """Run the streaming gateway and print its telemetry summary."""
     from repro.gateway import (
@@ -214,18 +172,12 @@ def cmd_gateway(args: argparse.Namespace) -> int:
         IqFileSource,
         SyntheticTrafficSource,
     )
-    from repro.gateway.sources import SampleSource
-    from repro.mac.simulator import NodeConfig
-    from repro.phy.params import ChannelPlan, LoRaParams
+    from repro.gateway.sources import SampleSource, round_robin_plan
+    from repro.phy.params import LoRaParams
 
     sf_set = args.sf_set if args.sf_set is not None else (args.sf,)
     params = LoRaParams(spreading_factor=sf_set[0])
-    plan = (
-        ChannelPlan.eu868_style(args.channels)
-        if args.channels > 1 or len(sf_set) > 1
-        else None
-    )
-    profile = bool(args.profile_out or args.stacks_out)
+    plan = round_robin_plan(args.channels, sf_set)
     config = GatewayConfig(
         params=params,
         plan=plan,
@@ -239,7 +191,7 @@ def cmd_gateway(args: argparse.Namespace) -> int:
         seed=args.seed,
         trace=bool(args.trace_out),
         trace_sample_rate=args.trace_sample_rate,
-        profile=profile,
+        profile=bool(args.profile_out or args.stacks_out),
         profile_alloc=args.profile_alloc,
     )
     source: SampleSource
@@ -250,24 +202,14 @@ def cmd_gateway(args: argparse.Namespace) -> int:
         source = IqFileSource(params, args.input)
         print(f"replaying {args.input}")
     else:
-        # Round-robin layout: node i on channel i % n, SF sf_set[i % k]
-        # (per-node overrides need a plan; without one all share params).
-        nodes = [
-            NodeConfig(
-                node_id=i,
-                snr_db=args.snr,
-                period_s=args.period,
-                channel=i % config.n_channels,
-                spreading_factor=None if plan is None else sf_set[i % len(sf_set)],
-            )
-            for i in range(args.nodes)
-        ]
-        source = SyntheticTrafficSource(
-            params,
-            nodes,
-            duration_s=args.duration,
+        source = SyntheticTrafficSource.round_robin(
+            sf_set,
+            args.nodes,
+            args.duration,
+            n_channels=args.channels,
+            snr_db=args.snr,
+            period_s=args.period,
             payload_len=args.payload_len,
-            plan=plan,
             rng=args.seed,
         )
         print(
@@ -285,25 +227,10 @@ def cmd_gateway(args: argparse.Namespace) -> int:
         got = sorted(report.decoded_payloads)
         matched = sum(1 for p in got if p in sent)
         print(f"ground truth  {matched}/{len(sent)} transmitted payloads recovered")
-    if args.telemetry_out:
-        gateway.telemetry.write_jsonl(args.telemetry_out)
-        print(f"telemetry written to {args.telemetry_out}")
-    if args.metrics_out:
-        gateway.telemetry.write_prometheus(args.metrics_out)
-        print(f"metrics written to {args.metrics_out}")
-    if args.trace_out and report.trace is not None:
-        from repro.trace import write_trace
-
-        write_trace(report.trace, args.trace_out, kernel_profile=report.profile)
-        print(
-            f"trace written to {args.trace_out}"
-            f" ({len(report.trace)} packet trace(s);"
-            f" inspect with `python -m repro forensics {args.trace_out}`)"
-        )
-    if profile:
-        from repro.scenario.build import report_digest
-
-        run_config = {
+    gateway.write_artifacts(
+        report,
+        "gateway",
+        {
             "duration_s": args.duration,
             "n_nodes": args.nodes,
             "period_s": args.period,
@@ -316,22 +243,13 @@ def cmd_gateway(args: argparse.Namespace) -> int:
             "n_channels": args.channels,
             "sf_set": list(sf_set),
             "decode_tier": args.decode_tier,
-        }
-        _write_profile_artifacts(
-            args,
-            "gateway",
-            run_config,
-            args.seed,
-            digest=report_digest(report),
-            telemetry=gateway.telemetry,
-            profiler=report.profile,
-            resources=report.resources,
-            extra_metrics={
-                "gateway.realtime_factor": report.realtime_factor,
-                "gateway.wall_s": report.wall_s,
-                "gateway.packets_decoded": float(report.packets_decoded),
-            },
-        )
+        },
+        telemetry_out=args.telemetry_out,
+        metrics_out=args.metrics_out,
+        trace_out=args.trace_out,
+        profile_out=args.profile_out,
+        stacks_out=args.stacks_out,
+    )
     return 0
 
 
@@ -400,8 +318,9 @@ def cmd_server(args: argparse.Namespace) -> int:
             handle.write(report.server.sessions_jsonl)
         print(f"session state written to {args.state_out}")
     if args.profile_out:
-        _write_profile_artifacts(
-            args,
+        from repro.profile import write_profile_artifacts
+
+        write_profile_artifacts(
             "server",
             {
                 "n_gateways": args.gateways,
@@ -412,7 +331,8 @@ def cmd_server(args: argparse.Namespace) -> int:
                 "initial_sf": args.initial_sf,
                 "seed": args.seed,
             },
-            args.seed,
+            profile_out=args.profile_out,
+            seed=args.seed,
             telemetry=server.telemetry,
             resources=resources,
             extra_metrics={
@@ -531,16 +451,20 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 point_metrics[f"{prefix}.max_rss_kb"] = float(
                     variant.max_rss_kb
                 )
-        _write_profile_artifacts(
-            args,
+        from repro.profile import write_profile_artifacts
+
+        seed = args.seed if args.seed is not None else spec.sweep.seed
+        write_profile_artifacts(
             "campaign",
             {
                 "scenario": spec.name,
                 "node_counts": list(counts),
                 "duration_s": duration,
-                "seed": args.seed if args.seed is not None else spec.sweep.seed,
+                "seed": seed,
             },
-            args.seed if args.seed is not None else spec.sweep.seed,
+            profile_out=args.profile_out,
+            stacks_out=args.stacks_out,
+            seed=seed,
             profiler=profiler,
             resources=resources,
             extra_metrics=point_metrics,

@@ -52,7 +52,7 @@ recovery table and every decode outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,6 +66,7 @@ from repro.gateway.telemetry import Telemetry, clock, shard_label
 from repro.gateway.workers import DecodeJob, DecodeOutcome, DecodeWorkerPool
 from repro.phy.packet import LoRaFramer
 from repro.phy.params import ChannelPlan, LoRaParams
+from repro.profile.manifest import write_profile_artifacts
 from repro.profile.profiler import KernelProfiler
 from repro.profile.resources import ResourceAccountant, ResourceSummary
 from repro.trace.recorder import TraceConfig, TraceRecorder
@@ -122,9 +123,9 @@ class GatewayConfig:
         traffic.
     profile:
         Attach a :class:`repro.profile.KernelProfiler` to the run:
-        per-kernel wall/FFT/bytes accounting on every executor, folded
-        into telemetry (``profile.kernel.*``) and reported on the
-        :class:`GatewayReport` alongside a resource summary.
+        per-kernel wall/FFT/bytes accounting on every executor, reported
+        on the :class:`GatewayReport` (``profile``) alongside a resource
+        summary.
     profile_alloc:
         With ``profile``, additionally track allocations via
         ``tracemalloc`` and keep the top so-many sites (0 = off; this
@@ -168,10 +169,6 @@ class GatewayConfig:
         return self.plan.channel_params(
             spreading_factor, preamble_len=self.params.preamble_len
         )
-
-    def trace_config(self) -> TraceConfig:
-        """The sampling policy implied by the trace fields."""
-        return TraceConfig(sample_rate=self.trace_sample_rate)
 
     def n_data_symbols(self) -> int:
         """Data symbols per frame of the largest-SF shard."""
@@ -568,31 +565,35 @@ class Gateway:
     :class:`repro.gateway.sources.SampleSource` -- channel 0's baseband,
     or a wideband stream covering ``config.plan`` (for synthetic traffic,
     a :class:`repro.gateway.sources.SyntheticTrafficSource` built with the
-    same plan).  A fresh :class:`Telemetry` registry is created per run
-    unless one is injected (e.g. to aggregate several runs).
+    same plan).  A :class:`Telemetry` registry is created per instance
+    unless one is injected (e.g. to share it with the traffic source);
+    every :meth:`run` of one instance records into the same registry.
+    The trace recorder and kernel profiler come from the config alone
+    (``config.trace`` / ``config.profile``) and are made per instance
+    too.
     ``on_outcome`` streams every decode outcome to the caller live (the
     network-server uplink tap); see
     :class:`repro.gateway.workers.DecodeWorkerPool` for its threading
-    contract.
+    contract.  :meth:`write_artifacts` writes a finished run's files.
     """
 
     def __init__(
         self,
         config: GatewayConfig,
         telemetry: Optional[Telemetry] = None,
-        trace_recorder: Optional[TraceRecorder] = None,
-        profiler: Optional[KernelProfiler] = None,
         on_outcome: Optional[Callable[[DecodeOutcome], None]] = None,
     ) -> None:
         self.config = config
         self.on_outcome = on_outcome
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        if trace_recorder is None and config.trace:
-            trace_recorder = TraceRecorder(config.trace_config())
-        self.trace_recorder = trace_recorder
-        if profiler is None and config.profile:
-            profiler = KernelProfiler()
-        self.profiler = profiler
+        self.trace_recorder: Optional[TraceRecorder] = (
+            TraceRecorder(TraceConfig(sample_rate=config.trace_sample_rate))
+            if config.trace
+            else None
+        )
+        self.profiler: Optional[KernelProfiler] = (
+            KernelProfiler() if config.profile else None
+        )
         # Four frames of the largest SF: room for one packet mid-decode-cut,
         # one arriving, and scan overlap, without unbounded growth.
         self._ring_capacity = 4 * config.frame_samples()
@@ -715,8 +716,6 @@ class Gateway:
         resources: Optional[ResourceSummary] = None
         if accountant is not None:
             resources = accountant.stop()
-        if self.profiler is not None:
-            self.profiler.fold_into(telemetry)
         shards: Dict[str, Dict[str, int]] = {
             scanner.label: {
                 "detected": scanner.detected,
@@ -760,3 +759,57 @@ class Gateway:
             profile=self.profiler,
             resources=resources,
         )
+
+    # ------------------------------------------------------------------
+    def write_artifacts(
+        self,
+        report: GatewayReport,
+        kind: str,
+        config: Mapping[str, Any],
+        telemetry_out: Optional[str] = None,
+        metrics_out: Optional[str] = None,
+        trace_out: Optional[str] = None,
+        profile_out: Optional[str] = None,
+        stacks_out: Optional[str] = None,
+    ) -> None:
+        """Write a finished run's files; a ``None`` path writes nothing.
+
+        Telemetry as JSON lines and Prometheus text, the trace (with the
+        kernel flame strip), and via
+        :func:`repro.profile.write_profile_artifacts` a ``kind`` manifest
+        (``config``, report digest, ``gateway.*`` metrics) plus stacks.
+        """
+        if telemetry_out:
+            self.telemetry.write_jsonl(telemetry_out)
+            print(f"telemetry written to {telemetry_out}")
+        if metrics_out:
+            self.telemetry.write_prometheus(metrics_out)
+            print(f"metrics written to {metrics_out}")
+        if trace_out and report.trace is not None:
+            from repro.trace import write_trace
+
+            write_trace(report.trace, trace_out, kernel_profile=report.profile)
+            print(
+                f"trace written to {trace_out}"
+                f" ({len(report.trace)} packet trace(s);"
+                f" inspect with `python -m repro forensics {trace_out}`)"
+            )
+        if profile_out or stacks_out:
+            from repro.scenario.build import report_digest  # imports this module
+
+            write_profile_artifacts(
+                kind,
+                config,
+                profile_out=profile_out,
+                stacks_out=stacks_out,
+                seed=self.config.seed,
+                digest=report_digest(report),
+                telemetry=self.telemetry,
+                profiler=report.profile,
+                resources=report.resources,
+                extra_metrics={
+                    "gateway.realtime_factor": report.realtime_factor,
+                    "gateway.wall_s": report.wall_s,
+                    "gateway.packets_decoded": float(report.packets_decoded),
+                },
+            )

@@ -39,7 +39,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Protocol, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -200,6 +200,13 @@ class _TrafficScheduler:
             )
 
 
+def round_robin_plan(n_channels: int, sf_set: Sequence[int]) -> Optional[ChannelPlan]:
+    """EU868-style once traffic spans several channels or SFs, else ``None``."""
+    if n_channels > 1 or len(sf_set) > 1:
+        return ChannelPlan.eu868_style(n_channels)
+    return None
+
+
 class SyntheticTrafficSource:
     """Continuous base-station stream synthesized from a node population.
 
@@ -329,6 +336,45 @@ class SyntheticTrafficSource:
         self.active_peak = 0
         #: Ground truth of every frame scheduled so far, in air order.
         self.transmitted: List[TransmittedPacket] = []
+
+    @classmethod
+    def round_robin(
+        cls,
+        sf_set: Sequence[int],
+        n_nodes: int,
+        duration_s: float,
+        *,
+        n_channels: int,
+        snr_db: float,
+        period_s: Optional[float],
+        payload_len: int,
+        rng: RngLike = None,
+    ) -> "SyntheticTrafficSource":
+        """Node ``i`` on channel ``i % n_channels`` at SF ``sf_set[i % len(sf_set)]``.
+
+        Every node has the same SNR and period; the plan is
+        :func:`round_robin_plan`'s.  The traffic of ``repro gateway`` and
+        ``tools/bench_report.py``.
+        """
+        plan = round_robin_plan(n_channels, sf_set)
+        nodes = [
+            NodeConfig(
+                node_id=i,
+                snr_db=snr_db,
+                period_s=period_s,
+                channel=i % n_channels,
+                spreading_factor=None if plan is None else sf_set[i % len(sf_set)],
+            )
+            for i in range(n_nodes)
+        ]
+        return cls(
+            LoRaParams(spreading_factor=sf_set[0]),
+            nodes,
+            duration_s=duration_s,
+            payload_len=payload_len,
+            plan=plan,
+            rng=rng,
+        )
 
     # ------------------------------------------------------------------
     # Scheduling

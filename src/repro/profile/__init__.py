@@ -16,7 +16,8 @@ Four cooperating pieces:
   ``tracemalloc`` top-N accounting.  The *only* module allowed to touch
   ``time.process_time`` / ``resource`` / ``tracemalloc`` (lint R013).
 * :mod:`repro.profile.manifest` -- the self-describing ``RunManifest``
-  JSON every ``repro gateway|server|campaign`` run can emit.
+  JSON every ``repro gateway|server|campaign`` run can emit, written
+  (with collapsed stacks) by the one ``write_profile_artifacts``.
 * :mod:`repro.profile.diff` -- thresholded, lower-is-better-aware
   comparison of two manifests (or two bench reports); the engine behind
   ``repro diff`` and ``tools/bench_report.py --compare``.
@@ -37,6 +38,7 @@ _EXPORTS = {
     "RunManifest": "repro.profile.manifest",
     "build_manifest": "repro.profile.manifest",
     "load_manifest": "repro.profile.manifest",
+    "write_profile_artifacts": "repro.profile.manifest",
     "KernelProfiler": "repro.profile.profiler",
     "shape_bucket": "repro.profile.profiler",
     "ResourceAccountant": "repro.profile.resources",

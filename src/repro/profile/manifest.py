@@ -53,21 +53,14 @@ def package_version() -> str:
     return __version__
 
 
-def telemetry_metrics(
-    snapshot: Mapping[str, Mapping[str, Any]],
-    skip_prefixes: tuple = (),
-) -> Dict[str, float]:
+def telemetry_metrics(snapshot: Mapping[str, Mapping[str, Any]]) -> Dict[str, float]:
     """Flatten a ``Telemetry.snapshot()`` into comparable scalars.
 
     Counters keep their name; gauges add a ``.peak`` row; histograms
-    explode into count / p50 / p95 / max / total rows.  ``skip_prefixes``
-    drops families another manifest section already covers (the kernel
-    table, when a profiler state is attached separately).
+    explode into count / p50 / p95 / max / total rows.
     """
     metrics: Dict[str, float] = {}
     for name, state in snapshot.items():
-        if any(name.startswith(prefix) for prefix in skip_prefixes):
-            continue
         kind = state.get("type")
         if kind == "counter":
             metrics[name] = float(state["value"])
@@ -198,8 +191,7 @@ def build_manifest(
         )
     metrics: Dict[str, float] = {}
     if snapshot is not None:
-        skip = ("profile.kernel.",) if profile_state is not None else ()
-        metrics.update(telemetry_metrics(snapshot, skip_prefixes=skip))
+        metrics.update(telemetry_metrics(snapshot))
     if profile_state is not None:
         metrics.update(profiler_metrics(profile_state))
     if resource_state is not None:
@@ -221,6 +213,37 @@ def build_manifest(
         resources=resource_state,
         points=points,
     )
+
+
+def write_profile_artifacts(
+    kind: str,
+    config: Mapping[str, Any],
+    profile_out: Optional[Union[str, Path]] = None,
+    stacks_out: Optional[Union[str, Path]] = None,
+    profiler: Optional[Any] = None,
+    **manifest_args: Any,
+) -> None:
+    """Write a run's manifest to ``profile_out`` and its stacks to ``stacks_out``.
+
+    The one profile-artifact writer of every run kind.  ``profiler`` and
+    ``manifest_args`` are :func:`build_manifest`'s; the collapsed stacks
+    need a live :class:`~repro.profile.profiler.KernelProfiler`.  A
+    ``None`` path writes nothing; each written file is announced.
+    """
+    if profile_out:
+        manifest = build_manifest(kind, config, profiler=profiler, **manifest_args)
+        manifest.write(profile_out)
+        print(
+            f"run manifest written to {profile_out}"
+            f" ({len(manifest.metrics)} comparable metric(s);"
+            f" diff with `python -m repro diff`)"
+        )
+    if stacks_out and profiler is not None:
+        Path(stacks_out).write_text(profiler.collapsed())
+        print(
+            f"collapsed stacks written to {stacks_out}"
+            " (flamegraph.pl / speedscope ready)"
+        )
 
 
 def load_manifest(path: Union[str, Path]) -> RunManifest:

@@ -24,9 +24,10 @@ of two) to keep metric cardinality bounded.
 
 State round-trips as a plain dict (:meth:`state` / :meth:`merge_state`)
 so per-job profiles ship back across the process executor in the job's
-observation bundle, and :meth:`fold_into` aggregates everything into a
-:class:`~repro.gateway.telemetry.Telemetry` registry under
-``profile.kernel.*`` for the existing JSONL / Prometheus exports.
+observation bundle.  The profiler is the one home of the kernel table:
+the gateway summary, the run manifest (``profile.kernel.*`` metrics via
+:func:`repro.profile.manifest.profiler_metrics`), the collapsed stacks
+and the Chrome trace all read it; nothing copies it into telemetry.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -43,9 +43,6 @@ from typing import (
     Optional,
     Tuple,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.gateway.telemetry import Telemetry
 
 #: Format tag stamped on portable profiler state.
 PROFILE_FORMAT = "repro-profile/v1"
@@ -356,40 +353,6 @@ class KernelProfiler:
     # ------------------------------------------------------------------
     # Exports
     # ------------------------------------------------------------------
-    def fold_into(self, telemetry: "Telemetry") -> None:
-        """Aggregate the kernel table into a telemetry registry.
-
-        Every (kernel, shape) row lands under ``profile.kernel.*``:
-        counters for calls / FFTs / bytes and a duration histogram for
-        self time (exact count / total / max; the mean stands in for the
-        percentile reservoir, since only aggregates survive the merge).
-        """
-        for (name, shape), stat in sorted(self.stats().items()):
-            base = f"profile.kernel.{name}"
-            if shape:
-                base = f"{base}.{shape}"
-            if stat["calls"]:
-                telemetry.counter(f"{base}.calls").inc(stat["calls"])
-                mean = stat["wall_s"] / stat["calls"]
-                telemetry.histogram(f"{base}.wall_s").merge_state(
-                    {
-                        "type": "histogram",
-                        "values": [mean],
-                        "count": stat["calls"],
-                        "total_s": stat["wall_s"],
-                        "max_s": stat["max_wall_s"],
-                    }
-                )
-            if stat["fft_count"]:
-                telemetry.counter(f"{base}.ffts").inc(stat["fft_count"])
-                telemetry.counter(f"{base}.fft_points").inc(
-                    stat["fft_points"]
-                )
-            if stat["bytes_touched"]:
-                telemetry.counter(f"{base}.bytes").inc(
-                    stat["bytes_touched"]
-                )
-
     def collapsed(self) -> str:
         """Collapsed-stack text (``a;b;c <microseconds>`` per line).
 

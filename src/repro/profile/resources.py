@@ -7,10 +7,11 @@ everything else routes through :class:`ResourceAccountant` or the
 can perturb timing or start allocation tracing stay auditable.
 
 The accountant brackets a run: CPU seconds (``time.process_time`` --
-process-wide, so it aggregates every worker thread) against wall
-seconds from ``telemetry.clock()``, the OS-reported peak RSS, and --
-only when explicitly requested, because tracing costs real time -- the
-``tracemalloc`` top-N allocation sites.
+process-wide, so it aggregates every worker thread -- plus child
+processes reaped inside the bracket, such as a process pool's workers)
+against wall seconds from ``telemetry.clock()``, the OS-reported peak
+RSS, and -- only when explicitly requested, because tracing costs real
+time -- the ``tracemalloc`` top-N allocation sites.
 """
 
 from __future__ import annotations
@@ -32,6 +33,14 @@ except ImportError:  # pragma: no cover
 def process_cpu() -> float:
     """CPU seconds consumed by this process (user + system, all threads)."""
     return time.process_time()
+
+
+def reaped_children_cpu() -> float:
+    """User + system CPU seconds of terminated, waited-for children (0 if unsupported)."""
+    if _resource is None:
+        return 0.0
+    usage = _resource.getrusage(_resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 
 
 def peak_rss_kb() -> int:
@@ -118,6 +127,7 @@ class ResourceAccountant:
         self.alloc_top_n = int(alloc_top_n)
         self._wall_start: Optional[float] = None
         self._cpu_start = 0.0
+        self._children_cpu_start = 0.0
         self._started_tracing = False
         self.summary: Optional[ResourceSummary] = None
 
@@ -127,6 +137,7 @@ class ResourceAccountant:
             tracemalloc.start()
             self._started_tracing = True
         self._cpu_start = process_cpu()
+        self._children_cpu_start = reaped_children_cpu()
         self._wall_start = clock()
         return self
 
@@ -136,6 +147,7 @@ class ResourceAccountant:
             raise RuntimeError("ResourceAccountant.stop() before start()")
         wall_s = clock() - self._wall_start
         cpu_s = process_cpu() - self._cpu_start
+        cpu_s += reaped_children_cpu() - self._children_cpu_start
         alloc_peak_kb = 0.0
         top: List[AllocationSite] = []
         if self.alloc_top_n > 0 and tracemalloc.is_tracing():

@@ -181,19 +181,9 @@ def build_gateway(
     spec: ScenarioSpec,
     variant: str = "choir",
     telemetry: Optional[Telemetry] = None,
-    profiler: Optional[Any] = None,
 ) -> Gateway:
-    """A ready-to-run gateway for one variant of the comparison.
-
-    ``profiler`` is an optional :class:`repro.profile.KernelProfiler`
-    shared across points, so a campaign accumulates one kernel table for
-    the whole sweep.
-    """
-    return Gateway(
-        build_gateway_config(spec, variant),
-        telemetry=telemetry,
-        profiler=profiler,
-    )
+    """A ready-to-run gateway for one variant of the comparison."""
+    return Gateway(build_gateway_config(spec, variant), telemetry=telemetry)
 
 
 def report_digest(report: Any) -> Dict[str, Any]:

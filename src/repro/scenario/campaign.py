@@ -19,16 +19,17 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from collections import Counter
 
+from repro.gateway.runtime import Gateway
 from repro.gateway.telemetry import Telemetry
 from repro.profile.profiler import KernelProfiler
 from repro.profile.resources import ResourceAccountant
 from repro.scenario.build import (
-    build_gateway,
+    build_gateway_config,
     build_source,
     offered_load_erlangs,
 )
@@ -45,7 +46,8 @@ class VariantResult:
     """One decoder variant's outcome at one sweep point.
 
     ``cpu_s`` and ``max_rss_kb`` are the point's resource curve sample:
-    process CPU spent on the variant's run and the process peak RSS as
+    process CPU spent on the variant's run (reaped decode-worker
+    processes included) and the process peak RSS as
     of its end (monotone across a campaign -- the *growth* between
     points is what a leak would show).
     """
@@ -139,20 +141,25 @@ def run_variant(
 
     Both variants rebuild the source from the same derived seed, so they
     consume bit-identical air; returns the result and the source's peak
-    resident frame count (the streaming-memory evidence).  ``profiler``
-    (optional, shared across points) accumulates the campaign's kernel
-    table; resource accounting (CPU, peak RSS) is always on -- it costs
-    two clock reads per variant.
+    resident frame count (the streaming-memory evidence).  With a
+    ``profiler`` the variant runs with ``profile=True`` and its own kernel
+    table is merged into ``profiler`` afterwards, so one accumulator
+    (shared across points) sums the campaign's table while each run's
+    telemetry stays its own; resource accounting (CPU, peak RSS) is
+    always on -- it costs two clock reads per variant.
     """
     telemetry = Telemetry()
     source = build_source(
         spec, n_nodes, seed=seed, duration_s=duration_s, telemetry=telemetry
     )
-    gateway = build_gateway(
-        spec, variant=variant, telemetry=telemetry, profiler=profiler
-    )
+    config = build_gateway_config(spec, variant)
+    if profiler is not None:
+        config = replace(config, profile=True)
+    gateway = Gateway(config, telemetry=telemetry)
     with ResourceAccountant() as accountant:
         report = gateway.run(source)
+    if profiler is not None and report.profile is not None:
+        profiler.merge(report.profile)
     resources = accountant.summary
     transmitted = [p.payload.hex() for p in source.transmitted]
     decoded = [p.hex() for p in report.decoded_payloads]
@@ -305,8 +312,9 @@ def run_campaign(
     section (the CI job shrinks the committed scenario this way instead of
     maintaining a second file).  ``on_point`` observes each completed
     point -- progress reporting for multi-minute sweeps.  ``profiler``
-    (optional) accumulates one kernel table across every variant of
-    every point, for the campaign's run manifest.
+    (optional) is an accumulator: every variant of every point profiles
+    into its own table, which :func:`run_variant` merges into it, giving
+    the campaign's run manifest one kernel table for the whole sweep.
     """
     counts = list(node_counts) if node_counts is not None else list(
         spec.sweep.node_counts

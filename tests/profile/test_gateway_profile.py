@@ -58,11 +58,15 @@ class TestCoverage:
         assert measured > 0.0
         assert abs(covered - measured) <= 0.20 * measured
 
-    def test_profile_folded_into_telemetry(self):
+    def test_profile_counts_every_decoded_window(self):
         report = run_profiled()
         sf = f"sf{PARAMS.spreading_factor}"
-        key = f"profile.kernel.decode.window.{sf}.calls"
-        assert report.telemetry[key]["value"] == report.packets_decoded
+        stats = report.profile.stats()
+        assert stats[("decode.window", sf)]["calls"] == report.packets_decoded
+        # The kernel table lives in the profiler only.
+        assert not any(
+            name.startswith("profile.kernel.") for name in report.telemetry
+        )
 
     def test_report_renders_profile_section(self):
         text = run_profiled().summary()

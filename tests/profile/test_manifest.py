@@ -41,12 +41,6 @@ class TestFlattening:
         assert abs(metrics["decode.decode_s.total_s"] - 0.04) < 1e-9
         assert "decode.decode_s.p95_s" in metrics
 
-    def test_skip_prefixes_drop_families(self):
-        metrics = telemetry_metrics(
-            sample_telemetry().snapshot(), skip_prefixes=("decode.",)
-        )
-        assert not any(name.startswith("decode.") for name in metrics)
-
     def test_profiler_metrics_use_dotted_shape(self):
         metrics = profiler_metrics(sample_profiler().state())
         assert "profile.kernel.decode.window.sf7.wall_s" in metrics
@@ -96,24 +90,26 @@ class TestBuildManifest:
         assert "decode.window|sf7" in manifest.kernels["kernels"]
 
     def test_kernel_rows_not_double_counted(self):
-        # When a profiler state is attached, telemetry's folded
-        # profile.kernel.* family must be skipped from the metric table
-        # (the profiler section is authoritative).
-        telemetry = sample_telemetry()
+        # The profiler is the one home of the kernel table: the metric
+        # table carries one set of profile.kernel.* rows, built from it,
+        # and the telemetry section carries none.
         profiler = sample_profiler()
-        profiler.fold_into(telemetry)
         manifest = build_manifest(
-            "gateway", {}, telemetry=telemetry, profiler=profiler
+            "gateway", {}, telemetry=sample_telemetry(), profiler=profiler
         )
-        kernel_rows = [
-            name for name in manifest.metrics
-            if name.startswith("profile.kernel.decode.window.sf7.")
-        ]
+        kernel_rows = {
+            name: value for name, value in manifest.metrics.items()
+            if name.startswith("profile.kernel.")
+        }
+        assert kernel_rows == profiler_metrics(profiler.state())
         assert sorted(kernel_rows) == [
             "profile.kernel.decode.window.sf7.calls",
             "profile.kernel.decode.window.sf7.ffts",
             "profile.kernel.decode.window.sf7.wall_s",
         ]
+        assert not any(
+            name.startswith("profile.kernel.") for name in manifest.telemetry
+        )
 
 
 class TestRoundTrip:

@@ -2,7 +2,6 @@
 
 import json
 
-from repro.gateway.telemetry import Telemetry
 from repro.profile import KernelProfiler, shape_bucket
 from repro.profile.profiler import PROFILE_FORMAT, UNTRACKED
 
@@ -152,19 +151,3 @@ class TestExports:
             assert frames[child]["ts"] >= root["ts"]
             assert (frames[child]["ts"] + frames[child]["dur"]
                     <= root["ts"] + root["dur"] + 1e-6)
-
-    def test_fold_into_telemetry(self):
-        profiler = KernelProfiler()
-        with profiler.kernel("k", "sf7", fft_count=2, fft_points=256,
-                             bytes_touched=64):
-            pass
-        telemetry = Telemetry()
-        profiler.fold_into(telemetry)
-        snap = telemetry.snapshot()
-        assert snap["profile.kernel.k.sf7.calls"]["value"] == 1
-        assert snap["profile.kernel.k.sf7.ffts"]["value"] == 2
-        assert snap["profile.kernel.k.sf7.fft_points"]["value"] == 256
-        assert snap["profile.kernel.k.sf7.bytes"]["value"] == 64
-        hist = snap["profile.kernel.k.sf7.wall_s"]
-        assert hist["count"] == 1
-        assert abs(hist["total_s"] - profiler.kernel_wall_s("k")) < 1e-9

@@ -1,6 +1,8 @@
 """ResourceAccountant: bracketing, opt-in allocation tracing, round-trip."""
 
+import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -36,6 +38,27 @@ class TestBracket:
     def test_utilization(self):
         assert ResourceSummary(wall_s=2.0, cpu_s=4.0, peak_rss_kb=1).utilization == 2.0
         assert ResourceSummary(wall_s=0.0, cpu_s=1.0, peak_rss_kb=1).utilization == 0.0
+
+
+def _burn_cpu(seconds: float) -> float:
+    """Spin until this process has used ``seconds`` of CPU."""
+    started = time.process_time()
+    while time.process_time() - started < seconds:
+        pass
+    return time.process_time() - started
+
+
+class TestReapedWorkers:
+    def test_worker_cpu_counts_once_the_pool_is_shut_down(self):
+        # The parent only waits while its one worker burns 0.3 s of CPU;
+        # the bracket must still charge that CPU once shutdown() has
+        # reaped the worker (RUSAGE_CHILDREN).
+        with ResourceAccountant() as accountant:
+            pool = ProcessPoolExecutor(max_workers=1)
+            burned = pool.submit(_burn_cpu, 0.3).result()
+            pool.shutdown()
+        assert burned >= 0.3
+        assert accountant.summary.cpu_s >= 0.9 * burned
 
 
 class TestAllocationTracing:

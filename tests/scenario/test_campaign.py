@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.gateway.telemetry import Telemetry
+from repro.profile import KernelProfiler
 from repro.scenario import (
     CapacityCurve,
     ScenarioSpec,
@@ -13,6 +15,7 @@ from repro.scenario import (
     run_campaign,
     run_point,
 )
+from repro.scenario.campaign import run_variant
 from repro.scenario.spec import GeometrySpec, PlanSpec, SweepSpec, TrafficSpec
 
 
@@ -153,3 +156,43 @@ class TestEndToEnd:
         spec = tiny_spec()
         p = run_point(spec, 6, duration_s=1.5)
         assert p.choir.packets_offered == p.baseline.packets_offered
+
+
+class TestProfilerAccumulator:
+    def test_shared_profiler_sums_per_run_tables(self, monkeypatch):
+        # The campaign's profiler only accumulates: each variant profiles
+        # into its own table, merged in after the run.  Two runs into one
+        # shared profiler must equal the sum of two runs into fresh ones,
+        # and no run's telemetry may carry a copy of the kernel table.
+        import repro.scenario.campaign as campaign
+
+        spec = tiny_spec()
+        registries = []
+
+        def recording_telemetry():
+            registries.append(Telemetry())
+            return registries[-1]
+
+        monkeypatch.setattr(campaign, "Telemetry", recording_telemetry)
+
+        def calls(profiler):
+            return {key: stat["calls"] for key, stat in profiler.stats().items()}
+
+        shared = KernelProfiler()
+        run_variant(spec, 4, "choir", duration_s=1.0, profiler=shared)
+        run_variant(spec, 4, "baseline", duration_s=1.0, profiler=shared)
+        fresh = [KernelProfiler(), KernelProfiler()]
+        run_variant(spec, 4, "choir", duration_s=1.0, profiler=fresh[0])
+        run_variant(spec, 4, "baseline", duration_s=1.0, profiler=fresh[1])
+
+        summed = calls(fresh[0])
+        for key, count in calls(fresh[1]).items():
+            summed[key] = summed.get(key, 0) + count
+        assert calls(shared) == summed
+        assert summed[("decode.window", "sf7")] > 0
+        assert len(registries) == 4
+        for telemetry in registries:
+            assert telemetry.snapshot()
+            assert not any(
+                name.startswith("profile.kernel.") for name in telemetry.snapshot()
+            )

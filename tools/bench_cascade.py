@@ -32,7 +32,9 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from bench_decode import latency_summary  # noqa: E402
 from repro.channel.noise import awgn  # noqa: E402
 from repro.core.cascade import WINDOW_LEAD_SYMBOLS  # noqa: E402
 from repro.gateway.workers import DecodeJob, decode_packet_window  # noqa: E402
@@ -43,18 +45,6 @@ from repro.utils import as_seed_sequence, ensure_rng  # noqa: E402
 
 #: Tiers timed against each other on the identical job set.
 BENCH_TIERS = ("full", "cascade")
-
-
-def _summary(latencies_s: list[float]) -> dict:
-    """Percentile summary of per-window decode latencies."""
-    arr = np.asarray(latencies_s)
-    return {
-        "p50_s": float(np.percentile(arr, 50)),
-        "p95_s": float(np.percentile(arr, 95)),
-        "p99_s": float(np.percentile(arr, 99)),
-        "mean_s": float(np.mean(arr)),
-        "max_s": float(np.max(arr)),
-    }
 
 
 def build_workload(
@@ -183,7 +173,7 @@ def run_benchmark(
         recovered_by[tier] = recovered
         total_s = float(np.sum(latencies))
         entry = {
-            "latency_s": _summary(latencies),
+            "latency_s": latency_summary(latencies),
             "total_s": total_s,
             "realtime_factor": stream_s / total_s if total_s > 0 else 0.0,
             "recovered": sum(
@@ -206,7 +196,7 @@ def run_benchmark(
                     if o.tier == member
                 ]
                 if split:
-                    entry[f"{sub}_latency_s"] = _summary(split)
+                    entry[f"{sub}_latency_s"] = latency_summary(split)
         tiers[tier] = entry
     parity = {
         "recovered_by_full_only": sum(

@@ -33,9 +33,6 @@ from repro.hardware import LoRaRadio, OscillatorModel, TimingModel  # noqa: E402
 from repro.phy.params import LoRaParams  # noqa: E402
 from repro.utils import ensure_rng  # noqa: E402
 
-#: Latency summary statistics exported per case.
-PERCENTILES = ("p50_s", "p95_s", "p99_s", "mean_s", "max_s")
-
 
 def _render_collision(
     params: LoRaParams,
@@ -63,8 +60,12 @@ def _render_collision(
     return packet.samples
 
 
-def _summary(latencies_s: list[float]) -> dict:
-    """Percentile summary of one case's per-packet decode latencies."""
+def latency_summary(latencies_s: list[float]) -> dict:
+    """Percentile summary of per-packet decode latencies.
+
+    The ``latency_s`` block of ``BENCH_decode.json`` and
+    ``BENCH_cascade.json`` (``tools/bench_cascade.py`` imports it).
+    """
     arr = np.asarray(latencies_s)
     return {
         "p50_s": float(np.percentile(arr, 50)),
@@ -113,7 +114,7 @@ def run_benchmark(
                     "spreading_factor": sf,
                     "n_users": n_users,
                     "reps": reps,
-                    "latency_s": _summary(latencies),
+                    "latency_s": latency_summary(latencies),
                     "mean_users_found": float(np.mean(users_found)),
                 }
             )

@@ -35,8 +35,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.core.cascade import DEFAULT_DECODE_TIER  # noqa: E402
 from repro.gateway import Gateway, GatewayConfig, SyntheticTrafficSource  # noqa: E402
 from repro.gateway.workers import EXECUTORS  # noqa: E402
-from repro.mac.simulator import NodeConfig  # noqa: E402
-from repro.phy.params import ChannelPlan, LoRaParams  # noqa: E402
 
 #: Telemetry histograms exported per stage.
 STAGE_METRICS = (
@@ -75,47 +73,29 @@ def run_benchmark(
     traffic instead of one channel's baseband.  ``decode_tier`` is
     recorded in ``config``, so a ``--compare`` rerun measures the tier
     its baseline did (a baseline without the key reruns at today's
-    default).  ``telemetry_out`` additionally dumps the run's
-    telemetry registry as JSON-lines (the CI artifact), ``metrics_out``
-    writes Prometheus text exposition, and ``trace_out`` enables
-    provenance tracing and writes the trace there.  ``profile`` (or
-    either profile output path) turns on the kernel profiler;
-    ``profile_out`` writes the diffable run manifest and ``stacks_out``
-    the collapsed kernel stacks.  The output paths are deliberately not
-    part of the recorded ``config``, so ``--compare`` reruns stay
-    untraced and unprofiled (both cost a little and baselines must stay
+    default).  ``trace_out`` turns on tracing and ``profile`` (or
+    either profile path) the kernel profiler; every ``*_out`` path goes
+    to :meth:`repro.gateway.Gateway.write_artifacts`, whose manifest has
+    kind ``bench-gateway``.  The output paths are deliberately not part
+    of the recorded ``config``, so ``--compare`` reruns stay untraced
+    and unprofiled (both cost a little and baselines must stay
     comparable).
     """
     sfs = tuple(sf_set) if sf_set else (spreading_factor,)
-    params = LoRaParams(spreading_factor=sfs[0])
-    profiling = bool(profile or profile_out or stacks_out)
-    plan = (
-        ChannelPlan.eu868_style(n_channels)
-        if n_channels > 1 or len(sfs) > 1
-        else None
-    )
-    nodes = [
-        NodeConfig(
-            node_id=i,
-            snr_db=snr_db,
-            period_s=period_s,
-            channel=i % n_channels,
-            spreading_factor=None if plan is None else sfs[i % len(sfs)],
-        )
-        for i in range(n_nodes)
-    ]
-    source = SyntheticTrafficSource(
-        params,
-        nodes,
-        duration_s=duration_s,
+    source = SyntheticTrafficSource.round_robin(
+        sfs,
+        n_nodes,
+        duration_s,
+        n_channels=n_channels,
+        snr_db=snr_db,
+        period_s=period_s,
         payload_len=payload_len,
-        plan=plan,
         rng=seed,
     )
     gateway = Gateway(
         GatewayConfig(
-            params=params,
-            plan=plan,
+            params=source.params,
+            plan=source.plan,
             sf_set=sfs,
             payload_len=payload_len,
             n_workers=n_workers,
@@ -123,18 +103,10 @@ def run_benchmark(
             seed=seed,
             decode_tier=decode_tier,
             trace=bool(trace_out),
-            profile=profiling,
+            profile=bool(profile or profile_out or stacks_out),
         )
     )
     report = gateway.run(source)
-    if telemetry_out:
-        gateway.telemetry.write_jsonl(telemetry_out)
-    if metrics_out:
-        gateway.telemetry.write_prometheus(metrics_out)
-    if trace_out and report.trace is not None:
-        from repro.trace import write_trace
-
-        write_trace(report.trace, trace_out)
     sent = sorted(p.payload for p in source.transmitted)
     got = sorted(report.decoded_payloads)
     recovered = sum(1 for p in got if p in sent)
@@ -187,27 +159,16 @@ def run_benchmark(
     }
     if report.shards is not None:
         result["shards"] = report.shards
-    if profile_out:
-        from repro.profile import build_manifest
-        from repro.scenario.build import report_digest
-
-        manifest = build_manifest(
-            "bench-gateway",
-            result["config"],
-            seed=seed,
-            digest=report_digest(report),
-            telemetry=gateway.telemetry,
-            profiler=report.profile,
-            resources=report.resources,
-            extra_metrics={
-                "gateway.realtime_factor": report.realtime_factor,
-                "gateway.wall_s": report.wall_s,
-                "gateway.packets_decoded": float(report.packets_decoded),
-            },
-        )
-        manifest.write(profile_out)
-    if stacks_out and report.profile is not None:
-        Path(stacks_out).write_text(report.profile.collapsed())
+    gateway.write_artifacts(
+        report,
+        "bench-gateway",
+        result["config"],
+        telemetry_out=telemetry_out,
+        metrics_out=metrics_out,
+        trace_out=trace_out,
+        profile_out=profile_out,
+        stacks_out=stacks_out,
+    )
     return result
 
 
