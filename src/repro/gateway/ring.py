@@ -5,7 +5,8 @@ stage reads windows by *absolute* stream position (sample index since the
 run started), so its bookkeeping survives the buffer wrapping around.
 When a producer outruns the consumer past the ring's capacity, the oldest
 samples are overwritten and counted -- the bounded-memory half of the
-gateway's backpressure story (the decode queue is the other half).
+gateway's backpressure story (the decode pool's admission gate is the
+other half).
 """
 
 from __future__ import annotations

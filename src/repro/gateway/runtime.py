@@ -36,7 +36,7 @@ Stages (each instrumented through :mod:`repro.gateway.telemetry`):
    (:data:`repro.core.cascade.WINDOW_LEAD_SYMBOLS` of lead for
    :func:`repro.core.detection.align_to_window_grid` to find the exact
    boundary) and submit it to the one shared
-   :class:`repro.gateway.workers.DecodeWorkerPool`; the bounded queue's
+   :class:`repro.gateway.workers.DecodeWorkerPool`; its admission gate's
    drop policy is the backpressure valve.  Jobs carry their shard's
    params and the RNG key ``(channel, sf, shard_seq)``, so decode results
    are deterministic no matter how shards interleave or which executor

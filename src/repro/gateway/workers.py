@@ -1,20 +1,25 @@
 """Parallel decode workers wrapping :class:`repro.core.ChoirDecoder`.
 
 The gateway's dispatch stage hands detected packet windows to a
-:class:`DecodeWorkerPool`.  Three executors share one code path:
+:class:`DecodeWorkerPool`.  Three executors share one decode and
+accounting path:
 
-* ``"serial"`` -- decode inline in the caller (deterministic baseline,
+* ``"serial"`` -- decode inline in the caller (deterministic reference,
   also what the tests lean on),
-* ``"thread"`` -- a bounded queue drained by worker threads (numpy's FFTs
-  release the GIL for the hot part),
+* ``"thread"`` -- a :class:`concurrent.futures.ThreadPoolExecutor`;
+  workers share the ingest thread's GIL, so this scales only as far as
+  the decoder's numpy calls release it,
 * ``"process"`` -- a :class:`concurrent.futures.ProcessPoolExecutor` for
-  per-core scaling when thread-level parallelism is not enough.
+  per-core scaling.
 
-Backpressure is explicit: the queue is bounded and the drop policy says
-what happens when decode falls behind ingest -- drop the ``"newest"``
-window (default: keep latency bounded, lose the packet that arrived into
-an overloaded system) or ``"block"`` ingest (lossless, at the price of
-stalling the stream).
+Both parallel executors dispatch the same way: one admission gate (a
+bounded semaphore with a slot per worker plus ``queue_capacity`` slots
+for windows awaiting decode), ``Executor.submit``, and one done callback
+that records the outcome and frees the slot.  The drop policy says what
+happens when every slot is taken, i.e. decode has fallen behind ingest
+-- drop the ``"newest"`` window (default: keep latency bounded, lose the
+packet that arrived into an overloaded system) or ``"block"`` ingest
+(lossless, at the price of stalling the stream).
 
 Every decode job carries its own RNG derived from the pool seed and the
 job's shard key (:func:`repro.utils.derive_rng`), so which worker decodes
@@ -34,12 +39,10 @@ traces are identical across executors by construction.
 
 from __future__ import annotations
 
-import queue
 import threading
-import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -258,7 +261,7 @@ def decode_packet_window(
 
 
 class DecodeWorkerPool:
-    """Bounded-queue pool of Choir decode workers.
+    """Pool of Choir decode workers behind one bounded admission gate.
 
     Every job decodes with its own ``params`` (see :class:`DecodeJob`),
     so one pool serves any mix of channels and spreading factors.
@@ -270,7 +273,8 @@ class DecodeWorkerPool:
     executor:
         ``"serial"``, ``"thread"`` or ``"process"``.
     queue_capacity:
-        Maximum windows awaiting decode before the drop policy applies.
+        Maximum windows awaiting decode before the drop policy applies;
+        jobs already running on a worker do not count against it.
     drop_policy:
         Overload behavior; see :data:`DROP_POLICIES`.
     max_users:
@@ -300,9 +304,13 @@ class DecodeWorkerPool:
         Optional live outcome hook, called once per recorded outcome
         (after aggregation, outside the pool lock) -- the gateway's
         report-streaming tap, e.g. forwarding decoded frames to a
-        network server while the stream is still running.  Thread and
-        process executors call it from worker/callback threads, so the
-        callable must be thread-safe; outcomes may arrive out of stream
+        network server while the stream is still running.  It runs in
+        the thread that completes the job: the caller of :meth:`submit`
+        under ``"serial"``, the decoding worker thread under
+        ``"thread"``, and the executor's result-handling thread under
+        ``"process"`` (a job already done when :meth:`submit` attaches
+        its callback is recorded by the caller).  The callable must
+        therefore be thread-safe, and outcomes may arrive out of stream
         order.
     """
 
@@ -350,35 +358,28 @@ class DecodeWorkerPool:
         self._outcomes: List[DecodeOutcome] = []
         self._lock = threading.Lock()
         self._closed = False
-        self._queue: "queue.Queue[Optional[DecodeJob]]" = queue.Queue(
-            maxsize=queue_capacity
-        )
-        self._threads: List[threading.Thread] = []
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._futures: Dict[int, "Future[DecodeOutcome]"] = {}
-        # In-flight process jobs, kept parent-side so a worker crash can
-        # still be recorded as an error outcome.
-        self._jobs: Dict[int, DecodeJob] = {}
+        # One admission gate for both parallel executors: a slot per
+        # running job plus one per window awaiting decode.
+        self._slots = threading.BoundedSemaphore(queue_capacity + n_workers)
+        self._admitted = 0  # jobs holding a slot; guarded by _lock
+        self._executor: Optional[Executor] = None
         if executor == "thread":
-            self._threads = [
-                threading.Thread(
-                    target=self._thread_worker, name=f"decode-{i}", daemon=True
-                )
-                for i in range(n_workers)
-            ]
-            for thread in self._threads:
-                thread.start()
+            self._executor = ThreadPoolExecutor(n_workers, "decode")
         elif executor == "process":
-            self._pool = ProcessPoolExecutor(max_workers=n_workers)
+            self._executor = ProcessPoolExecutor(n_workers)
 
     # ------------------------------------------------------------------
     # Shared decode + accounting
     # ------------------------------------------------------------------
-    def _directive(self, job: DecodeJob) -> Optional[TraceDirective]:
-        """The job's tracing instruction, or None when tracing is off."""
-        if self.trace_recorder is None:
-            return None
-        return self.trace_recorder.directive(job.key)
+    def _options(self, job: DecodeJob) -> Dict[str, Any]:
+        """Keyword arguments of :func:`decode_packet_window` for ``job``."""
+        recorder = self.trace_recorder
+        return {
+            "max_users": self.max_users,
+            "decode_tier": self.decode_tier,
+            "trace_directive": None if recorder is None else recorder.directive(job.key),
+            "profile": self.profiler is not None,
+        }
 
     @staticmethod
     def _error_outcome(job: DecodeJob, exc: BaseException) -> DecodeOutcome:
@@ -396,20 +397,6 @@ class DecodeWorkerPool:
             spreading_factor=job.params.spreading_factor,
             rng_key=job.rng_key,
         )
-
-    def _decode(self, job: DecodeJob) -> DecodeOutcome:
-        try:
-            return decode_packet_window(
-                job,
-                self._base_seed,
-                max_users=self.max_users,
-                decode_tier=self.decode_tier,
-                trace_directive=self._directive(job),
-                profile=self.profiler is not None,
-            )
-        except Exception as exc:  # defensive: a worker must never die
-            self.telemetry.counter("decode.errors").inc()
-            return self._error_outcome(job, exc)
 
     def _record(self, outcome: DecodeOutcome) -> None:
         with self._lock:
@@ -429,6 +416,8 @@ class DecodeWorkerPool:
             self.telemetry.counter("decode.crc_ok").inc()
         elif outcome.error is None:
             self.telemetry.counter("decode.crc_failed").inc()
+        else:
+            self.telemetry.counter("decode.errors").inc()
         if outcome.spreading_factor is not None:
             # Per-(channel, SF) counters let the report break recovery
             # out by shard.
@@ -472,100 +461,57 @@ class DecodeWorkerPool:
         self.telemetry.counter("dispatch.dropped").inc()
         self.telemetry.counter(f"{label}.dispatch.dropped").inc()
 
-    # ------------------------------------------------------------------
-    # Thread executor
-    # ------------------------------------------------------------------
-    def _queued_jobs(self) -> int:
-        """Jobs waiting in the thread queue; shutdown sentinels excluded."""
-        with self._queue.mutex:
-            return sum(1 for job in self._queue.queue if job is not None)
+    def _done(self, job: DecodeJob, future: "Future[DecodeOutcome]") -> None:
+        """Record a finished job, then give its admission slot back.
 
-    def _thread_worker(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is None:
-                self._queue.task_done()
-                return
-            self.telemetry.gauge("dispatch.queue_depth").set(self._queued_jobs())
-            self._record(self._decode(job))
-            self._queue.task_done()
-
-    def _submit_thread(self, job: DecodeJob) -> bool:
-        if self.drop_policy == "block":
-            self._queue.put(job)
-            return True
+        A job that raised -- or whose worker process died before it
+        could answer -- becomes one error outcome on its own shard.
+        """
         try:
-            self._queue.put_nowait(job)
-            return True
-        except queue.Full:
-            self._count_drop(job.label)
-            return False
+            exc = future.exception()
+            self._record(
+                future.result() if exc is None else self._error_outcome(job, exc)
+            )
+        finally:
+            self._admit(-1)
+            self._slots.release()
 
-    # ------------------------------------------------------------------
-    # Process executor
-    # ------------------------------------------------------------------
-    def _in_flight(self) -> int:
+    def _admit(self, delta: int) -> None:
+        """Count jobs into (+1) or out of (-1) the gate; publish the waiting."""
         with self._lock:
-            return sum(1 for f in self._futures.values() if not f.done())
-
-    def _submit_process(self, job: DecodeJob) -> bool:
-        assert self._pool is not None
-        while self._in_flight() >= self.queue_capacity:
-            if self.drop_policy == "newest":
-                self._count_drop(job.label)
-                return False
-            time.sleep(0.001)  # block: poll until a slot frees
-        future = self._pool.submit(
-            decode_packet_window,
-            job,
-            self._base_seed,
-            max_users=self.max_users,
-            decode_tier=self.decode_tier,
-            trace_directive=self._directive(job),
-            profile=self.profiler is not None,
-        )
-        with self._lock:
-            self._futures[job.job_id] = future
-            self._jobs[job.job_id] = job
-        future.add_done_callback(lambda f, jid=job.job_id: self._process_done(jid, f))
-        return True
-
-    def _process_done(self, job_id: int, future: "Future[DecodeOutcome]") -> None:
-        with self._lock:
-            job = self._jobs.pop(job_id)
-            # Drop the completed future so the table tracks only live
-            # work; otherwise it grows for the pool's lifetime and every
-            # _in_flight() scan pays for all jobs ever submitted.
-            self._futures.pop(job_id, None)
-        exc = future.exception()
-        if exc is not None:
-            # A worker died outright (the in-worker try/except never got
-            # to run); synthesize the error outcome parent-side so no
-            # job goes unaccounted and telemetry matches serial runs.
-            self.telemetry.counter("decode.errors").inc()
-            self._record(self._error_outcome(job, exc))
-            return
-        self._record(future.result())
+            self._admitted += delta
+            self.telemetry.gauge("dispatch.queue_depth").set(
+                max(self._admitted - self.n_workers, 0)
+            )
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def submit(self, job: DecodeJob) -> bool:
-        """Enqueue ``job``; returns False when the drop policy rejected it.
+        """Admit ``job``; returns False when the drop policy rejected it.
 
-        Rejected jobs are counted under ``dispatch.dropped``.
+        Rejected jobs are counted under ``dispatch.dropped``.  On the
+        parallel executors ``dispatch.queue_depth`` tracks the admitted
+        jobs waiting for a worker.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
         self.telemetry.counter("dispatch.submitted").inc()
-        if self.executor == "serial":
-            self._record(self._decode(job))
+        options = self._options(job)
+        if self._executor is None:
+            try:
+                outcome = decode_packet_window(job, self._base_seed, **options)
+            except Exception as exc:  # defensive: one error outcome, no crash
+                outcome = self._error_outcome(job, exc)
+            self._record(outcome)
             return True
-        if self.executor == "thread":
-            accepted = self._submit_thread(job)
-            self.telemetry.gauge("dispatch.queue_depth").set(self._queued_jobs())
-            return accepted
-        return self._submit_process(job)
+        if not self._slots.acquire(blocking=self.drop_policy == "block"):
+            self._count_drop(job.label)
+            return False
+        self._admit(1)
+        future = self._executor.submit(decode_packet_window, job, self._base_seed, **options)
+        future.add_done_callback(lambda f: self._done(job, f))
+        return True
 
     @property
     def dropped(self) -> int:
@@ -580,20 +526,7 @@ class DecodeWorkerPool:
         """
         if not self._closed:
             self._closed = True
-            if self.executor == "thread":
-                for _ in self._threads:
-                    self._queue.put(None)
-                for thread in self._threads:
-                    thread.join()
-            elif self.executor == "process":
-                assert self._pool is not None
-                with self._lock:
-                    futures = list(self._futures.values())
-                for future in futures:
-                    try:
-                        future.result()
-                    except Exception:
-                        pass  # already counted in _process_done
-                self._pool.shutdown()
+            if self._executor is not None:
+                self._executor.shutdown(wait=True)
         with self._lock:
             return sorted(self._outcomes, key=lambda o: o.job_id)

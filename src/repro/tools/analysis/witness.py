@@ -35,11 +35,13 @@ from repro.tools.analysis.concurrency import SAFE_CLASSIFICATIONS, ConcurrencyAn
 from repro.tools.analysis.engine import _iter_python_files, build_module_model
 from repro.tools.analysis.project import Project
 
+# No semaphores: any thread may release one (the decode pool's admission
+# gate is released by whichever thread finishes the job), so "held by the
+# acquiring thread" would mark that thread's later writes as guarded.
 _LOCK_TYPES = (
     type(threading.Lock()),
     type(threading.RLock()),
     threading.Condition,
-    threading.Semaphore,
 )
 
 

@@ -1,5 +1,6 @@
 """Tests for the decode worker pool: correctness, determinism, backpressure."""
 
+import sys
 import threading
 import time
 
@@ -103,6 +104,8 @@ class TestPoolExecutors:
         outcomes = pool.close()
         assert len(outcomes) == 1
         assert outcomes[0].payload == payload
+        # The closed pool reports no job left waiting for a worker.
+        assert pool.telemetry.snapshot()["dispatch.queue_depth"]["value"] == 0
 
     def test_process_telemetry_parity_with_serial(self):
         # The per-job counters are recorded worker-side and shipped back
@@ -254,25 +257,73 @@ class TestDropPolicies:
         assert sorted(o.job_id for o in outcomes) == [0, 1, 2]
         assert pool.dropped == 0
 
-    def test_queue_depth_gauge_ignores_shutdown_sentinels(self, monkeypatch):
+    def test_queue_depth_gauge_counts_waiting_jobs(self, monkeypatch):
         pool, gate = self._rig(monkeypatch, "block", queue_capacity=2)
+        gauge = pool.telemetry.gauge("dispatch.queue_depth")
         assert pool.submit(_tiny_job(0))
         assert gate.started.wait(timeout=10.0)  # worker holds job 0
-        assert pool.submit(_tiny_job(1))        # job 1 waits in the queue
+        assert gauge.value == 0                 # running, not waiting
+        assert pool.submit(_tiny_job(1))        # job 1 waits for the worker
+        assert gauge.value == 1
         closer = threading.Thread(target=pool.close)
         closer.start()
-        # close() queues its sentinel behind job 1 while job 0 is held.
-        deadline = time.monotonic() + 10.0
-        while pool._queue.qsize() < 2 and time.monotonic() < deadline:
-            time.sleep(0.001)
-        assert pool._queue.qsize() == 2
+        closer.join(timeout=0.05)
+        assert closer.is_alive()  # close() drains: it waits for job 0
         gate.release.set()
         closer.join(timeout=10.0)
         assert not closer.is_alive()
         assert sorted(o.job_id for o in pool.close()) == [0, 1]
-        gauge = pool.telemetry.gauge("dispatch.queue_depth")
         assert gauge.value == 0
         assert gauge.peak == 1
+
+    def test_process_newest_counts_only_waiting_jobs_against_capacity(self):
+        # One worker and one waiting slot: of three jobs submitted back to
+        # back, the first runs, the second waits and only the third drops.
+        pool = DecodeWorkerPool(
+            n_workers=1,
+            executor="process",
+            queue_capacity=1,
+            drop_policy="newest",
+            rng=0,
+        )
+        jobs = [_clean_window(seed=s)[0] for s in (30, 31, 32)]
+        accepted = [pool.submit(job) for job in jobs]
+        outcomes = pool.close()
+        assert accepted == [True, True, False]
+        assert [o.job_id for o in outcomes] == [30, 31]
+        assert pool.dropped == 1
+
+    def test_admission_gate_survives_contention(self, monkeypatch):
+        # More workers than cores, a tiny switch interval and a blocking
+        # gate two slots deep: a lost update of the admitted count or a
+        # leaked slot would strand a submit, lose an outcome or leave the
+        # gauge above zero.
+        gate = _GatedDecode()
+        gate.release.set()  # no job is held
+        monkeypatch.setattr("repro.gateway.workers.decode_packet_window", gate)
+        pool = DecodeWorkerPool(
+            n_workers=8, executor="thread", queue_capacity=2, drop_policy="block"
+        )
+        outcomes: list = []
+
+        def run():
+            for job_id in range(400):
+                pool.submit(_tiny_job(job_id))
+            outcomes.extend(pool.close())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            driver = threading.Thread(target=run)
+            driver.start()
+            driver.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not driver.is_alive()
+        assert [o.job_id for o in outcomes] == list(range(400))
+        assert pool.dropped == 0
+        assert pool._admitted == 0
+        assert pool.telemetry.gauge("dispatch.queue_depth").value == 0
 
     def test_constants_exported(self):
         assert set(DROP_POLICIES) == {"newest", "block"}

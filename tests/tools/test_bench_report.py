@@ -18,9 +18,16 @@ def _load_bench_report():
 
 def test_rerun_measures_the_recorded_tier():
     bench_report = _load_bench_report()
-    baseline = bench_report.run_benchmark(duration_s=0.3, decode_tier="full")
+    # 0.1 s periods put packets into a 0.3 s run (the default 0.5 s
+    # period sends none), so both runs decode real traffic.
+    baseline = bench_report.run_benchmark(
+        duration_s=0.3, period_s=0.1, decode_tier="full"
+    )
     assert baseline["config"]["decode_tier"] == "full"
-    assert bench_report.rerun_from(baseline)["config"]["decode_tier"] == "full"
+    assert baseline["counts"]["decoded"] >= 1
+    rerun = bench_report.rerun_from(baseline)
+    assert rerun["config"]["decode_tier"] == "full"
+    assert rerun["counts"]["decoded"] >= 1
     # A baseline from before the key existed reruns at today's default.
     del baseline["config"]["decode_tier"]
     rerun = bench_report.rerun_from(baseline)

@@ -81,6 +81,18 @@ class TestEventLog:
         mutates = [e for e in witness.write_events() if e.kind == "mutate"]
         assert mutates[0].locks == frozenset()
 
+    def test_semaphore_released_elsewhere_guards_nothing(self):
+        # A slot taken here and given back by another thread must not
+        # leave this thread looking as if it still held a lock.
+        obj = Racy()
+        obj._slots = threading.BoundedSemaphore(1)
+        witness = attach(obj)
+        obj._slots.acquire()
+        run_in_thread(obj._slots.release)
+        obj.poke()
+        mutates = [e for e in witness.write_events() if e.kind == "mutate"]
+        assert mutates[0].locks == frozenset()
+
 
 class TestSharedWriteDetection:
     def test_single_thread_writes_are_not_shared(self):
