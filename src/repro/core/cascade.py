@@ -170,6 +170,7 @@ class ChoirPipeline:
                     crc_ok=frame.crc_ok,
                 )
             )
+        observe.counter("decode.crc_trials", len(results))
         return results
 
     def decode_window(
@@ -284,6 +285,7 @@ class CascadePipeline:
             if user.symbols.size < self.framer.n_symbols_for_payload(payload_len):
                 return None, REASON_TRUNCATED
             frame = user.decode_payload(self.framer, payload_len)
+            observe.counter("decode.crc_trials")
             result = WindowDecode(
                 users=(
                     UserFrame(

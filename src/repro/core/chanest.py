@@ -86,16 +86,6 @@ def data_column(
     return column
 
 
-def solve_channels(dechirped: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Least-squares amplitudes for an arbitrary model matrix.
-
-    ``columns`` has shape ``(n_samples, n_users)``; returns the per-user
-    complex amplitudes minimizing ``||dechirped - columns @ h||``.
-    """
-    solution, *_ = np.linalg.lstsq(columns, np.asarray(dechirped), rcond=None)
-    return solution
-
-
 def estimate_channels(
     dechirped: np.ndarray,
     positions_bins: np.ndarray,

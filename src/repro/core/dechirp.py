@@ -73,7 +73,7 @@ def _sample_index_for(n_samples: int) -> np.ndarray:
 def cached_sample_index(n_samples: int) -> np.ndarray:
     """Read-only cached ``np.arange(n_samples)`` phasor index.
 
-    Every DTFT basis in the receiver (:func:`evaluate_spectrum_at`, the
+    Every phasor basis in the receiver (the data stage's derotations, the
     tone matrix, the residual engine's candidate columns) starts from this
     vector; allocating it per call measurably taxed the offset search,
     which builds thousands of bases per packet.  Mirrors
@@ -133,25 +133,39 @@ def spectrum_bin_positions(n_bins: int, oversample: int = DEFAULT_OVERSAMPLE) ->
     return np.arange(n_bins * oversample) / oversample
 
 
-def evaluate_spectrum_at(dechirped: np.ndarray, positions_bins: np.ndarray) -> np.ndarray:
-    """Exact DTFT of a dechirped window at arbitrary fractional bins.
+@lru_cache(maxsize=64)
+def _quarter_bin_shift(n_samples: int) -> np.ndarray:
+    """Phasor moving a window's spectrum down by a quarter bin.
 
-    Computes ``sum_n z[n] * exp(-2j*pi*p*n/N)`` for each position ``p`` --
-    the infinitely zero-padded FFT evaluated only where needed.  Used by the
-    fine offset search, where FFT-grid quantization would defeat the point.
+    Read-only for the same reason as :func:`_downchirp_for`.
+    """
+    shift = np.exp(-2j * np.pi * 0.25 * cached_sample_index(n_samples) / n_samples)
+    shift.setflags(write=False)
+    return shift
+
+
+def quarter_bin_probe(dechirped: np.ndarray) -> np.ndarray:
+    """Exact DTFT of one window a quarter bin either side of every bin.
+
+    Entry ``k`` of the returned ``2N`` values is the DTFT at ``k / 2 +
+    0.25`` bins, so entry ``2c`` sits a quarter bin above bin ``c`` and
+    entry ``2c - 1`` a quarter bin below it (``c = 0`` wraps to the last
+    entry, ``N - 0.25``, equal to ``-0.25`` by periodicity): bins ``4c + 1``
+    and ``4c - 1`` of the FFT zero-padded to ``4N``.  One ``2N``-point FFT
+    of the window times a quarter-bin phasor.  The data stage's decision
+    scores every near-maximal candidate's sub-bin deviation from these
+    two neighbours and the plain ``N``-point FFT between them, instead of
+    one DTFT basis per candidate.
+
+    Not the ``4N``-point FFT itself: numpy releases the GIL in FFTs longer
+    than about 500 points (``4N = 512`` at SF7, ``2N = 256`` not), and a
+    thread that releases the GIL waits up to a switch interval to get it
+    back from a busy thread.  On the threaded decode pool that wait cost
+    more than the transform.
     """
     dechirped = np.asarray(dechirped)
     n = dechirped.shape[-1]
-    positions_bins = np.atleast_1d(np.asarray(positions_bins, dtype=float))
-    with observe.kernel(
-        "dechirp.dtft",
-        f"N{n}.C{shape_bucket(positions_bins.size)}",
-        bytes_touched=16 * positions_bins.size * n,
-    ):
-        basis = np.exp(
-            -2j * np.pi * np.outer(positions_bins, cached_sample_index(n)) / n
-        )
-        return basis @ dechirped
+    return np.fft.fft(dechirped * _quarter_bin_shift(n), 2 * n)
 
 
 def spectrogram(

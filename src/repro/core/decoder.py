@@ -15,20 +15,21 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, get_args
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 
 from repro import observe
-from repro.core.chanest import data_column, solve_channels
+from repro.core.chanest import data_column
 from repro.core.dechirp import (
     DEFAULT_OVERSAMPLE,
     cached_sample_index,
     dechirp_windows,
-    evaluate_spectrum_at,
     oversampled_spectrum,
+    quarter_bin_probe,
 )
 from repro.core.detection import accumulate_preamble, sliding_packet_search
+from repro.core.engine import fit_columns
 from repro.core.peaks import find_peaks
 from repro.core.joint_ml import TeamMember, joint_ml_decode, template_correlation_decode
 from repro.core.offsets import UserEstimate, build_user_estimates, refine_offsets
@@ -36,6 +37,7 @@ from repro.core.sic import _merge_duplicates, phased_sic
 from repro.core.tracking import ConstrainedClusterer, centroids_from_estimates
 from repro.phy.packet import DecodedFrame, LoRaFramer
 from repro.phy.params import LoRaParams
+from repro.profile.profiler import shape_bucket
 from repro.utils import circular_distance, ensure_rng
 from repro.utils.rng import RngLike
 
@@ -49,6 +51,28 @@ TeamDecodeMethod = Literal["template", "members"]
 
 DECODE_METHODS: tuple[str, ...] = get_args(DecodeMethod)
 TEAM_DECODE_METHODS: tuple[str, ...] = get_args(TeamDecodeMethod)
+
+
+def _parabolic_deviation(
+    left: np.ndarray, centre: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """Sub-bin offset of candidate tones from the integer grid.
+
+    ``left``, ``centre`` and ``right`` are spectrum magnitudes at ``c -
+    0.25``, ``c`` and ``c + 0.25`` bins for each candidate bin ``c``; a
+    parabola through the three gives its vertex.  A user's *own* tone sits
+    on-grid after derotation (deviation ~0), while a fractional-signature
+    collider's tone sits at its signature difference away.  A flat probe
+    reads 0; the vertex is clipped to +/-0.5 bin.
+    """
+    denom = left - 2.0 * centre + right
+    vertex = np.divide(
+        0.5 * (left - right),
+        denom,
+        out=np.zeros_like(denom),
+        where=np.abs(denom) >= 1e-30,
+    )
+    return np.minimum(np.maximum(vertex * 0.25, -0.5), 0.5)
 
 
 @dataclass
@@ -183,61 +207,50 @@ class ChoirDecoder:
         subtraction uses the exact delayed-window model (current symbol
         plus the previous symbol's head segment), which is what keeps the
         residual near the noise floor in the near-far regime.
+
+        Each decision is one FFT, plus one quarter-bin probe FFT
+        (:func:`~repro.core.dechirp.quarter_bin_probe`) when several
+        candidates are near the peak.  Each subtract is one
+        normal-equation fit (:func:`~repro.core.engine.fit_columns`) over
+        model columns cached per ``(user, decided symbol)`` for the window,
+        so the re-fits and sweeps rebuild a column only when its user's
+        decision changed.
         """
         n = dechirped.size
         samples = cached_sample_index(n)
         decided = np.zeros(len(users), dtype=np.int64)
         decided_users: list[int] = []
         residual = dechirped
-        order = sorted(
-            range(len(users)),
-            key=lambda i: users[i].channel_magnitude,
-            reverse=True,
-        )
+        magnitudes = [user.channel_magnitude for user in users]
+        order = sorted(range(len(users)), key=magnitudes.__getitem__, reverse=True)
+        shape = f"N{n}.K{shape_bucket(len(users))}"
+        derotations = [
+            np.exp(-2j * np.pi * user.position_bins * samples / n) for user in users
+        ]
+        columns: dict[tuple[int, int], np.ndarray] = {}
 
-        def model_columns(indices: list[int], junk: np.ndarray | None = None) -> np.ndarray:
-            columns = [
-                data_column(
-                    users[i].position_bins,
-                    users[i].delay_samples,
-                    int(decided[i]),
-                    int(prev_symbols[i]),
+        def column(idx: int) -> np.ndarray:
+            key = (idx, int(decided[idx]))
+            cached = columns.get(key)
+            if cached is None:
+                cached = columns[key] = data_column(
+                    users[idx].position_bins,
+                    users[idx].delay_samples,
+                    key[1],
+                    int(prev_symbols[idx]),
                     n,
                 )
-                for i in indices
-            ]
-            if junk is not None:
-                columns.extend(
-                    np.exp(2j * np.pi * pos * samples / n) for pos in junk
-                )
-            return np.stack(columns, axis=-1)
+            return cached
 
-        def subtract(indices: list[int], junk: np.ndarray | None = None) -> np.ndarray:
-            if not indices and (junk is None or junk.size == 0):
+        def subtract(indices: list[int], junk: Sequence[np.ndarray] = ()) -> np.ndarray:
+            if not indices and not junk:
                 return dechirped
-            columns = model_columns(indices, junk)
-            amplitudes = solve_channels(dechirped, columns)
-            return dechirped - columns @ amplitudes
+            with observe.kernel("decode.subtract", shape):
+                model = np.stack([column(i) for i in indices] + list(junk), axis=-1)
+                amplitudes, _ = fit_columns(model, dechirped)
+                return dechirped - model @ amplitudes
 
-        def _deviation(derotated: np.ndarray, candidate: int) -> float:
-            """Sub-bin offset of a candidate tone from the integer grid.
-
-            Evaluates the DTFT at candidate +/- 0.25 bins and fits a
-            parabola: a user's *own* tone sits on-grid after derotation
-            (deviation ~0), while a fractional-signature collider's tone
-            sits at its signature difference away.
-            """
-            offsets = np.array([-0.25, 0.0, 0.25])
-            probe = np.abs(
-                evaluate_spectrum_at(derotated, candidate + offsets)
-            )
-            denom = probe[0] - 2.0 * probe[1] + probe[2]
-            if abs(denom) < 1e-30:
-                return 0.0
-            vertex = 0.5 * (probe[0] - probe[2]) / denom * 0.25
-            return float(np.clip(vertex, -0.5, 0.5))
-
-        def decide(signal: np.ndarray, idx: int, exclude: set[int] | None = None) -> int:
+        def decide(signal: np.ndarray, idx: int, exclude: int | None = None) -> int:
             """Matched-filter decision with fractional-position tracking.
 
             Among near-maximal candidates, prefer the one that (a) sits on
@@ -248,25 +261,27 @@ class ChoirDecoder:
             each one's tone registers near an integer bin of the other's
             filter.
             """
-            user = users[idx]
-            mu = user.position_bins
-            derotated = signal * np.exp(-2j * np.pi * mu * samples / n)
-            spectrum = np.fft.fft(derotated, n)
-            magnitude = np.abs(spectrum).copy()
-            if exclude:
-                for banned in exclude:
-                    magnitude[banned % n] = 0.0
-            peak = float(magnitude.max())
-            candidates = np.nonzero(magnitude >= 0.7 * peak)[0]
-            if candidates.size <= 1:
-                return int(np.argmax(magnitude))
-            expected_mag = max(user.channel_magnitude * n, 1e-30)
-            scores = []
-            for candidate in candidates:
-                deviation = abs(_deviation(derotated, int(candidate)))
-                mag_mismatch = abs(np.log(magnitude[candidate] / expected_mag))
-                scores.append(5.0 * deviation + 0.5 * mag_mismatch)
-            return int(candidates[int(np.argmin(scores))])
+            with observe.kernel("decode.decide", shape):
+                derotated = signal * derotations[idx]
+                magnitude = np.abs(np.fft.fft(derotated))
+                if exclude is not None:
+                    magnitude[exclude % n] = 0.0
+                peak = float(magnitude.max())
+                candidates = np.nonzero(magnitude >= 0.7 * peak)[0]
+                if candidates.size <= 1:
+                    return int(np.argmax(magnitude))
+                expected_mag = max(magnitudes[idx] * n, 1e-30)
+                probe = quarter_bin_probe(derotated)
+                deviation = np.abs(
+                    _parabolic_deviation(
+                        np.abs(probe[2 * candidates - 1]),
+                        magnitude[candidates],
+                        np.abs(probe[2 * candidates]),
+                    )
+                )
+                mag_mismatch = np.abs(np.log(magnitude[candidates] / expected_mag))
+                scores = 5.0 * deviation + 0.5 * mag_mismatch
+                return int(candidates[int(np.argmin(scores))])
 
         for idx in order:
             decided[idx] = decide(residual, idx)
@@ -280,39 +295,49 @@ class ChoirDecoder:
         # decisions.  Fit any remaining strong residual peaks as anonymous
         # "junk" tones, then re-decide every user once on a residual with
         # everything else (users + junk) subtracted.
-        junk_peaks = find_peaks(
-            oversampled_spectrum(residual, 4), 4, threshold_snr=6.0, max_peaks=4
-        )
-        if junk_peaks:
-            junk_positions = np.array(
-                [p.position_bins for p in junk_peaks], dtype=float
+        with observe.kernel("decode.junk", shape):
+            junk_peaks = find_peaks(
+                oversampled_spectrum(residual, 4), 4, threshold_snr=6.0, max_peaks=4
             )
-            # Gauss-Seidel sweeps: re-decide each user against a residual
-            # with every *other* user (and foreign junk) subtracted, until
-            # the decisions stop changing.  Early wrong decisions in the
-            # strongest-first pass (likely when several users have similar
-            # power) get revisited once the rest of the model firmed up.
-            for _ in range(4):
-                changed = False
-                for idx in order:
-                    others = [i for i in decided_users if i != idx]
-                    # A junk tone whose fractional part matches this user's
-                    # signature may be the user's own (mis-decided) tone --
-                    # keep it out of the subtraction so the re-decision can
-                    # recover it.
-                    foreign_junk = junk_positions[
-                        circular_distance(
-                            junk_positions % 1.0, users[idx].fractional
+            if junk_peaks:
+                junk_positions = np.array(
+                    [p.position_bins for p in junk_peaks], dtype=float
+                )
+                junk_columns = [
+                    np.exp(2j * np.pi * pos * samples / n) for pos in junk_positions
+                ]
+                # A junk tone whose fractional part matches a user's
+                # signature may be that user's own (mis-decided) tone --
+                # keep it out of the user's subtraction so the re-decision
+                # can recover it.
+                foreign_junk = {
+                    idx: [
+                        junk_column
+                        for junk_column, distance in zip(
+                            junk_columns,
+                            circular_distance(junk_positions % 1.0, users[idx].fractional),
                         )
-                        > 0.12
+                        if distance > 0.12
                     ]
-                    cleaned = subtract(others, foreign_junk)
-                    new_decision = decide(cleaned, idx)
-                    if new_decision != decided[idx]:
-                        decided[idx] = new_decision
-                        changed = True
-                if not changed:
-                    break
+                    for idx in order
+                }
+                # Gauss-Seidel sweeps: re-decide each user against a
+                # residual with every *other* user (and foreign junk)
+                # subtracted, until the decisions stop changing.  Early
+                # wrong decisions in the strongest-first pass (likely when
+                # several users have similar power) get revisited once the
+                # rest of the model firmed up.
+                for _ in range(4):
+                    changed = False
+                    for idx in order:
+                        others = [i for i in decided_users if i != idx]
+                        cleaned = subtract(others, foreign_junk[idx])
+                        new_decision = decide(cleaned, idx)
+                        if new_decision != decided[idx]:
+                            decided[idx] = new_decision
+                            changed = True
+                    if not changed:
+                        break
         # Conflict resolution: two users claiming the same *physical* tone
         # (their decided positions coincide on the spectrum) is impossible
         # -- one transmitter emits one tone per window.  This happens when
@@ -320,9 +345,15 @@ class ChoirDecoder:
         # frame puts the tone closer to its integer grid (smaller
         # deviation) and make the loser re-decide with that bin excluded.
         def claim_deviation(idx: int) -> float:
-            mu = users[idx].position_bins
-            derotated = dechirped * np.exp(-2j * np.pi * mu * samples / n)
-            return abs(_deviation(derotated, int(decided[idx])))
+            derotated = dechirped * derotations[idx]
+            probe = quarter_bin_probe(derotated)
+            tone = decided[idx : idx + 1]
+            deviation = _parabolic_deviation(
+                np.abs(probe[2 * tone - 1]),
+                np.abs(np.fft.fft(derotated)[tone]),
+                np.abs(probe[2 * tone]),
+            )
+            return abs(float(deviation[0]))
 
         for _ in range(3):
             conflict: tuple[int, int] | None = None
@@ -350,7 +381,7 @@ class ChoirDecoder:
             )
             others = [k for k in decided_users if k != loser]
             cleaned = subtract(others)
-            decided[loser] = decide(cleaned, loser, exclude={int(decided[loser])})
+            decided[loser] = decide(cleaned, loser, exclude=int(decided[loser]))
         return decided
 
     def decode(

@@ -396,6 +396,29 @@ class CandidateView:
         return float(np.clip(vertex, grid[best] - step, grid[best] + step))
 
 
+def fit_columns(columns: np.ndarray, targets: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Least-squares amplitudes of ``targets`` on ``columns`` (Eqn. 2).
+
+    ``columns`` is ``(N, K)``; ``targets`` is one window ``(N,)`` or a
+    stack ``(N, M)``.  Solves the Gram system ``G h = E^H z`` with one
+    ``K x K`` LU solve, falling back to ``np.linalg.lstsq`` only when the
+    Gram matrix is exactly singular, and returns ``h`` (shape ``(K,)`` or
+    ``(K, M)``) with the total fit power ``Re(b^H h)``, so the residual
+    power is ``||z||^2`` minus it.  The engine's residual search and the
+    data stage's subtract (:class:`repro.core.decoder.ChoirDecoder`) both
+    fit through it.
+    """
+    adjoint = columns.conj().T
+    gram = adjoint @ columns
+    b = adjoint @ targets
+    try:
+        h = np.linalg.solve(gram, b)
+    except np.linalg.LinAlgError:
+        h, *_ = np.linalg.lstsq(columns, targets, rcond=None)
+    fit = float(np.sum((np.conj(b) * h).real))
+    return h, fit
+
+
 class ResidualEngine:
     """Owns a stack of dechirped windows; evaluates Eqn. 3 without waste.
 
@@ -455,13 +478,7 @@ class ResidualEngine:
             f"K{e.shape[1]}.M{self.n_windows}",
             bytes_touched=e.nbytes + self.windows.nbytes,
         ):
-            gram = e.conj().T @ e
-            b = e.conj().T @ self.windows.T  # (K, M)
-            try:
-                h = np.linalg.solve(gram, b)
-            except np.linalg.LinAlgError:
-                h, *_ = np.linalg.lstsq(e, self.windows.T, rcond=None)
-            fit = float(np.sum((np.conj(b) * h).real))
+            h, fit = fit_columns(e, self.windows.T)
             return h.T, fit
 
     # ------------------------------------------------------------------

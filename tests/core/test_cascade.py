@@ -237,6 +237,30 @@ class TestEscalation:
         assert result.escalation_reason == REASON_CRC_FAIL
         assert result.tier == TIER_FULL
 
+    def test_crc_trials_count_every_user_frame_checked(self):
+        # A frame whose CRC fails on every rung walks the whole alignment
+        # ladder: Tier 0 checks one frame, then each rung checks every
+        # user the full decoder found there.
+        frame = LoRaFramer(PARAMS).encode(PAYLOAD)
+        corrupted = frame.symbols.copy()
+        corrupted[:3] = (corrupted[:3] + 41) % PARAMS.chips_per_symbol
+        samples, _ = _frame_in_window(PARAMS, seed=7, symbols=corrupted)
+        pipeline = build_pipeline("cascade", PARAMS, rng=np.random.default_rng(0))
+        users_per_attempt = []
+        decode_at = pipeline.full._decode_at
+
+        def spy(*args):
+            results = decode_at(*args)
+            users_per_attempt.append(len(results))
+            return results
+
+        pipeline.full._decode_at = spy
+        result, counts = _observed(pipeline, samples)
+        assert result.tier == TIER_FULL and not result.crc_ok
+        assert len(users_per_attempt) > 1 and sum(users_per_attempt) > 0
+        assert counts["decode.attempts"] == len(users_per_attempt)
+        assert counts["decode.crc_trials"] == 1 + sum(users_per_attempt)
+
     def test_short_window_escalates_truncated(self):
         samples, _ = _frame_in_window(PARAMS, seed=8)
         n = PARAMS.samples_per_symbol

@@ -7,10 +7,10 @@ from repro.core.chanest import (
     data_column,
     estimate_channels,
     reconstruct_tones,
-    solve_channels,
     tone_matrix,
 )
 from repro.core.dechirp import dechirp_windows
+from repro.core.engine import fit_columns
 from repro.phy import LoRaParams
 from tests.core.conftest import make_radio
 
@@ -92,7 +92,7 @@ class TestDataColumn:
         window = dechirp_windows(PARAMS, waveform, n_windows=1, start=start)[0]
         column = data_column(mu, delay, int(symbols[1]), int(symbols[0]), N)
         # Least-squares residual of the single-column fit should be ~zero.
-        h = solve_channels(window, column[:, None])
+        h, _ = fit_columns(column[:, None], window)
         residual = window - column * h[0]
         assert np.linalg.norm(residual) / np.linalg.norm(window) < 1e-6
 
@@ -107,12 +107,12 @@ class TestDataColumn:
         start = (PARAMS.preamble_len + 1) * N
         window = dechirp_windows(PARAMS, waveform, n_windows=1, start=start)[0]
         pure = data_column(mu, 0.0, int(symbols[1]), 0, N)
-        h = solve_channels(window, pure[:, None])
+        h, _ = fit_columns(pure[:, None], window)
         residual = window - pure * h[0]
         assert np.linalg.norm(residual) / np.linalg.norm(window) > 1e-3
 
 
-class TestSolveChannels:
+class TestFitColumns:
     def test_multi_column(self):
         n = 128
         cols = np.stack(
@@ -124,4 +124,15 @@ class TestSolveChannels:
         )
         true_h = np.array([1.5 + 0j, -2.0 + 1j])
         signal = cols @ true_h
-        assert np.allclose(solve_channels(signal, cols), true_h, atol=1e-9)
+        h, fit = fit_columns(cols, signal)
+        assert np.allclose(h, true_h, atol=1e-9)
+        # An exact model explains all of the signal's power.
+        assert fit == pytest.approx(float(np.sum(np.abs(signal) ** 2)), rel=1e-9)
+
+    def test_singular_gram_falls_back_to_lstsq(self):
+        n = 64
+        tone = np.exp(2j * np.pi * 5.0 * np.arange(n) / n)
+        cols = np.stack([tone, tone], axis=-1)
+        h, _ = fit_columns(cols, 3.0 * tone)
+        # The minimum-norm split of one amplitude over two equal columns.
+        assert np.allclose(h, [1.5, 1.5], atol=1e-9)

@@ -5,8 +5,8 @@ import pytest
 
 from repro.core.dechirp import (
     dechirp_windows,
-    evaluate_spectrum_at,
     oversampled_spectrum,
+    quarter_bin_probe,
     spectrogram,
     spectrum_bin_positions,
 )
@@ -72,20 +72,41 @@ class TestOversampledSpectrum:
         assert positions[10] == pytest.approx(1.0)
 
 
-class TestEvaluateSpectrumAt:
-    def test_matches_fft_on_grid(self):
+def _dtft(window, positions_bins):
+    """Direct DTFT ``sum_n z[n] exp(-2j pi p n / N)`` at arbitrary bins."""
+    n = window.shape[-1]
+    basis = np.exp(-2j * np.pi * np.outer(positions_bins, np.arange(n)) / n)
+    return basis @ window
+
+
+class TestQuarterBinProbe:
+    def test_matches_zero_padded_fft(self):
+        # Entries 2c and 2c - 1 are bins 4c + 1 and 4c - 1 of the FFT
+        # zero-padded to 4N (index -1 wraps on both sides).
         rng = np.random.default_rng(0)
         window = rng.normal(size=256) + 1j * rng.normal(size=256)
-        fft = np.fft.fft(window)
-        values = evaluate_spectrum_at(window, np.arange(256, dtype=float))
-        assert np.allclose(values, fft, atol=1e-8)
+        probe = quarter_bin_probe(window)
+        assert probe.shape == (512,)
+        padded = np.fft.fft(window, 4 * 256)
+        bins = np.arange(256)
+        assert np.allclose(probe[2 * bins], padded[4 * bins + 1], atol=1e-8)
+        assert np.allclose(probe[2 * bins - 1], padded[4 * bins - 1], atol=1e-8)
 
-    def test_exact_at_fractional_tone(self):
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_matches_direct_dtft_at_quarter_bins(self, n):
+        rng = np.random.default_rng(n)
+        window = rng.normal(size=n) + 1j * rng.normal(size=n)
+        bins = np.arange(n)
+        probe = quarter_bin_probe(window)
+        for got, offset in ((probe[2 * bins - 1], -0.25), (probe[2 * bins], 0.25)):
+            expected = _dtft(window, bins + offset)
+            assert np.max(np.abs(got - expected)) < 1e-9 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("mu,index", [(31.25, 62), (31.75, 63), (255.75, -1)])
+    def test_exact_at_quarter_bin_tone(self, mu, index):
         n = 256
-        mu = 31.37
         tone = np.exp(2j * np.pi * mu * np.arange(n) / n)
-        value = evaluate_spectrum_at(tone, np.array([mu]))
-        assert abs(value[0]) == pytest.approx(n, rel=1e-9)
+        assert abs(quarter_bin_probe(tone)[index]) == pytest.approx(n, rel=1e-9)
 
 
 class TestSpectrogram:
