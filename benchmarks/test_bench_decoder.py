@@ -30,7 +30,7 @@ def _packet(n_users, seed=0, n_symbols=12):
 @pytest.mark.parametrize("n_users", [1, 2, 5])
 def test_bench_decode_collision(benchmark, n_users):
     packet, n_symbols = _packet(n_users, seed=n_users)
-    decoder = ChoirDecoder(PARAMS, rng=np.random.default_rng(1))
+    decoder = ChoirDecoder(PARAMS)
     users = benchmark(decoder.decode, packet.samples, n_symbols)
     assert len(users) >= max(n_users - 1, 1)
 
@@ -43,6 +43,6 @@ def test_bench_team_decode(benchmark):
         (LoRaRadio(PARAMS, node_id=i, rng=rng), shared, 0.33 + 0j) for i in range(10)
     ]
     packet = channel.receive(transmissions, rng=rng)
-    decoder = ChoirDecoder(PARAMS, rng=np.random.default_rng(2))
+    decoder = ChoirDecoder(PARAMS)
     result = benchmark(decoder.decode_team, packet.samples, 10)
     assert result.detected

@@ -1,11 +1,11 @@
 """Offset-refinement micro-benchmarks: ResidualEngine vs the scalar loop.
 
 Algm. 1's sub-bin refinement is the decode hot path: the scalar reference
-(`refine_offsets(..., method="coordinate-scalar")`) rebuilds the tone
-matrix and runs an SVD ``lstsq`` per golden-section trial, while the
-engine path scores each bracket round as one batched Schur-complement
-solve over cached tone columns.  These benchmarks quantify the gap and
-assert the ISSUE's >=5x floor for K>=2 users.
+(`refine_offsets_scalar`) rebuilds the tone matrix and runs an SVD
+``lstsq`` per golden-section trial, while the engine path scores each
+bracket round as one batched Schur-complement solve over cached tone
+columns.  These benchmarks quantify the gap and assert a >=5x floor for
+K>=2 users.
 """
 
 import time
@@ -16,7 +16,7 @@ from benchmarks.perf import perf_gate
 
 from repro.core.chanest import tone_matrix
 from repro.core.engine import ResidualEngine
-from repro.core.offsets import refine_offsets
+from repro.core.offsets import refine_offsets_scalar
 
 N_SAMPLES = 128
 N_WINDOWS = 7
@@ -55,16 +55,14 @@ def test_bench_refine_engine_speedup(benchmark, n_users):
     windows, coarse = _collision(rng, n_users)
     engine = ResidualEngine(windows)
 
-    scalar_s = _timed(
-        lambda: refine_offsets(windows, coarse, method="coordinate-scalar")
-    )
+    scalar_s = _timed(lambda: refine_offsets_scalar(windows, coarse))
     engine_s = _timed(lambda: engine.refine(coarse))
     speedup = scalar_s / max(engine_s, 1e-12)
     benchmark.extra_info["scalar_ms"] = scalar_s * 1e3
     benchmark.extra_info["engine_ms"] = engine_s * 1e3
     benchmark.extra_info["speedup"] = speedup
 
-    refined_scalar = refine_offsets(windows, coarse, method="coordinate-scalar")
+    refined_scalar = refine_offsets_scalar(windows, coarse)
     refined_engine = benchmark(lambda: engine.refine(coarse))
     np.testing.assert_allclose(refined_engine, refined_scalar, atol=5e-3)
     perf_gate(
@@ -80,9 +78,7 @@ def test_bench_refine_single_user(benchmark):
     windows, coarse = _collision(rng, 1)
     engine = ResidualEngine(windows)
 
-    scalar_s = _timed(
-        lambda: refine_offsets(windows, coarse, method="coordinate-scalar")
-    )
+    scalar_s = _timed(lambda: refine_offsets_scalar(windows, coarse))
     engine_s = _timed(lambda: engine.refine(coarse))
     benchmark.extra_info["speedup"] = scalar_s / max(engine_s, 1e-12)
     benchmark(lambda: engine.refine(coarse))

@@ -56,7 +56,7 @@ def main() -> None:
     print(f"standard LoRa receiver: {standard_hits}/3 payloads recovered")
 
     # Choir separates the transmissions by their offset signatures.
-    decoder = ChoirDecoder(params, rng=rng)
+    decoder = ChoirDecoder(params)
     users = decoder.decode(packet.samples, n_symbols)
     print(f"Choir found {len(users)} transmitters:")
     recovered = 0

@@ -41,7 +41,7 @@ def main() -> None:
     shared_reading = rng.integers(0, params.chips_per_symbol, 12)
     amplitude = 10 ** (per_user_snr / 20.0)
     channel = CollisionChannel(params, noise_power=1.0)
-    decoder = ChoirDecoder(params, rng=rng)
+    decoder = ChoirDecoder(params)
 
     print(f"\n{'team size':>10s} {'detected':>9s} {'members':>8s} {'accuracy':>9s}")
     for team_size in (1, 4, 8, 16):

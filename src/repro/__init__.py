@@ -21,7 +21,7 @@ Quick start::
     packet = channel.receive(
         [(r, rng.integers(0, 256, 20), 10 + 0j) for r in radios], rng=rng
     )
-    users = ChoirDecoder(params, rng=rng).decode(packet.samples, 20)
+    users = ChoirDecoder(params).decode(packet.samples, 20)
     for user in users:
         print(f"offset {user.offset_bins:.2f} bins -> {user.symbols[:5]}")
 """

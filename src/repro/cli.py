@@ -596,7 +596,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     gw.add_argument("--snr", type=float, default=15.0, help="per-node SNR (dB)")
     gw.add_argument("--payload-len", type=int, default=4, help="payload bytes")
-    gw.add_argument("--seed", type=int, default=0, help="master seed")
+    gw.add_argument(
+        "--seed", type=int, default=0, help="synthetic traffic seed; recorded in the run manifest"
+    )
     gw.add_argument("--queue-capacity", type=int, default=8)
     gw.add_argument("--drop-policy", choices=DROP_POLICIES, default="newest")
     gw.add_argument(
@@ -676,7 +678,9 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="dedup window seconds (default: two slot times)",
     )
-    srv.add_argument("--seed", type=int, default=0, help="master seed")
+    srv.add_argument(
+        "--seed", type=int, default=0, help="simulated traffic seed; recorded in the run manifest"
+    )
     srv.add_argument(
         "--metrics-out",
         default=None,

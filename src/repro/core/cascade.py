@@ -50,7 +50,6 @@ from repro.core.fastpath import (
 )
 from repro.phy.packet import LoRaFramer
 from repro.phy.params import LoRaParams
-from repro.utils.rng import RngLike
 
 #: Accepted decode-tier names (CLI ``--decode-tier`` and config fields).
 DECODE_TIERS: Tuple[str, ...] = ("full", "cascade", "fast")
@@ -136,14 +135,9 @@ class ChoirPipeline:
 
     tier = TIER_FULL
 
-    def __init__(
-        self,
-        params: LoRaParams,
-        rng: RngLike = None,
-        max_users: Optional[int] = None,
-    ) -> None:
+    def __init__(self, params: LoRaParams, max_users: Optional[int] = None) -> None:
         self.params = params
-        self.decoder = ChoirDecoder(params, rng=rng)
+        self.decoder = ChoirDecoder(params)
         self.framer = LoRaFramer(params)
         self.max_users = max_users
 
@@ -162,7 +156,8 @@ class ChoirPipeline:
         for user in users:
             if user.symbols.size < self.framer.n_symbols_for_payload(payload_len):
                 continue
-            frame = user.decode_payload(self.framer, payload_len)
+            with observe.kernel("decode.frame", f"sf{self.params.spreading_factor}"):
+                frame = user.decode_payload(self.framer, payload_len)
             results.append(
                 UserFrame(
                     offset_bins=user.offset_bins,
@@ -284,7 +279,8 @@ class CascadePipeline:
             user = self.fast.decode(samples, evidence, n_data_symbols)
             if user.symbols.size < self.framer.n_symbols_for_payload(payload_len):
                 return None, REASON_TRUNCATED
-            frame = user.decode_payload(self.framer, payload_len)
+            with observe.kernel("decode.frame", f"sf{self.params.spreading_factor}"):
+                frame = user.decode_payload(self.framer, payload_len)
             observe.counter("decode.crc_trials")
             result = WindowDecode(
                 users=(
@@ -338,7 +334,6 @@ class CascadePipeline:
 def build_pipeline(
     tier: str,
     params: LoRaParams,
-    rng: RngLike = None,
     max_users: Optional[int] = None,
 ) -> "ChoirPipeline | CascadePipeline":
     """The single sanctioned pipeline constructor (R012).
@@ -350,7 +345,7 @@ def build_pipeline(
         raise ValueError(f"decode tier must be one of {DECODE_TIERS}, got {tier!r}")
     if tier == "fast":
         return CascadePipeline(params)
-    full = ChoirPipeline(params, rng=rng, max_users=max_users)
+    full = ChoirPipeline(params, max_users=max_users)
     if tier == "full":
         return full
     return CascadePipeline(params, full=full)

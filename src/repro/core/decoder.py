@@ -33,13 +33,12 @@ from repro.core.engine import fit_columns
 from repro.core.peaks import find_peaks
 from repro.core.joint_ml import TeamMember, joint_ml_decode, template_correlation_decode
 from repro.core.offsets import UserEstimate, build_user_estimates, refine_offsets
-from repro.core.sic import _merge_duplicates, phased_sic
+from repro.core.sic import MIN_SEPARATION_BINS, _merge_duplicates, phased_sic
 from repro.core.tracking import ConstrainedClusterer, centroids_from_estimates
 from repro.phy.packet import DecodedFrame, LoRaFramer
 from repro.phy.params import LoRaParams
 from repro.profile.profiler import shape_bucket
-from repro.utils import circular_distance, ensure_rng
-from repro.utils.rng import RngLike
+from repro.utils import circular_distance
 
 #: Data-stage algorithms accepted by :meth:`ChoirDecoder.decode`.  Typed as
 #: a ``Literal`` so mypy rejects a misspelled method at the call site; the
@@ -125,6 +124,9 @@ class ChoirDecoder:
     refine:
         Enable the sub-bin residual-minimization refinement; disabling it
         reproduces the coarse-only ablation.
+
+    Decoding is a deterministic function of the samples: no stage draws
+    randomness, so the decoder holds no RNG.
     """
 
     def __init__(
@@ -134,14 +136,12 @@ class ChoirDecoder:
         threshold_snr: float = 4.0,
         tier_ratio_db: float = 9.0,
         refine: bool = True,
-        rng: RngLike = None,
     ) -> None:
         self.params = params
         self.oversample = oversample
         self.threshold_snr = threshold_snr
         self.tier_ratio_db = tier_ratio_db
         self.refine = refine
-        self._rng = ensure_rng(rng)
 
     # ------------------------------------------------------------------
     # Preamble stage
@@ -169,7 +169,6 @@ class ChoirDecoder:
             threshold_snr=self.threshold_snr,
             max_users=max_users,
             refine=self.refine,
-            rng=self._rng,
         )
 
     # ------------------------------------------------------------------
@@ -550,9 +549,9 @@ class ChoirDecoder:
         if self.refine and positions.size <= 8:
             # Joint refinement cost grows with team size; beyond a handful
             # of members the accumulated coarse positions are already tight.
-            positions = refine_offsets(preamble, positions, rng=self._rng)
+            positions = refine_offsets(preamble, positions)
             positions, _ = _merge_duplicates(
-                positions, np.zeros(positions.size), preamble, 0.75
+                positions, np.zeros(positions.size), preamble, MIN_SEPARATION_BINS
             )
         estimates = build_user_estimates(preamble, positions)
         # Channel extrapolation indexes windows relative to preamble window

@@ -605,9 +605,9 @@ class ResidualEngine:
     ) -> np.ndarray:
         """Cyclic coordinate refinement with batched bracketing (Algm. 1).
 
-        Functionally matches the scalar
-        :func:`repro.core.offsets.refine_offsets` coordinate path (tests
-        assert agreement within ``tol_bins``) while scoring each bracket
+        Functionally matches the scalar reference
+        :func:`repro.core.offsets.refine_offsets_scalar` (tests assert
+        agreement within ``tol_bins``) while scoring each bracket
         round as a single batch against a per-coordinate
         :class:`CandidateView`.
         """

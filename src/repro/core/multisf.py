@@ -23,7 +23,6 @@ import numpy as np
 from repro.core.decoder import ChoirDecoder, DecodedUser
 from repro.phy.chirp import delayed_chirp_train
 from repro.phy.params import LoRaParams
-from repro.utils import RngLike, ensure_rng
 
 
 def reconstruct_user_waveform(
@@ -111,22 +110,17 @@ class MultiSfDecoder:
         bandwidth: float = 125_000.0,
         preamble_len: int = 8,
         threshold_snr: float = 4.0,
-        rng: RngLike = None,
     ) -> None:
         if not spreading_factors:
             raise ValueError("at least one spreading factor is required")
         if len(set(spreading_factors)) != len(spreading_factors):
             raise ValueError("spreading factors must be distinct")
-        self._rng = ensure_rng(rng)
         self.branches: dict[int, tuple[LoRaParams, ChoirDecoder]] = {}
         for sf in spreading_factors:
             params = LoRaParams(
                 spreading_factor=sf, bandwidth=bandwidth, preamble_len=preamble_len
             )
-            decoder = ChoirDecoder(
-                params, threshold_snr=threshold_snr, rng=self._rng
-            )
-            self.branches[sf] = (params, decoder)
+            self.branches[sf] = (params, ChoirDecoder(params, threshold_snr=threshold_snr))
 
     def params_for(self, spreading_factor: int) -> LoRaParams:
         """The PHY parameters of one branch."""

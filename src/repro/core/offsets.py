@@ -6,9 +6,9 @@ Implements the paper's Algm. 1 and Secs. 5.1/6:
    windows, detect peaks -- positions accurate to ~1/oversample of a bin.
 2. **Fine**: jointly refine all positions by minimizing the reconstruction
    residual (Eqn. 3-4).  The residual is locally convex around the truth
-   (Fig. 4), so cyclic per-coordinate golden-section descent from the
-   coarse estimate converges quickly; a Nelder-Mead restart search is also
-   available, matching the paper's stochastic descent with random starts.
+   (Fig. 4), so cyclic per-coordinate descent from the coarse estimate
+   converges quickly -- a deterministic local search where the paper
+   describes stochastic descent with random starts.
 3. **Delays**: each user's sub-symbol timing offset is recovered by a 1-D
    residual search over the delay-aware window model (the boundary-glitch
    model in :func:`repro.core.chanest.tone_matrix`), realizing Sec. 6.2's
@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.chanest import estimate_channels
 from repro.core.dechirp import DEFAULT_OVERSAMPLE, dechirp_windows, oversampled_spectrum
@@ -29,7 +28,6 @@ from repro.core.engine import ResidualEngine
 from repro.core.peaks import Peak, find_peaks
 from repro.core.residual import residual_power
 from repro.phy.params import LoRaParams
-from repro.utils import RngLike, ensure_rng
 
 #: Largest sub-symbol delay (in samples) the delay search considers.  The
 #: beacon-slotted MAC keeps wake-up offsets well under this (Sec. 7.1).
@@ -168,96 +166,53 @@ def refine_offsets(
     delays_samples: np.ndarray | None = None,
     n_sweeps: int = 2,
     tol_bins: float = 1e-3,
-    method: str = "coordinate",
-    rng: RngLike = None,
 ) -> np.ndarray:
     """Refine offsets to sub-bin accuracy by residual minimization.
 
-    ``method="coordinate"`` (default) performs cyclic coordinate sweeps,
-    one offset at a time with the others held fixed -- fast and reliable
-    thanks to the local convexity of the residual (Fig. 4) -- routed
-    through :class:`repro.core.engine.ResidualEngine`, which scores each
-    bracket round as one batched solve.  ``method="coordinate-scalar"``
-    runs the original per-trial golden-section loop over
-    :func:`repro.core.residual.residual_power`; it is the reference the
-    engine path is tested against (agreement within ``tol_bins``).
-    ``method="nelder-mead"`` runs the joint simplex search with random
-    restarts, mirroring the paper's stochastic-descent description; it is
-    slower but jointly optimal, and tests verify both agree.
+    Cyclic coordinate sweeps, one offset at a time with the others held
+    fixed -- fast and reliable thanks to the local convexity of the
+    residual (Fig. 4) -- routed through
+    :class:`repro.core.engine.ResidualEngine`, which scores each bracket
+    round as one batched solve.  :func:`refine_offsets_scalar` is the
+    per-trial reference it is tested against (agreement within
+    ``tol_bins``).
     """
     coarse_positions = np.atleast_1d(np.asarray(coarse_positions, dtype=float))
-    rows = np.atleast_2d(dechirped_windows_arr)
     if coarse_positions.size == 0:
         return coarse_positions
-    if method == "coordinate":
-        return ResidualEngine(rows).refine(
-            coarse_positions,
-            half_width_bins=half_width_bins,
-            delays_samples=delays_samples,
-            n_sweeps=n_sweeps,
-            tol_bins=tol_bins,
-        )
-    if method == "coordinate-scalar":
-        positions = coarse_positions.copy()
-        for _ in range(n_sweeps):
-            for k in range(positions.size):
-                def fun(x: float, k: int = k) -> float:
-                    trial = positions.copy()
-                    trial[k] = x
-                    return residual_power(rows, trial, delays_samples)
-
-                positions[k] = golden_section_minimize(
-                    fun,
-                    positions[k] - half_width_bins,
-                    positions[k] + half_width_bins,
-                    tol=tol_bins,
-                )
-        return positions
-    if method == "nelder-mead":
-        return _refine_nelder_mead(
-            rows, coarse_positions, half_width_bins, delays_samples, rng=rng
-        )
-    raise ValueError(f"unknown refinement method: {method!r}")
+    return ResidualEngine(np.atleast_2d(dechirped_windows_arr)).refine(
+        coarse_positions,
+        half_width_bins=half_width_bins,
+        delays_samples=delays_samples,
+        n_sweeps=n_sweeps,
+        tol_bins=tol_bins,
+    )
 
 
-def _refine_nelder_mead(
-    rows: np.ndarray,
-    coarse_positions: np.ndarray,
-    half_width_bins: float,
-    delays_samples: np.ndarray | None,
-    n_restarts: int = 2,
-    rng: RngLike = None,
+def refine_offsets_scalar(
+    dechirped_windows_arr: np.ndarray, coarse_positions: np.ndarray
 ) -> np.ndarray:
-    """Joint Nelder-Mead refinement with random restarts."""
-    rng = ensure_rng(rng)
-    lower = coarse_positions - half_width_bins
-    upper = coarse_positions + half_width_bins
+    """Reference for :func:`refine_offsets` at its defaults: the scalar loop.
 
-    def objective(x: np.ndarray) -> float:
-        if np.any(x < lower) or np.any(x > upper):
-            return 1e18
-        return residual_power(rows, x, delays_samples)
+    The same two cyclic coordinate sweeps over +/-0.6 bins to 1e-3 bins,
+    with every golden-section trial scored by
+    :func:`repro.core.residual.residual_power` (a fresh tone matrix and
+    ``lstsq`` per trial).  No decode path calls it; the engine tests and
+    ``benchmarks/test_bench_refine.py`` compare against it.
+    """
+    rows = np.atleast_2d(dechirped_windows_arr)
+    positions = np.atleast_1d(np.asarray(coarse_positions, dtype=float)).copy()
+    for _ in range(2):
+        for k in range(positions.size):
+            def fun(x: float, k: int = k) -> float:
+                trial = positions.copy()
+                trial[k] = x
+                return residual_power(rows, trial)
 
-    best_x = coarse_positions.copy()
-    best_val = objective(best_x)
-    starts = [coarse_positions]
-    for _ in range(max(n_restarts - 1, 0)):
-        starts.append(coarse_positions + rng.uniform(-0.3, 0.3, coarse_positions.size))
-    for start in starts:
-        result = optimize.minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={
-                "xatol": 1e-4,
-                "fatol": 1e-9,
-                "maxiter": 200 * coarse_positions.size,
-            },
-        )
-        if result.fun < best_val:
-            best_val = float(result.fun)
-            best_x = np.asarray(result.x, dtype=float)
-    return best_x
+            positions[k] = golden_section_minimize(
+                fun, positions[k] - 0.6, positions[k] + 0.6, tol=1e-3
+            )
+    return positions
 
 
 # ----------------------------------------------------------------------
@@ -374,9 +329,6 @@ def estimate_offsets(
     oversample: int = DEFAULT_OVERSAMPLE,
     threshold_snr: float = 4.0,
     max_users: int | None = None,
-    refine: bool = True,
-    estimate_timing: bool = True,
-    rng: RngLike = None,
 ) -> list[UserEstimate]:
     """Estimate every discernible user's offset + channel from a preamble.
 
@@ -402,15 +354,10 @@ def estimate_offsets(
     )
     if not peaks:
         return []
-    positions = np.array([p.position_bins for p in peaks], dtype=float)
-    if refine and positions.size:
-        positions = refine_offsets(windows, positions, rng=rng)
-    delays = (
-        estimate_delays(windows, positions)
-        if estimate_timing
-        else np.zeros(positions.size)
+    positions = refine_offsets(
+        windows, np.array([p.position_bins for p in peaks], dtype=float)
     )
-    return build_user_estimates(windows, positions, delays)
+    return build_user_estimates(windows, positions, estimate_delays(windows, positions))
 
 
 def build_user_estimates(

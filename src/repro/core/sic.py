@@ -30,7 +30,15 @@ from repro.core.offsets import (
     refine_offsets,
 )
 from repro.core.residual import residual_power
-from repro.utils import RngLike, circular_distance
+from repro.utils import circular_distance
+
+#: Closest two users may sit (in bins): a new peak nearer than this to a
+#: known user is not a new user, and refinement pulling two users closer
+#: merges them (:func:`_merge_duplicates`).
+MIN_SEPARATION_BINS = 0.75
+
+#: Ghost-suppression floor, relative to the strongest user's channel.
+MIN_RELATIVE_MAGNITUDE = 0.02
 
 
 def _merge_duplicates(
@@ -239,10 +247,6 @@ def phased_sic(
     max_tiers: int = 4,
     max_users: int | None = None,
     refine: bool = True,
-    estimate_timing: bool = True,
-    min_separation_bins: float = 0.75,
-    min_relative_magnitude: float = 0.02,
-    rng: RngLike = None,
 ) -> list[UserEstimate]:
     """Detect and estimate users tier by tier.
 
@@ -256,10 +260,13 @@ def phased_sic(
         strong tiers are cancelled.
     max_tiers:
         Upper bound on cancellation rounds.
-    estimate_timing:
-        Fit each user's sub-symbol delay (the boundary-glitch model).
-        Keeping this on is what lets the residual reach the noise floor at
-        high SNR instead of bottoming out at the glitch level.
+    refine:
+        Refine offsets by residual minimization; ``False`` keeps the
+        coarse peak positions (the coarse-only ablation).
+
+    Every tier also fits each user's sub-symbol delay (the boundary-glitch
+    model), which is what lets the residual reach the noise floor at high
+    SNR instead of bottoming out at the glitch level.
 
     Returns
     -------
@@ -283,7 +290,7 @@ def phased_sic(
                 p.position_bins
                 for p in peaks
                 if all(
-                    circular_distance(p.position_bins, q, period=n_bins) >= min_separation_bins
+                    circular_distance(p.position_bins, q, period=n_bins) >= MIN_SEPARATION_BINS
                     for q in positions
                 )
             ]
@@ -292,27 +299,19 @@ def phased_sic(
             positions = np.concatenate([positions, np.asarray(new_positions, dtype=float)])
             delays = np.concatenate([delays, np.zeros(len(new_positions))])
             if refine:
+                positions = refine_offsets(original, positions, delays_samples=delays)
+                positions, delays = _merge_duplicates(
+                    positions, delays, original, MIN_SEPARATION_BINS
+                )
+            delays = estimate_delays(original, positions)
+            if refine:
+                # One more position sweep now that the glitch is modelled.
                 positions = refine_offsets(
-                    original, positions, delays_samples=delays, method="coordinate", rng=rng
+                    original, positions, delays_samples=delays, half_width_bins=0.2
                 )
                 positions, delays = _merge_duplicates(
-                    positions, delays, original, min_separation_bins
+                    positions, delays, original, MIN_SEPARATION_BINS
                 )
-            if estimate_timing:
-                delays = estimate_delays(original, positions)
-                if refine:
-                    # One more position sweep now that the glitch is modelled.
-                    positions = refine_offsets(
-                        original,
-                        positions,
-                        delays_samples=delays,
-                        half_width_bins=0.2,
-                        method="coordinate",
-                        rng=rng,
-                    )
-                    positions, delays = _merge_duplicates(
-                        positions, delays, original, min_separation_bins
-                    )
             channels = estimate_channels(original, positions, delays)
             recon = reconstruct_tones(positions, channels, n_bins, delays)
             residual = original - recon
@@ -338,7 +337,7 @@ def phased_sic(
     kept = [
         e
         for e in estimates
-        if e.channel_magnitude >= min_relative_magnitude * strongest
+        if e.channel_magnitude >= MIN_RELATIVE_MAGNITUDE * strongest
     ]
     # Cancellation order (strongest first) and final cluster assignment,
     # as the forensics layer sees them.

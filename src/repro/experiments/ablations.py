@@ -102,9 +102,7 @@ def ablation_fine_vs_coarse(n_trials: int = 6, seed: int = 50) -> ExperimentResu
     for refine, label in ((True, "fine (refined)"), (False, "coarse only")):
         accuracies = []
         for packet, streams in packets:
-            decoder = ChoirDecoder(
-                DEFAULT_PARAMS, oversample=1, refine=refine, rng=ensure_rng(seed)
-            )
+            decoder = ChoirDecoder(DEFAULT_PARAMS, oversample=1, refine=refine)
             users = decoder.decode(packet.samples, streams[0].size)
             accuracies.append(_accuracy(users, packet, streams))
         result.add(mode=label, mean_symbol_accuracy=round(float(np.mean(accuracies)), 4))
@@ -131,7 +129,7 @@ def ablation_sic_strategies(n_trials: int = 5, seed: int = 51) -> ExperimentResu
                 n_windows=DEFAULT_PARAMS.preamble_len - 1,
                 start=DEFAULT_PARAMS.samples_per_symbol,
             )
-            estimates = phased_sic(windows, max_tiers=max_tiers, rng=ensure_rng(seed))
+            estimates = phased_sic(windows, max_tiers=max_tiers)
             weak_truth = packet.users[1].true_offset_bins(DEFAULT_PARAMS) % 256
             if any(
                 circular_distance(e.position_bins, weak_truth, period=256) < 0.5

@@ -42,10 +42,7 @@ def run_multisf_demux(
     )
     for cancel in (False, True):
         rng = ensure_rng(seed)
-        decoder = MultiSfDecoder(
-            spreading_factors=tuple(sorted(set(sf_assignments))),
-            rng=ensure_rng(1),
-        )
+        decoder = MultiSfDecoder(spreading_factors=tuple(sorted(set(sf_assignments))))
         transmissions, truth = [], {}
         for i, sf in enumerate(sf_assignments):
             params = decoder.params_for(sf)

@@ -161,7 +161,7 @@ def validate_team_decode(
         transmissions.append((radio, shared, amplitude + 0j))
     channel = CollisionChannel(params, noise_power=1.0)
     packet = channel.receive(transmissions, rng=rng)
-    decoder = ChoirDecoder(params, rng=rng)
+    decoder = ChoirDecoder(params)
     outcome = decoder.decode_team(packet.samples, n_symbols)
     accuracy = (
         float(np.mean(outcome.symbols == shared))

@@ -12,7 +12,7 @@ Quick start::
     from repro.phy import LoRaParams
 
     params = LoRaParams(spreading_factor=7)
-    config = GatewayConfig(params=params, n_workers=4, seed=0)
+    config = GatewayConfig(params=params, n_workers=4)
     source = SyntheticTrafficSource(
         params,
         nodes=[NodeConfig(node_id=i, snr_db=15.0, period_s=0.5) for i in range(4)],
@@ -28,7 +28,7 @@ Multi-channel quick start (8 channels, mixed SF7/SF8, one shared pool)
     from repro.phy import ChannelPlan
 
     plan = ChannelPlan.eu868_style(8)
-    config = GatewayConfig(plan=plan, sf_set=(7, 8), n_workers=4, seed=0)
+    config = GatewayConfig(plan=plan, sf_set=(7, 8), n_workers=4)
     source = SyntheticTrafficSource(
         LoRaParams(spreading_factor=7),
         nodes=[

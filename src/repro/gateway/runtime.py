@@ -38,9 +38,9 @@ Stages (each instrumented through :mod:`repro.gateway.telemetry`):
    boundary) and submit it to the one shared
    :class:`repro.gateway.workers.DecodeWorkerPool`; its admission gate's
    drop policy is the backpressure valve.  Jobs carry their shard's
-   params and the RNG key ``(channel, sf, shard_seq)``, so decode results
-   are deterministic no matter how shards interleave or which executor
-   runs the pool.
+   params and the key ``(channel, sf, shard_seq)``; decoding draws no
+   randomness, so results are deterministic no matter how shards
+   interleave or which executor runs the pool.
 5. **decode** -- workers run the configured decode tier plus the LoRa
    FEC/CRC chain and report per-user payloads.
 
@@ -110,14 +110,15 @@ class GatewayConfig:
         full pipeline on every window, the reference path) or
         ``"fast"`` (Tier 0 only); see :mod:`repro.core.cascade`.
     seed:
-        Master seed; per-job decode RNGs derive from it by shard key.
+        Run label only: recorded in the trace header and the run
+        manifest.  Decoding draws no randomness, so it changes no result.
     trace:
         Attach a :class:`repro.trace.TraceRecorder` to the run: record
         every detection and decode outcome, and build provenance span
         trees per the sampling policy below.
     trace_sample_rate:
         Fraction of jobs whose span tree is retained unconditionally
-        (deterministic by rng_key; 1.0 = every job).  The span tree of
+        (deterministic by job key; 1.0 = every job).  The span tree of
         every job that fails CRC is retained whatever the rate, which
         keeps forensics complete while bounding trace volume on healthy
         traffic.
@@ -412,10 +413,10 @@ class StreamScanner:
         Search-level false-alarm probability per scan.
     channel:
         Channel this shard scans.  It fixes the shard's ``label``
-        (``ch{c}.sf{s}``, the per-shard telemetry prefix) and its RNG
-        prefix ``(channel, sf)``; each job's RNG key appends the shard's
-        own sequence number, keeping decode RNG independent of
-        cross-shard interleaving.
+        (``ch{c}.sf{s}``, the per-shard telemetry prefix) and its key
+        prefix ``(channel, sf)``; each job's key appends the shard's own
+        sequence number, so job identity is independent of cross-shard
+        interleaving.
     trace_recorder:
         Optional :class:`repro.trace.TraceRecorder` receiving one
         detection record per dispatched job.
@@ -435,7 +436,7 @@ class StreamScanner:
         self.telemetry = telemetry
         self.detection_pfa = detection_pfa
         self.channel = channel
-        self.rng_prefix = (channel, params.spreading_factor)
+        self.key_prefix = (channel, params.spreading_factor)
         self.label = shard_label(channel, params.spreading_factor)
         self.trace_recorder = trace_recorder
         framer = LoRaFramer(params)
@@ -453,7 +454,7 @@ class StreamScanner:
         self.scan_pos = 0  # absolute index of the next unscanned sample
         self.release_pos = 0  # earliest sample this scanner may still need
         self.detected = 0
-        self.shard_seq = 0  # per-shard job sequence number (RNG key)
+        self.shard_seq = 0  # per-shard job sequence number (job key)
         self._memo = ScanMemo()  # window spectra carried across scans
 
     def _release(self, pos: int) -> None:
@@ -473,7 +474,7 @@ class StreamScanner:
             detection_score=score,
             created_at=clock(),
             params=self.params,
-            rng_key=self.rng_prefix + (self.shard_seq,),
+            key=self.key_prefix + (self.shard_seq,),
             channel=self.channel,
         )
 
@@ -627,7 +628,6 @@ class Gateway:
             drop_policy=config.drop_policy,
             max_users=config.max_users,
             decode_tier=config.decode_tier,
-            rng=config.seed,
             telemetry=telemetry,
             trace_recorder=recorder,
             profiler=self.profiler,

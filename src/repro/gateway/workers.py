@@ -21,10 +21,9 @@ happens when every slot is taken, i.e. decode has fallen behind ingest
 packet that arrived into an overloaded system) or ``"block"`` ingest
 (lossless, at the price of stalling the stream).
 
-Every decode job carries its own RNG derived from the pool seed and the
-job's shard key (:func:`repro.utils.derive_rng`), so which worker decodes
-which packet -- or whether any parallelism is used at all -- never
-changes the result.
+Decoding draws no randomness: an outcome is a function of the job's
+samples and params alone, so which worker decodes which packet -- or
+whether any parallelism is used at all -- never changes the result.
 
 Observability rides the same outcome path on every executor: each job
 decodes under one ambient :mod:`repro.observe` scope -- a job-local
@@ -59,7 +58,6 @@ from repro.profile.profiler import KernelProfiler
 from repro.profile.resources import process_cpu
 from repro.trace.model import PacketTrace, TraceBuilder
 from repro.trace.recorder import TraceDirective, TraceRecorder
-from repro.utils import RngLike, as_seed_sequence, derive_rng
 
 #: Accepted overload behaviors for the bounded decode queue.
 DROP_POLICIES: Tuple[str, ...] = ("newest", "block")
@@ -75,9 +73,10 @@ class DecodeJob:
     Each job is tagged with the (channel, SF) shard that detected it:
     ``params`` is that shard's PHY configuration (so one pool can decode
     SF7 and SF8 windows side by side), ``channel`` labels telemetry, and
-    ``rng_key`` -- ``(channel, sf, shard_seq)`` from the gateway's
-    scanners -- seeds the decoder RNG, so results stay deterministic no
-    matter how jobs from different shards interleave.
+    ``key`` -- ``(channel, sf, shard_seq)`` from the gateway's scanners --
+    is the job's deterministic identity: trace sampling and the recorder's
+    canonical order go by it, however jobs from different shards
+    interleave.
     """
 
     job_id: int
@@ -88,13 +87,8 @@ class DecodeJob:
     detection_score: float
     created_at: float  # telemetry clock() reading at submission
     params: LoRaParams
-    rng_key: Tuple[int, ...]
+    key: Tuple[int, ...]
     channel: int = 0
-
-    @property
-    def key(self) -> Tuple[int, ...]:
-        """The job's deterministic identity (its RNG key)."""
-        return self.rng_key
 
     @property
     def label(self) -> str:
@@ -105,6 +99,8 @@ class DecodeJob:
 @dataclass(frozen=True)
 class DecodeOutcome:
     """Result of decoding one packet window.
+
+    ``key`` is the decoded job's :attr:`DecodeJob.key`.
 
     ``observed`` is the job's observation bundle -- job-local telemetry,
     the retained provenance span tree and the job-local kernel-profiler
@@ -129,7 +125,7 @@ class DecodeOutcome:
     error: Optional[str] = None
     channel: int = 0
     spreading_factor: Optional[int] = None
-    rng_key: Tuple[int, ...] = ()
+    key: Tuple[int, ...] = ()
     tier: str = "full"
     escalation_reason: Optional[str] = None
     observed: observe.ObservationBundle = observe.ObservationBundle()
@@ -139,21 +135,15 @@ class DecodeOutcome:
         """How many users the decoder disentangled in this window."""
         return len(self.users)
 
-    @property
-    def key(self) -> Tuple[int, ...]:
-        """The outcome's deterministic identity (matches the job's)."""
-        return self.rng_key
-
 
 def decode_packet_window(
     job: DecodeJob,
-    base_seed: np.random.SeedSequence,
     max_users: Optional[int] = None,
     decode_tier: str = DEFAULT_DECODE_TIER,
     trace_directive: Optional[TraceDirective] = None,
     profile: bool = False,
 ) -> DecodeOutcome:
-    """Decode one packet window as ``job.params`` with a job-keyed RNG.
+    """Decode one packet window as ``job.params``.
 
     The decode itself is delegated to the tier pipeline named by
     ``decode_tier`` (:func:`repro.core.cascade.build_pipeline`): the
@@ -163,17 +153,16 @@ def decode_packet_window(
     :data:`repro.core.cascade.WINDOW_LEAD_SYMBOLS`, which bounds that
     search) and retries a small ladder of alternative alignments with CRC
     as the oracle; ``"fast"`` is Tier 0 alone.  This function owns the
-    job plumbing around the pipeline: RNG derivation, the job's
-    observation scope, and the outcome record.
+    job plumbing around the pipeline: the job's observation scope and the
+    outcome record.
 
     Module-level (rather than a pool method) so the process executor can
     ship it to workers; everything it touches -- including the trace
     directive in and the span tree out -- is picklable.
 
-    Each job carries its own ``params`` (its shard's PHY configuration);
-    the decoder RNG derives from the job's ``rng_key``, whose per-shard
-    sequence numbers keep results independent of how shards interleave
-    their submissions.
+    Each job carries its own ``params`` (its shard's PHY configuration).
+    The decode draws no randomness, so the outcome depends on the job
+    alone, not on the executor or on how shards interleave.
 
     The decode runs under one :func:`repro.observe.scope` holding a
     job-local :class:`Telemetry`, the trace builder (when the directive
@@ -185,7 +174,6 @@ def decode_packet_window(
     job end to end.
     """
     started = clock()
-    rng_key = job.rng_key
     params = job.params
     spreading_factor = params.spreading_factor
     builder: Optional[TraceBuilder] = None
@@ -193,18 +181,13 @@ def decode_packet_window(
         builder = TraceBuilder(
             "decode.job",
             job_id=job.job_id,
-            key=list(rng_key),
+            key=list(job.key),
             channel=job.channel,
             spreading_factor=spreading_factor,
             start_sample=job.start_sample,
             detection_score=job.detection_score,
         )
-    pipeline = build_pipeline(
-        decode_tier,
-        params,
-        rng=derive_rng(base_seed, *rng_key),
-        max_users=max_users,
-    )
+    pipeline = build_pipeline(decode_tier, params, max_users=max_users)
     job_profiler = KernelProfiler() if profile else None
     cpu_started = process_cpu() if profile else 0.0
     with observe.scope(Telemetry(), builder, job_profiler) as observation:
@@ -231,7 +214,7 @@ def decode_packet_window(
         root = builder.finish()
         if trace_directive.keep(crc_ok):
             trace = PacketTrace(
-                key=rng_key,
+                key=job.key,
                 job_id=job.job_id,
                 channel=job.channel,
                 spreading_factor=spreading_factor,
@@ -253,7 +236,7 @@ def decode_packet_window(
         sync_retries=retries,
         channel=job.channel,
         spreading_factor=spreading_factor,
-        rng_key=rng_key,
+        key=job.key,
         tier=window.tier,
         escalation_reason=window.escalation_reason,
         observed=observation.bundle(trace),
@@ -285,9 +268,6 @@ class DecodeWorkerPool:
         Tier-0 fast path, full Choir on escalation), ``"full"`` (the
         reference path on every window) or ``"fast"`` (Tier 0 only); see
         :mod:`repro.core.cascade`.
-    rng:
-        Pool seed; each job's decoder RNG is derived from it by the
-        job's ``rng_key``.
     telemetry:
         Optional registry receiving dispatch/decode instruments.
     trace_recorder:
@@ -322,7 +302,6 @@ class DecodeWorkerPool:
         drop_policy: str = "newest",
         max_users: Optional[int] = None,
         decode_tier: str = DEFAULT_DECODE_TIER,
-        rng: RngLike = None,
         telemetry: Optional[Telemetry] = None,
         trace_recorder: Optional[TraceRecorder] = None,
         profiler: Optional[KernelProfiler] = None,
@@ -354,7 +333,6 @@ class DecodeWorkerPool:
         self.on_outcome = on_outcome
         # Where job bundles merge; traces go to the recorder with their row.
         self._sinks = observe.Observation(self.telemetry, profiler=profiler)
-        self._base_seed = as_seed_sequence(rng)
         self._outcomes: List[DecodeOutcome] = []
         self._lock = threading.Lock()
         self._closed = False
@@ -395,7 +373,7 @@ class DecodeWorkerPool:
             error=f"{type(exc).__name__}: {exc}",
             channel=job.channel,
             spreading_factor=job.params.spreading_factor,
-            rng_key=job.rng_key,
+            key=job.key,
         )
 
     def _record(self, outcome: DecodeOutcome) -> None:
@@ -500,7 +478,7 @@ class DecodeWorkerPool:
         options = self._options(job)
         if self._executor is None:
             try:
-                outcome = decode_packet_window(job, self._base_seed, **options)
+                outcome = decode_packet_window(job, **options)
             except Exception as exc:  # defensive: one error outcome, no crash
                 outcome = self._error_outcome(job, exc)
             self._record(outcome)
@@ -509,7 +487,7 @@ class DecodeWorkerPool:
             self._count_drop(job.label)
             return False
         self._admit(1)
-        future = self._executor.submit(decode_packet_window, job, self._base_seed, **options)
+        future = self._executor.submit(decode_packet_window, job, **options)
         future.add_done_callback(lambda f: self._done(job, f))
         return True
 

@@ -51,7 +51,7 @@ class WaveformPhy(PhyModel):
         self._rng = ensure_rng(rng)
         self._radios: dict[int, LoRaRadio] = {}
         self._channel = CollisionChannel(params, noise_power=1.0)
-        self._decoder = ChoirDecoder(params, rng=self._rng)
+        self._decoder = ChoirDecoder(params)
 
     def _radio_for(self, node_id: int) -> LoRaRadio:
         if node_id not in self._radios:

@@ -4,9 +4,10 @@ Three hazard families, all of which have bitten reproduction pipelines
 before (identical inputs, different outputs across runs or machines):
 
 * **Stray RNG state** -- constructing stdlib ``random`` state instead of
-  deriving a generator through ``repro.utils.rng.derive_rng`` /
-  ``ensure_rng`` breaks the per-job seed-tree contract (``np.random``
-  is already policed by R001).
+  taking a generator through ``repro.utils.rng.ensure_rng`` /
+  ``derive_rng`` escapes the experiment seed, so a seeded simulation no
+  longer reproduces (``np.random`` is already policed by R001).  The
+  receive chain itself draws no randomness at all.
 * **id()-keyed ordering** -- ``sorted(xs, key=id)`` orders by memory
   address, which varies run to run.
 * **Unordered iteration feeding ordered output** -- iterating a ``set``
@@ -190,8 +191,8 @@ class DeterminismVisitor(ast.NodeVisitor):
                 self._report(
                     node.lineno,
                     f"`{'.'.join(chain)}` creates RNG state outside the "
-                    "seed tree; derive a generator via "
-                    "repro.utils.rng.derive_rng/ensure_rng",
+                    "experiment seed; take a generator via "
+                    "repro.utils.rng.ensure_rng/derive_rng",
                 )
         self._check_sort_key(node)
         self._check_materialize(node)

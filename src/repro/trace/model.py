@@ -9,7 +9,8 @@ so traces pickle cleanly across the process executor and serialize to
 both JSONL and Chrome trace-event form without translation layers.
 
 Determinism contract: everything in a trace except wall-clock timestamps
-is a pure function of the job's ``rng_key`` and samples.  The
+is a pure function of the job's ``key`` and samples (decoding draws no
+randomness).  The
 ``structure()`` views strip the timestamps, so two runs of the same
 stream under different executors can be compared for exact equality.
 """
@@ -138,7 +139,7 @@ class PacketTrace:
     label: str = ""
 
     def structure(self) -> Dict[str, Any]:
-        """Timestamp-free view: equal across executors for the same seed."""
+        """Timestamp-free view: equal across executors for the same stream."""
         return {
             "key": list(self.key),
             "job_id": self.job_id,

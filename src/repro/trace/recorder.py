@@ -7,7 +7,7 @@ traced), and the run front-end contributes a header plus the synthetic
 ground truth when available.  ``repro.trace.export`` serializes the
 whole thing; ``repro.trace.forensics`` consumes the serialized form.
 
-Sampling is *deterministic by rng_key*: whether a job is traced depends
+Sampling is *deterministic by job key*: whether a job is traced depends
 only on its key and the configured rate, never on wall clock or worker
 identity, so serial / thread / process runs of the same stream sample
 the same packets.  Every job's trace is built, and the trace of every
@@ -64,7 +64,7 @@ class TraceDirective:
 
 
 def sample_key(key: Sequence[int]) -> float:
-    """Deterministic uniform-[0,1) hash of an rng_key.
+    """Deterministic uniform-[0,1) hash of a job key.
 
     CRC32 of the decimal key rendering: stable across processes and
     Python versions (unlike ``hash()``), uniform enough for sampling.
@@ -205,7 +205,7 @@ class TraceRecorder:
 
     @property
     def packets(self) -> List[PacketTrace]:
-        """Retained span trees, merged deterministically by rng_key.
+        """Retained span trees, merged deterministically by job key.
 
         Workers append in completion order (racy across executors); the
         sort by key restores a canonical order, which is what makes the

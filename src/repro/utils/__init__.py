@@ -12,7 +12,6 @@ from repro.utils.rng import (
     as_seed_sequence,
     derive_rng,
     ensure_rng,
-    spawn_seeds,
 )
 from repro.utils.dsp import (
     circular_distance,
@@ -32,7 +31,6 @@ __all__ = [
     "as_seed_sequence",
     "derive_rng",
     "ensure_rng",
-    "spawn_seeds",
     "circular_distance",
     "fractional_delay",
     "fractional_part",

@@ -32,8 +32,8 @@ def as_seed_sequence(rng: RngLike = None) -> np.random.SeedSequence:
     """Normalize ``rng`` into a :class:`numpy.random.SeedSequence`.
 
     The sequence is the *spawnable* form of a seed: independent child
-    streams can be derived from it by key (:func:`derive_rng`) or in bulk
-    (:func:`spawn_seeds`) without the children ever sharing state.  A
+    streams can be derived from it by key (:func:`derive_rng`) without
+    the children ever sharing state.  A
     ``Generator`` is accepted for convenience; when it still carries the
     seed sequence it was built from, that sequence is reused, otherwise a
     child sequence is drawn from the generator's stream.
@@ -55,27 +55,11 @@ def derive_rng(rng: RngLike, *keys: int) -> np.random.Generator:
 
     Unlike drawing from a shared stream, the derived generator depends only
     on ``(rng, keys)`` -- not on how many draws happened before or which
-    thread asks first.  The gateway uses this to give every decode job its
-    own stream (keyed by job id), so a parallel run decodes identically to
-    a serial one.
+    thread asks first.  The synthetic traffic source and the scenario
+    builder use this to give every node, the noise and the geometry their
+    own streams.  (The receive chain draws no randomness at all.)
     """
     base = as_seed_sequence(rng)
     spawn_key = tuple(base.spawn_key) + tuple(int(k) for k in keys)
     child = np.random.SeedSequence(base.entropy, spawn_key=spawn_key)
     return np.random.default_rng(child)
-
-
-def spawn_seeds(rng: RngLike, n: int) -> list[np.random.SeedSequence]:
-    """``n`` independent child seed sequences derived from ``rng``.
-
-    Children are derived by index, so ``spawn_seeds(seed, n)[i]`` equals
-    ``spawn_seeds(seed, m)[i]`` for any ``m > i`` -- resizing a worker pool
-    does not reshuffle the streams of the workers that already existed.
-    """
-    base = as_seed_sequence(rng)
-    return [
-        np.random.SeedSequence(
-            base.entropy, spawn_key=tuple(base.spawn_key) + (int(i),)
-        )
-        for i in range(n)
-    ]

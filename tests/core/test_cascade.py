@@ -173,7 +173,7 @@ class TestCleanWindow:
             samples, n_data, len(PAYLOAD)
         )
         full = build_pipeline(
-            "full", PARAMS, rng=np.random.default_rng(0)
+            "full", PARAMS
         ).decode_window(samples, n_data, len(PAYLOAD))
         assert {u.payload for u in cascade.users if u.crc_ok} == {
             u.payload for u in full.users if u.crc_ok
@@ -191,7 +191,7 @@ class TestEscalation:
     def test_collision_escalates_with_reason(self):
         samples = _collided_window(PARAMS, seed=4)
         result = build_pipeline(
-            "cascade", PARAMS, rng=np.random.default_rng(0), max_users=4
+            "cascade", PARAMS, max_users=4
         ).decode_window(samples, _n_data(PARAMS), len(PAYLOAD))
         assert result.tier == TIER_FULL
         assert result.escalation_reason == REASON_COLLIDED
@@ -201,10 +201,10 @@ class TestEscalation:
         samples = _collided_window(PARAMS, seed=5)
         n_data = _n_data(PARAMS)
         cascade = build_pipeline(
-            "cascade", PARAMS, rng=np.random.default_rng(0), max_users=4
+            "cascade", PARAMS, max_users=4
         ).decode_window(samples, n_data, len(PAYLOAD))
         full = build_pipeline(
-            "full", PARAMS, rng=np.random.default_rng(0), max_users=4
+            "full", PARAMS, max_users=4
         ).decode_window(samples, n_data, len(PAYLOAD))
         assert cascade.users == full.users
         assert cascade.crc_ok == full.crc_ok
@@ -214,7 +214,7 @@ class TestEscalation:
         samples = _collided_window(PARAMS, seed=6)
         _, counts = _observed(
             build_pipeline(
-                "cascade", PARAMS, rng=np.random.default_rng(0), max_users=4
+                "cascade", PARAMS, max_users=4
             ),
             samples,
         )
@@ -232,7 +232,7 @@ class TestEscalation:
         corrupted[:3] = (corrupted[:3] + 41) % PARAMS.chips_per_symbol
         samples, _ = _frame_in_window(PARAMS, seed=7, symbols=corrupted)
         result = build_pipeline(
-            "cascade", PARAMS, rng=np.random.default_rng(0)
+            "cascade", PARAMS
         ).decode_window(samples, _n_data(PARAMS), len(PAYLOAD))
         assert result.escalation_reason == REASON_CRC_FAIL
         assert result.tier == TIER_FULL
@@ -245,7 +245,7 @@ class TestEscalation:
         corrupted = frame.symbols.copy()
         corrupted[:3] = (corrupted[:3] + 41) % PARAMS.chips_per_symbol
         samples, _ = _frame_in_window(PARAMS, seed=7, symbols=corrupted)
-        pipeline = build_pipeline("cascade", PARAMS, rng=np.random.default_rng(0))
+        pipeline = build_pipeline("cascade", PARAMS)
         users_per_attempt = []
         decode_at = pipeline.full._decode_at
 
@@ -267,7 +267,7 @@ class TestEscalation:
         # Cut the capture off mid-frame: Tier 0 runs out of data symbols.
         truncated = samples[: (PARAMS.preamble_len + 4) * n]
         result = build_pipeline(
-            "cascade", PARAMS, rng=np.random.default_rng(0)
+            "cascade", PARAMS
         ).decode_window(truncated, _n_data(PARAMS), len(PAYLOAD))
         assert result.escalation_reason == REASON_TRUNCATED
 

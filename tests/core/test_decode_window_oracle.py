@@ -172,7 +172,7 @@ def _rendered(case, seed, cut):
     """
     rng = np.random.default_rng(seed)
     packet, _ = make_collision(rng, RENDERED_CASES[case], n_symbols=10)
-    decoder = ChoirDecoder(PARAMS, rng=rng)
+    decoder = ChoirDecoder(PARAMS)
     samples = packet.samples[cut:]
     users = decoder.estimate_users(samples, max_users=4)
     windows = dechirp_windows(PARAMS, samples, n_windows=10, start=PARAMS.preamble_len * N)
@@ -235,7 +235,7 @@ class TestSyntheticWindows:
     @pytest.mark.parametrize("seed", range(3))
     def test_signatures_within_a_tenth_of_a_bin(self, seed):
         rng = np.random.default_rng(100 + seed)
-        decoder = ChoirDecoder(PARAMS, rng=rng)
+        decoder = ChoirDecoder(PARAMS)
         branches = set()
         for mus in ([40.30, 120.36], [40.30, 120.38, 200.34], [10.5, 77.55, 140.48, 201.52]):
             specs = [(mu, float(rng.uniform(0.0, 12.0)), float(rng.uniform(4.0, 8.0)))
@@ -251,7 +251,7 @@ class TestSyntheticWindows:
     @pytest.mark.parametrize("ratio_db", [0.0, 1.0, 25.0, 35.0])
     def test_power_ratios_with_delays(self, ratio_db):
         rng = np.random.default_rng(int(ratio_db) + 11)
-        decoder = ChoirDecoder(PARAMS, rng=rng)
+        decoder = ChoirDecoder(PARAMS)
         weak = 3.0
         strong = weak * 10 ** (ratio_db / 20)
         specs = [(60.21, 9.5, strong), (150.68, 31.25, weak), (230.44, 0.0, weak * 1.2)]

@@ -26,7 +26,7 @@ class TestTwoUserDecode:
     def test_perfect_at_high_snr(self):
         rng = np.random.default_rng(0)
         packet, streams = make_collision(rng, [(12.4, 2.6, 20.0), (90.7, 7.2, 15.0)])
-        decoder = ChoirDecoder(PARAMS, rng=rng)
+        decoder = ChoirDecoder(PARAMS)
         users = decoder.decode(packet.samples, streams[0].size)
         assert len(users) == 2
         for k in range(2):
@@ -37,7 +37,7 @@ class TestTwoUserDecode:
     def test_low_snr_pair(self):
         rng = np.random.default_rng(1)
         packet, streams = make_collision(rng, [(12.4, 1.0, 2.2), (90.7, 3.0, 2.0)])
-        decoder = ChoirDecoder(PARAMS, rng=rng)
+        decoder = ChoirDecoder(PARAMS)
         users = decoder.decode(packet.samples, streams[0].size)
         for k in range(2):
             du = _match(users, packet, k)
@@ -47,7 +47,7 @@ class TestTwoUserDecode:
     def test_near_far_30db(self):
         rng = np.random.default_rng(2)
         packet, streams = make_collision(rng, [(50.45, 3.1, 60.0), (20.8, 6.4, 2.0)])
-        decoder = ChoirDecoder(PARAMS, rng=rng)
+        decoder = ChoirDecoder(PARAMS)
         users = decoder.decode(packet.samples, streams[0].size)
         weak = _match(users, packet, 1)
         assert weak is not None
@@ -65,7 +65,7 @@ class TestMultiUserDecode:
             (220.3, 9.0, 5.0),
         ]
         packet, streams = make_collision(rng, users_cfg)
-        decoder = ChoirDecoder(PARAMS, rng=rng)
+        decoder = ChoirDecoder(PARAMS)
         users = decoder.decode(packet.samples, streams[0].size)
         accuracies = []
         for k in range(5):
@@ -81,7 +81,7 @@ class TestMultiUserDecode:
         packet, streams = make_collision(
             rng, [(50.4, 0.0, 20.0), (50.6, 0.0, 18.0), (150.9, 0.0, 15.0)]
         )
-        decoder = ChoirDecoder(PARAMS, rng=rng)
+        decoder = ChoirDecoder(PARAMS)
         users = decoder.decode(packet.samples, streams[0].size)
         third = _match(users, packet, 2)
         assert third is not None
@@ -92,7 +92,7 @@ class TestDecodeNoUsers:
     def test_noise_only_returns_empty(self):
         rng = np.random.default_rng(5)
         noise = (rng.normal(size=20 * 256) + 1j * rng.normal(size=20 * 256)) / np.sqrt(2)
-        decoder = ChoirDecoder(PARAMS, threshold_snr=5.0, rng=rng)
+        decoder = ChoirDecoder(PARAMS, threshold_snr=5.0)
         assert decoder.decode(noise, 4) in ([],) or len(decoder.decode(noise, 4)) <= 1
 
 
@@ -108,7 +108,7 @@ class TestPayloadDecode:
             [(30.3, 2.0, 15.0), (130.9, 5.0, 12.0)],
             symbols=[f.symbols for f in frames],
         )
-        decoder = ChoirDecoder(PARAMS, rng=rng)
+        decoder = ChoirDecoder(PARAMS)
         users = decoder.decode(packet.samples, n_sym)
         recovered = set()
         for du in users:
@@ -124,7 +124,7 @@ class TestTeamDecode:
         shared = rng.integers(0, N_BINS, 10)
         users_cfg = [(rng.uniform(0, 250), rng.uniform(0, 6), 0.33) for _ in range(10)]
         packet, _ = make_collision(rng, users_cfg, symbols=[shared] * 10)
-        decoder = ChoirDecoder(PARAMS, rng=rng)
+        decoder = ChoirDecoder(PARAMS)
         result = decoder.decode_team(packet.samples, shared.size)
         assert result.detected
         assert result.n_members_detected >= 4
@@ -134,7 +134,7 @@ class TestTeamDecode:
         rng = np.random.default_rng(8)
         shared = rng.integers(0, N_BINS, 10)
         packet, _ = make_collision(rng, [(80.3, 2.0, 0.12)], symbols=[shared])
-        decoder = ChoirDecoder(PARAMS, rng=rng)
+        decoder = ChoirDecoder(PARAMS)
         result = decoder.decode_team(packet.samples, shared.size)
         accuracy = (
             np.mean(result.symbols == shared) if result.detected else 0.0
@@ -144,7 +144,7 @@ class TestTeamDecode:
     def test_no_packet_returns_not_detected(self):
         rng = np.random.default_rng(9)
         noise = (rng.normal(size=24 * 256) + 1j * rng.normal(size=24 * 256)) / np.sqrt(2)
-        decoder = ChoirDecoder(PARAMS, rng=rng)
+        decoder = ChoirDecoder(PARAMS)
         result = decoder.decode_team(noise, 8)
         assert not result.detected
         assert result.symbols.size == 0

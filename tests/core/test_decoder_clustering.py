@@ -26,7 +26,7 @@ class TestClusteringDecode:
     def test_matches_sic_on_balanced_pair(self):
         rng = np.random.default_rng(0)
         packet, streams = make_collision(rng, [(12.4, 2.6, 20.0), (90.7, 7.2, 15.0)])
-        decoder = ChoirDecoder(PARAMS, rng=np.random.default_rng(1))
+        decoder = ChoirDecoder(PARAMS)
         clustered = decoder.decode(packet.samples, streams[0].size, method="clustering")
         assert _accuracies(clustered, packet, streams) == [1.0, 1.0]
 
@@ -35,7 +35,7 @@ class TestClusteringDecode:
         packet, streams = make_collision(
             rng, [(15.2, 1.0, 20.0), (60.7, 3.0, 15.0), (170.9, 7.0, 10.0)]
         )
-        decoder = ChoirDecoder(PARAMS, rng=np.random.default_rng(1))
+        decoder = ChoirDecoder(PARAMS)
         clustered = decoder.decode(packet.samples, streams[0].size, method="clustering")
         assert min(_accuracies(clustered, packet, streams)) > 0.9
 
@@ -44,10 +44,10 @@ class TestClusteringDecode:
         # user buried under another's leakage; SIC can.
         rng = np.random.default_rng(2)
         packet, streams = make_collision(rng, [(50.45, 3.1, 60.0), (20.8, 6.4, 2.0)])
-        sic = ChoirDecoder(PARAMS, rng=np.random.default_rng(1)).decode(
+        sic = ChoirDecoder(PARAMS).decode(
             packet.samples, streams[0].size, method="sic"
         )
-        clustered = ChoirDecoder(PARAMS, rng=np.random.default_rng(1)).decode(
+        clustered = ChoirDecoder(PARAMS).decode(
             packet.samples, streams[0].size, method="clustering"
         )
         sic_weak = _accuracies(sic, packet, streams)[1]
@@ -57,6 +57,6 @@ class TestClusteringDecode:
     def test_unknown_method_rejected(self):
         rng = np.random.default_rng(3)
         packet, streams = make_collision(rng, [(12.4, 0.0, 20.0)])
-        decoder = ChoirDecoder(PARAMS, rng=rng)
+        decoder = ChoirDecoder(PARAMS)
         with pytest.raises(ValueError, match="method"):
             decoder.decode(packet.samples, streams[0].size, method="magic")

@@ -14,7 +14,7 @@ from repro.core.engine import (
     _cached_column,
     _phasor_columns,
 )
-from repro.core.offsets import refine_offsets
+from repro.core.offsets import refine_offsets_scalar
 from repro.core.residual import residual_power, residual_surface
 
 N_SAMPLES = 64
@@ -168,7 +168,7 @@ class TestBatchedCandidates:
         windows = _windows(rng, truth, noise=0.1)
         coarse = truth + np.array([0.2, -0.15])
         engine_pos = ResidualEngine(windows).refine(coarse)
-        scalar_pos = refine_offsets(windows, coarse, method="coordinate-scalar")
+        scalar_pos = refine_offsets_scalar(windows, coarse)
         np.testing.assert_allclose(engine_pos, scalar_pos, atol=5e-3)
         np.testing.assert_allclose(engine_pos, truth, atol=0.05)
 

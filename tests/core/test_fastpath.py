@@ -190,7 +190,7 @@ class TestTier0Decode:
         assert evidence.classify(THRESHOLDS) == CLEAN
         tier0 = fast.decode(capture, evidence, len(true_symbols))
 
-        choir = ChoirDecoder(params, rng=np.random.default_rng(0))
+        choir = ChoirDecoder(params)
         users = choir.decode(capture, len(true_symbols))
         assert len(users) >= 1
         # Same window, same verdict, symbol for symbol.

@@ -18,7 +18,6 @@ def _mixed_capture(seed, sf_assignments, gain=12.0, n_symbols=12, decoder=None):
     rng = np.random.default_rng(seed)
     decoder = decoder or MultiSfDecoder(
         spreading_factors=tuple(sorted(set(sf_assignments))),
-        rng=np.random.default_rng(1),
     )
     transmissions, truth = [], {}
     for i, sf in enumerate(sf_assignments):
@@ -83,7 +82,7 @@ class TestPaperExample:
 
     def test_inactive_branch_empty(self):
         decoder, capture, truth = _mixed_capture(2, [7, 7])
-        decoder9 = MultiSfDecoder(spreading_factors=(7, 9), rng=np.random.default_rng(1))
+        decoder9 = MultiSfDecoder(spreading_factors=(7, 9))
         # Rebuild capture against the (7, 9)-aware decoder's params.
         decoder9, capture, truth = _mixed_capture(2, [7, 7], decoder=decoder9)
         results = decoder9.decode(capture, {7: 12})

@@ -31,7 +31,7 @@ class TestPhasedSic:
     def test_equal_power_pair(self):
         rng = np.random.default_rng(0)
         packet, _ = make_collision(rng, [(10.4, 2.0, 10.0), (99.7, 5.0, 10.0)])
-        estimates = phased_sic(_preamble_windows(packet), rng=rng)
+        estimates = phased_sic(_preamble_windows(packet))
         assert len(estimates) == 2
 
     def test_near_far_weak_user_recovered(self):
@@ -40,7 +40,7 @@ class TestPhasedSic:
         # subtraction.
         rng = np.random.default_rng(1)
         packet, _ = make_collision(rng, [(50.45, 3.0, 60.0), (83.8, 6.0, 3.0)])
-        estimates = phased_sic(_preamble_windows(packet), rng=rng)
+        estimates = phased_sic(_preamble_windows(packet))
         truths = [u.true_offset_bins(PARAMS) % N_BINS for u in packet.users]
         assert _found(estimates, truths[0])
         assert _found(estimates, truths[1])
@@ -48,7 +48,7 @@ class TestPhasedSic:
     def test_no_ghosts_on_strong_pair(self):
         rng = np.random.default_rng(2)
         packet, _ = make_collision(rng, [(20.3, 4.0, 40.0), (150.8, 9.0, 30.0)])
-        estimates = phased_sic(_preamble_windows(packet), rng=rng)
+        estimates = phased_sic(_preamble_windows(packet))
         assert len(estimates) == 2
 
     def test_five_users(self):
@@ -56,7 +56,7 @@ class TestPhasedSic:
         users = [(15.2, 1.0, 25.0), (60.7, 3.0, 18.0), (110.4, 5.0, 12.0),
                  (170.9, 7.0, 8.0), (220.3, 9.0, 5.0)]
         packet, _ = make_collision(rng, users)
-        estimates = phased_sic(_preamble_windows(packet), rng=rng)
+        estimates = phased_sic(_preamble_windows(packet))
         truths = [u.true_offset_bins(PARAMS) % N_BINS for u in packet.users]
         assert sum(_found(estimates, t) for t in truths) == 5
 
@@ -65,26 +65,26 @@ class TestPhasedSic:
         packet, _ = make_collision(
             rng, [(15.2, 0.0, 25.0), (60.7, 0.0, 18.0), (110.4, 0.0, 12.0)]
         )
-        estimates = phased_sic(_preamble_windows(packet), max_users=2, rng=rng)
+        estimates = phased_sic(_preamble_windows(packet), max_users=2)
         assert len(estimates) <= 2
 
     def test_noise_only(self):
         rng = np.random.default_rng(5)
         noise = (rng.normal(size=(7, 256)) + 1j * rng.normal(size=(7, 256))) / np.sqrt(2)
-        estimates = phased_sic(noise, threshold_snr=5.0, rng=rng)
+        estimates = phased_sic(noise, threshold_snr=5.0)
         assert len(estimates) <= 1
 
     def test_ghost_floor_filters_weak_artifacts(self):
         rng = np.random.default_rng(6)
         packet, _ = make_collision(rng, [(40.45, 12.0, 80.0)])
-        estimates = phased_sic(_preamble_windows(packet), rng=rng)
+        estimates = phased_sic(_preamble_windows(packet))
         # A single strong user must not spawn extra "users".
         assert len(estimates) == 1
 
     def test_delay_estimates_propagated(self):
         rng = np.random.default_rng(7)
         packet, _ = make_collision(rng, [(30.3, 5.5, 30.0)])
-        estimates = phased_sic(_preamble_windows(packet), rng=rng)
+        estimates = phased_sic(_preamble_windows(packet))
         assert estimates[0].delay_samples == pytest.approx(5.5, abs=0.3)
 
 

@@ -40,7 +40,7 @@ class TestDecoderSynchronize:
     @pytest.mark.parametrize("shift", [33, 256, 517])
     def test_shifted_capture_decodes(self, shift):
         shifted, packet, streams = _shifted_capture(shift)
-        decoder = ChoirDecoder(PARAMS, rng=np.random.default_rng(1))
+        decoder = ChoirDecoder(PARAMS)
         aligned = _synchronized(shifted)
         users = decoder.decode(aligned, streams[0].size)
         for stream in streams:
@@ -51,7 +51,7 @@ class TestDecoderSynchronize:
 
     def test_aligned_capture_unchanged_result(self):
         shifted, packet, streams = _shifted_capture(0)
-        decoder = ChoirDecoder(PARAMS, rng=np.random.default_rng(1))
+        decoder = ChoirDecoder(PARAMS)
         aligned = _synchronized(shifted)
         users = decoder.decode(aligned, streams[0].size)
         assert len(users) == 2

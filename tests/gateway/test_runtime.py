@@ -152,7 +152,7 @@ class TestShardTags:
         for outcome in report.outcomes:
             assert outcome.channel == 0
             assert outcome.spreading_factor == PARAMS.spreading_factor
-            assert outcome.rng_key[:2] == (0, PARAMS.spreading_factor)
+            assert outcome.key[:2] == (0, PARAMS.spreading_factor)
         assert set(report.shards) == {"ch0.sf7"}
 
     def test_uplinks_carry_channel_and_sf(self, report_and_sent):

@@ -72,7 +72,7 @@ def _dummy_job(job_id: int) -> DecodeJob:
         detection_score=1.0,
         created_at=0.0,
         params=PARAMS,
-        rng_key=(0, PARAMS.spreading_factor, job_id),
+        key=(0, PARAMS.spreading_factor, job_id),
     )
 
 

@@ -45,7 +45,7 @@ def _clean_window(seed: int = 0, lead: int = 0, snr_db: float = 15.0) -> tuple[D
         detection_score=10.0,
         created_at=time.perf_counter(),
         params=PARAMS,
-        rng_key=(seed,),
+        key=(seed,),
     )
     return job, payload
 
@@ -53,7 +53,7 @@ def _clean_window(seed: int = 0, lead: int = 0, snr_db: float = 15.0) -> tuple[D
 class TestDecodePacketWindow:
     def test_prealigned_window_decodes(self):
         job, payload = _clean_window(seed=1)
-        outcome = decode_packet_window(job, np.random.SeedSequence(0))
+        outcome = decode_packet_window(job)
         assert outcome.crc_ok
         assert outcome.payload == payload
 
@@ -62,22 +62,21 @@ class TestDecodePacketWindow:
         job, payload = _clean_window(
             seed=2, lead=WINDOW_LEAD_SYMBOLS * PARAMS.samples_per_symbol
         )
-        outcome = decode_packet_window(job, np.random.SeedSequence(0))
+        outcome = decode_packet_window(job)
         assert outcome.crc_ok
         assert outcome.payload == payload
 
     def test_deterministic_given_seed_and_job_id(self):
         job, _ = _clean_window(seed=3, lead=64)
-        seeds = np.random.SeedSequence(42)
-        a = decode_packet_window(job, seeds)
-        b = decode_packet_window(job, seeds)
+        a = decode_packet_window(job)
+        b = decode_packet_window(job)
         assert a.payload == b.payload
         assert a.crc_ok == b.crc_ok
         assert [u.offset_bins for u in a.users] == [u.offset_bins for u in b.users]
 
     def test_outcome_records_timing_and_score(self):
         job, _ = _clean_window(seed=4)
-        outcome = decode_packet_window(job, np.random.SeedSequence(0))
+        outcome = decode_packet_window(job)
         assert outcome.decode_s > 0
         assert outcome.queue_wait_s >= 0
         assert outcome.detection_score == 10.0
@@ -88,7 +87,7 @@ class TestPoolExecutors:
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_executors_agree_with_each_other(self, executor):
         jobs = [_clean_window(seed=s, lead=32) for s in (10, 11)]
-        pool = DecodeWorkerPool(n_workers=2, executor=executor, rng=5)
+        pool = DecodeWorkerPool(n_workers=2, executor=executor)
         for job, _ in jobs:
             assert pool.submit(job)
         outcomes = pool.close()
@@ -99,7 +98,7 @@ class TestPoolExecutors:
 
     def test_process_executor_decodes(self):
         job, payload = _clean_window(seed=12)
-        pool = DecodeWorkerPool(n_workers=1, executor="process", rng=0)
+        pool = DecodeWorkerPool(n_workers=1, executor="process")
         assert pool.submit(job)
         outcomes = pool.close()
         assert len(outcomes) == 1
@@ -116,7 +115,6 @@ class TestPoolExecutors:
                 n_workers=1,
                 executor=executor,
                 decode_tier="full",  # decode.attempts counts full-pipeline tries
-                rng=0,
             )
             for seed in (12, 13):
                 job, _ = _clean_window(seed=seed)
@@ -136,7 +134,7 @@ class TestPoolExecutors:
         assert serial["decode.crc_ok"] == 2
 
     def test_close_is_idempotent_and_sorted(self):
-        pool = DecodeWorkerPool(executor="serial", rng=0)
+        pool = DecodeWorkerPool(executor="serial")
         for seed in (21, 20):
             job, _ = _clean_window(seed=seed)
             pool.submit(job)
@@ -145,7 +143,7 @@ class TestPoolExecutors:
         assert pool.close() == first
 
     def test_submit_after_close_raises(self):
-        pool = DecodeWorkerPool(executor="serial", rng=0)
+        pool = DecodeWorkerPool(executor="serial")
         pool.close()
         job, _ = _clean_window(seed=0)
         with pytest.raises(RuntimeError, match="closed"):
@@ -172,7 +170,7 @@ def _tiny_job(job_id: int) -> DecodeJob:
         detection_score=1.0,
         created_at=time.perf_counter(),
         params=PARAMS,
-        rng_key=(job_id,),
+        key=(job_id,),
     )
 
 
@@ -186,7 +184,7 @@ class _GatedDecode:
         self._lock = threading.Lock()
         self._first = True
 
-    def __call__(self, job, base_seed, **kwargs) -> DecodeOutcome:
+    def __call__(self, job, **kwargs) -> DecodeOutcome:
         with self._lock:
             first, self._first = self._first, False
         if first:
@@ -284,7 +282,6 @@ class TestDropPolicies:
             executor="process",
             queue_capacity=1,
             drop_policy="newest",
-            rng=0,
         )
         jobs = [_clean_window(seed=s)[0] for s in (30, 31, 32)]
         accepted = [pool.submit(job) for job in jobs]

@@ -93,7 +93,7 @@ class TestChoirMultiantenna:
         capture, streams = _capture(
             rng, [15.3, 120.8], n_antennas=3, snr_db=8.0, delays=[2.0, 5.0]
         )
-        decoder = ChoirDecoder(PARAMS, rng=rng)
+        decoder = ChoirDecoder(PARAMS)
         combined = decode_choir_multiantenna(decoder, capture, streams[0].size)
         assert len(combined) >= 2
         total = 0.0
@@ -114,5 +114,5 @@ class TestChoirMultiantenna:
             states=(),
             symbols=(),
         )
-        decoder = ChoirDecoder(PARAMS, threshold_snr=6.0, rng=rng)
+        decoder = ChoirDecoder(PARAMS, threshold_snr=6.0)
         assert decode_choir_multiantenna(decoder, capture, 4) == []

@@ -58,7 +58,7 @@ class TestNarrowbandJammer:
         packet, streams = _two_user_packet(rng)
         n = packet.samples.size
         jammer = 40.0 * np.exp(2j * np.pi * 0.173 * np.arange(n))
-        decoder = ChoirDecoder(PARAMS, rng=rng)
+        decoder = ChoirDecoder(PARAMS)
         users = decoder.decode(packet.samples + jammer, streams[0].size)
         accs = _accuracies(users, packet, streams)
         assert min(accs) > 0.85
@@ -76,7 +76,7 @@ class TestBurstInterference:
         corrupted[start : start + length] += 30.0 * (
             rng.normal(size=length) + 1j * rng.normal(size=length)
         )
-        decoder = ChoirDecoder(PARAMS, rng=rng)
+        decoder = ChoirDecoder(PARAMS)
         users = decoder.decode(corrupted, streams[0].size)
         accs = _accuracies(users, packet, streams)
         # At most ~3 of 14 symbols affected per user.
@@ -88,7 +88,7 @@ class TestAdcLimits:
         rng = np.random.default_rng(2)
         adc = AdcModel(bits=8, full_scale=20.0)  # collision peaks clip
         packet, streams = _two_user_packet(rng, gains=(15.0, 12.0), adc=adc)
-        decoder = ChoirDecoder(PARAMS, rng=rng)
+        decoder = ChoirDecoder(PARAMS)
         users = decoder.decode(packet.samples, streams[0].size)
         accs = _accuracies(users, packet, streams)
         assert max(accs) > 0.85  # at least the dominant structure survives
@@ -102,7 +102,7 @@ class TestAdcLimits:
         rng = np.random.default_rng(3)
         adc = AdcModel(bits=3, full_scale=40.0)
         packet, streams = _two_user_packet(rng, gains=(35.0, 0.8), adc=adc)
-        decoder = ChoirDecoder(PARAMS, rng=rng)
+        decoder = ChoirDecoder(PARAMS)
         users = decoder.decode(packet.samples, streams[0].size)
         accs = _accuracies(users, packet, streams)
         assert accs[0] > 0.6  # strong user survives (with quantization noise)
@@ -112,7 +112,7 @@ class TestAdcLimits:
         rng = np.random.default_rng(3)
         adc = AdcModel(bits=14, full_scale=40.0)
         packet, streams = _two_user_packet(rng, gains=(35.0, 0.8), adc=adc)
-        decoder = ChoirDecoder(PARAMS, rng=rng)
+        decoder = ChoirDecoder(PARAMS)
         users = decoder.decode(packet.samples, streams[0].size)
         accs = _accuracies(users, packet, streams)
         assert accs[1] > 0.85
@@ -123,13 +123,13 @@ class TestDegenerateInputs:
         rng = np.random.default_rng(4)
         packet, streams = _two_user_packet(rng)
         cut = packet.samples[: (PARAMS.preamble_len + 6) * PARAMS.samples_per_symbol]
-        decoder = ChoirDecoder(PARAMS, rng=rng)
+        decoder = ChoirDecoder(PARAMS)
         users = decoder.decode(cut, streams[0].size)
         # Only 6 data windows available; decoded streams are short but valid.
         assert all(u.symbols.size == 6 for u in users)
 
     def test_all_zero_capture(self):
-        decoder = ChoirDecoder(PARAMS, rng=np.random.default_rng(5))
+        decoder = ChoirDecoder(PARAMS)
         users = decoder.decode(np.zeros(20 * 256, dtype=complex), 4)
         assert users == []
 
@@ -138,7 +138,7 @@ class TestDegenerateInputs:
         # like any narrowband interferer.
         rng = np.random.default_rng(6)
         packet, streams = _two_user_packet(rng)
-        decoder = ChoirDecoder(PARAMS, rng=rng)
+        decoder = ChoirDecoder(PARAMS)
         users = decoder.decode(packet.samples + 5.0, streams[0].size)
         accs = _accuracies(users, packet, streams)
         assert min(accs) > 0.85

@@ -44,7 +44,7 @@ class TestPayloadCollisionPipeline:
         packet = channel.receive(
             [(r, f.symbols, 12.0 + 0j) for r, f in zip(radios, frames)], rng=rng
         )
-        decoder = ChoirDecoder(PARAMS, rng=rng)
+        decoder = ChoirDecoder(PARAMS)
         users = decoder.decode(packet.samples, n_sym)
         recovered = {
             du.decode_payload(framer, len(payloads[0])).payload
@@ -65,7 +65,7 @@ class TestPayloadCollisionPipeline:
         packet = channel.receive(
             [(r, s, g) for r, s, g in zip(radios, streams, gains)], rng=rng
         )
-        decoder = ChoirDecoder(PARAMS, rng=rng)
+        decoder = ChoirDecoder(PARAMS)
         users = decoder.decode(packet.samples, 14)
         # At least the users with healthy SNR decode correctly.
         healthy = [
@@ -123,7 +123,7 @@ class TestSensorTeamPipeline:
             for i in range(8)
         ]
         packet = channel.receive(transmissions, rng=rng)
-        decoder = ChoirDecoder(PARAMS, rng=rng)
+        decoder = ChoirDecoder(PARAMS)
         result = decoder.decode_team(packet.samples, stream.size)
         assert result.detected
         recovered_symbol = int(np.median(result.symbols))

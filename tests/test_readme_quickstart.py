@@ -24,7 +24,7 @@ def test_readme_quickstart_recovers_all_payloads():
     )
 
     recovered = set()
-    for user in ChoirDecoder(params, rng=rng).decode(packet.samples, frames[0].n_symbols):
+    for user in ChoirDecoder(params).decode(packet.samples, frames[0].n_symbols):
         result = user.decode_payload(framer, 16)
         if result.crc_ok:
             recovered.add(result.payload)

@@ -112,13 +112,13 @@ class TestAlwaysSampleFailures:
             detection_score=1.1,
             created_at=time.perf_counter(),
             params=PARAMS,
-            rng_key=(job_id,),
+            key=(job_id,),
         )
 
     def test_failed_job_trace_retained_at_rate_zero(self):
         recorder = TraceRecorder(TraceConfig(sample_rate=0.0))
         pool = DecodeWorkerPool(
-            executor="serial", rng=0, trace_recorder=recorder
+            executor="serial", trace_recorder=recorder
         )
         ok_job, _ = _clean_window(seed=10, lead=32)
         pool.submit(ok_job)

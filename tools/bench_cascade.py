@@ -41,7 +41,7 @@ from repro.gateway.workers import DecodeJob, decode_packet_window  # noqa: E402
 from repro.hardware import LoRaRadio, OscillatorModel, TimingModel  # noqa: E402
 from repro.phy.packet import LoRaFramer  # noqa: E402
 from repro.phy.params import LoRaParams  # noqa: E402
-from repro.utils import as_seed_sequence, ensure_rng  # noqa: E402
+from repro.utils import ensure_rng  # noqa: E402
 
 #: Tiers timed against each other on the identical job set.
 BENCH_TIERS = ("full", "cascade")
@@ -117,7 +117,7 @@ def build_workload(
                 detection_score=10.0,
                 created_at=0.0,
                 params=params,
-                rng_key=(i,),
+                key=(i,),
             )
         )
         truths.append(truth)
@@ -146,7 +146,6 @@ def run_benchmark(
         params, n_packets, collided_fraction, payload_len, snr_db, seed
     )
     stream_s = sum(job.samples.size for job in jobs) / params.sample_rate
-    base_seed = as_seed_sequence(seed)
     tiers: dict[str, dict] = {}
     recovered_by: dict[str, list[set[bytes]]] = {}
     for tier in BENCH_TIERS:
@@ -158,10 +157,7 @@ def run_benchmark(
             for _ in range(inner):
                 started = time.perf_counter()
                 outcome = decode_packet_window(
-                    job,
-                    base_seed,
-                    max_users=max_users,
-                    decode_tier=tier,
+                    job, max_users=max_users, decode_tier=tier
                 )
                 elapsed = min(elapsed, time.perf_counter() - started)
             latencies.append(elapsed)

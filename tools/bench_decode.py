@@ -95,7 +95,7 @@ def run_benchmark(
         params = LoRaParams(spreading_factor=sf)
         for n_users in user_counts:
             rng = ensure_rng(seed)
-            decoder = ChoirDecoder(params, rng=rng)
+            decoder = ChoirDecoder(params)
             latencies = []
             users_found = []
             for rep in range(reps + 1):
