@@ -43,11 +43,17 @@ class LoRaFrame:
 
 @dataclass(frozen=True)
 class DecodedFrame:
-    """Result of decoding a symbol stream back into bytes."""
+    """Result of decoding a symbol stream back into bytes.
+
+    ``corrected_codewords`` and ``uncorrectable_codewords`` count the
+    frame's FEC codewords repaired by one bit flip and detected as wrong
+    but unrepairable (:func:`repro.phy.encoding.hamming_decode`).
+    """
 
     payload: bytes
     crc_ok: bool
     corrected_codewords: int
+    uncorrectable_codewords: int
 
 
 class LoRaFramer:
@@ -60,10 +66,6 @@ class LoRaFramer:
         self.coding_rate = coding_rate
 
     # ------------------------------------------------------------------
-    def _block_bits(self) -> int:
-        """Bits per interleaver block: SF codewords of (4+CR) bits."""
-        return self.params.spreading_factor * (4 + self.coding_rate)
-
     def coded_bit_count(self, payload_len: int) -> int:
         """Number of FEC-coded bits for a payload of ``payload_len`` bytes."""
         data_bytes = payload_len + 2  # payload + CRC16
@@ -72,33 +74,20 @@ class LoRaFramer:
 
     def n_symbols_for_payload(self, payload_len: int) -> int:
         """Data symbols needed to carry ``payload_len`` payload bytes."""
-        coded = self.coded_bit_count(payload_len)
-        block = self._block_bits()
-        n_blocks = -(-coded // block)  # ceil division
-        return n_blocks * block // self.params.spreading_factor
+        block = self.params.spreading_factor * (4 + self.coding_rate)
+        n_blocks = -(-self.coded_bit_count(payload_len) // block)  # ceil division
+        return n_blocks * (4 + self.coding_rate)
 
     # ------------------------------------------------------------------
     def encode(self, payload: bytes) -> LoRaFrame:
         """Run the full transmit coding chain on ``payload``."""
         sf = self.params.spreading_factor
         cr = self.coding_rate
-        data = append_crc(payload)
-        bits = whiten(bytes_to_bits(data))
-        nibbles = (
-            bits.reshape(-1, 4) @ (1 << np.arange(4)).astype(np.uint8)
-        ).astype(np.uint8)
-        coded = hamming_encode(nibbles, cr)
-        block = self._block_bits()
-        if coded.size % block:
-            pad = block - coded.size % block
-            coded = np.concatenate([coded, np.zeros(pad, dtype=np.uint8)])
-        interleaved = np.concatenate(
-            [
-                interleave(coded[i : i + block], sf, 4 + cr)
-                for i in range(0, coded.size, block)
-            ]
-        )
-        symbols = bits_to_symbols(interleaved, sf)
+        bits = whiten(bytes_to_bits(append_crc(payload)))
+        coded = np.zeros(self.n_symbols_for_payload(len(payload)) * sf, dtype=np.uint8)
+        nibbles = np.packbits(bits.reshape(-1, 4), axis=1, bitorder="little")[:, 0]
+        coded[: self.coded_bit_count(len(payload))] = hamming_encode(nibbles, cr)
+        symbols = bits_to_symbols(interleave(coded, sf, 4 + cr), sf)
         return LoRaFrame(payload=bytes(payload), symbols=symbols, coding_rate=cr)
 
     def decode(self, symbols: np.ndarray, payload_len: int) -> DecodedFrame:
@@ -112,17 +101,15 @@ class LoRaFramer:
                 f"need {expected_symbols} symbols for a {payload_len}-byte "
                 f"payload, got {symbols.size}"
             )
-        bits = symbols_to_bits(symbols[:expected_symbols], sf)
-        block = self._block_bits()
-        deinterleaved = np.concatenate(
-            [
-                deinterleave(bits[i : i + block], sf, 4 + cr)
-                for i in range(0, bits.size, block)
-            ]
+        bits = deinterleave(symbols_to_bits(symbols[:expected_symbols], sf), sf, 4 + cr)
+        nibbles, corrected, uncorrectable = hamming_decode(
+            bits[: self.coded_bit_count(payload_len)], cr
         )
-        coded_len = self.coded_bit_count(payload_len)
-        nibbles, corrected = hamming_decode(deinterleaved[:coded_len], cr)
-        data_bits = ((nibbles[:, None] >> np.arange(4)) & 1).astype(np.uint8).reshape(-1)
-        data = bits_to_bytes(whiten(data_bits))[: payload_len + 2]
-        ok = check_crc(data)
-        return DecodedFrame(payload=data[:-2], crc_ok=ok, corrected_codewords=corrected)
+        data_bits = np.unpackbits(nibbles[:, None], axis=1, count=4, bitorder="little")
+        data = bits_to_bytes(whiten(data_bits.reshape(-1)))
+        return DecodedFrame(
+            payload=data[:-2],
+            crc_ok=check_crc(data),
+            corrected_codewords=corrected,
+            uncorrectable_codewords=uncorrectable,
+        )

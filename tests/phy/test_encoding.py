@@ -50,9 +50,10 @@ class TestHamming:
     def test_roundtrip_all_rates(self, nibbles):
         for cr in (1, 2, 3, 4):
             bits = hamming_encode(nibbles, cr)
-            decoded, corrected = hamming_decode(bits, cr)
+            decoded, corrected, uncorrectable = hamming_decode(bits, cr)
             assert list(decoded) == nibbles
             assert corrected == 0
+            assert uncorrectable == 0
 
     @given(
         st.integers(min_value=0, max_value=15),
@@ -62,13 +63,14 @@ class TestHamming:
     def test_single_bit_error_corrected_cr4(self, nibble, flip_pos):
         bits = hamming_encode([nibble], 4)
         bits[flip_pos] ^= 1
-        decoded, corrected = hamming_decode(bits, 4)
+        decoded, corrected, uncorrectable = hamming_decode(bits, 4)
         assert decoded[0] == nibble
+        assert (corrected, uncorrectable) == (1, 0)
 
     def test_single_bit_error_corrected_cr3(self):
         bits = hamming_encode([9], 3)
         bits[2] ^= 1
-        decoded, _ = hamming_decode(bits, 3)
+        decoded, _, _ = hamming_decode(bits, 3)
         assert decoded[0] == 9
 
     def test_rate_lengths(self):
