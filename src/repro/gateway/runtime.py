@@ -328,7 +328,8 @@ class GatewayReport:
             f" ({100.0 * self.decode_success_rate:.0f}% of attempted,"
             f" {self.packets_per_s:.2f} packets/s)",
             f"  crc-failed   {self.crc_failures}",
-            f"  crc-trials   {self._counter('decode.crc_trials')} user frames checked",
+            f"  crc-trials   {self._counter('decode.crc_trials')} user frames checked,"
+            f" {self._counter('decode.fec_contradicted')} crc-ok over an uncorrectable codeword",
             f"  dropped      {self.packets_dropped}"
             f" ({100.0 * self.drop_rate:.0f}% of detected)"
             + (f", {self.samples_evicted} samples evicted" if self.samples_evicted else ""),

@@ -7,6 +7,8 @@ full Choir pipeline, and escalated windows produce results identical to
 running the full pipeline directly.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -25,9 +27,12 @@ from repro.core.cascade import (
     UserFrame,
     WindowDecode,
     build_pipeline,
+    check_frames,
 )
+from repro.core.decoder import DecodedUser
 from repro.gateway.telemetry import Telemetry
 from repro.hardware import LoRaRadio, OscillatorModel, TimingModel
+from repro.phy.encoding import bits_to_symbols, deinterleave, interleave, symbols_to_bits
 from repro.phy.packet import LoRaFramer
 from repro.phy.params import LoRaParams
 
@@ -312,3 +317,52 @@ class TestUserFrame:
         assert a == b
         with pytest.raises(Exception):
             a.crc_ok = False
+
+
+def _fec_contradicted_symbols(params, payload=PAYLOAD):
+    """A frame whose CRC verifies over one uncorrectable codeword.
+
+    Two flipped parity bits leave the data bits intact but put the first
+    codeword two bits from every CR 4/8 codeword.
+    """
+    sf = params.spreading_factor
+    bits = deinterleave(symbols_to_bits(LoRaFramer(params).encode(payload).symbols, sf), sf, 8)
+    bits[[4, 5]] ^= 1
+    return bits_to_symbols(interleave(bits, sf, 8), sf)
+
+
+class TestFrameVerdict:
+    """The verdict is the CRC alone; the FEC's contradiction is counted."""
+
+    def _check(self, symbols):
+        user = DecodedUser(estimate=SimpleNamespace(position_bins=3.25), symbols=symbols)
+        telemetry = Telemetry()
+        with observe.scope(telemetry):
+            frames = check_frames(LoRaFramer(PARAMS), [user, user], len(PAYLOAD))
+        state = telemetry.state()
+        return frames, {name: state[name]["value"] for name in state}
+
+    def test_crc_pass_over_uncorrectable_codeword_is_counted(self):
+        symbols = _fec_contradicted_symbols(PARAMS)
+        decoded = LoRaFramer(PARAMS).decode(symbols, len(PAYLOAD))
+        assert decoded.crc_ok and decoded.uncorrectable_codewords == 1
+        frames, counts = self._check(symbols)
+        assert [(f.payload, f.crc_ok) for f in frames] == [(PAYLOAD, True)] * 2
+        assert counts["decode.fec_contradicted"] == 2
+        assert counts["decode.crc_trials"] == 2
+
+    def test_clean_frame_is_not_counted(self):
+        frames, counts = self._check(LoRaFramer(PARAMS).encode(PAYLOAD).symbols)
+        assert [f.crc_ok for f in frames] == [True, True]
+        assert "decode.fec_contradicted" not in counts
+
+    def test_truncated_user_is_not_checked(self):
+        frames, counts = self._check(LoRaFramer(PARAMS).encode(PAYLOAD).symbols[:-1])
+        assert frames == [] and counts["decode.crc_trials"] == 0
+
+    def test_fec_contradicted_window_stays_on_tier0(self):
+        samples, _ = _frame_in_window(PARAMS, seed=3, symbols=_fec_contradicted_symbols(PARAMS))
+        result, counts = _observed(build_pipeline("cascade", PARAMS), samples)
+        assert result.tier == TIER0 and result.crc_ok
+        assert result.users[0].payload == PAYLOAD
+        assert counts["decode.fec_contradicted"] == 1

@@ -120,7 +120,10 @@ class TestReport:
         assert "gateway run summary" in text
         assert "detected" in text and "decoded" in text and "dropped" in text
         # Clean packets only: one Tier-0 CRC check each.
-        assert f"crc-trials   {report.packets_decoded} user frames checked" in text
+        assert (
+            f"crc-trials   {report.packets_decoded} user frames checked,"
+            " 0 crc-ok over an uncorrectable codeword" in text
+        )
         for stage in ("ingest", "detect", "queue-wait", "decode"):
             assert stage in text
         assert "p50=" in text and "p95=" in text

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.phy import LoRaFramer, LoRaParams
+from repro.phy.encoding import bits_to_symbols, deinterleave, interleave, symbols_to_bits
 
 PARAMS = LoRaParams(spreading_factor=8)
 
@@ -80,3 +81,16 @@ class TestFramer:
         padded = np.concatenate([frame.symbols, np.zeros(5, dtype=np.int64)])
         decoded = framer.decode(padded, len(payload))
         assert decoded.payload == payload and decoded.crc_ok
+
+    def test_double_parity_error_is_uncorrectable_but_crc_ok(self):
+        # Two flipped parity bits leave the data bits (and so the CRC)
+        # intact, but put the codeword two bits from every codeword.
+        framer = LoRaFramer(PARAMS, coding_rate=4)
+        payload = b"abcd"
+        frame = framer.encode(payload)
+        bits = deinterleave(symbols_to_bits(frame.symbols, 8), 8, 8)
+        bits[[4, 5]] ^= 1  # parity bits p0, p1 of the first codeword
+        symbols = bits_to_symbols(interleave(bits, 8, 8), 8)
+        decoded = framer.decode(symbols, len(payload))
+        assert decoded.payload == payload and decoded.crc_ok
+        assert (decoded.corrected_codewords, decoded.uncorrectable_codewords) == (0, 1)
