@@ -17,7 +17,8 @@
 #   make bench-profile profiled gateway run -> run manifest + collapsed stacks
 #   make profile-check `repro diff` gate vs the committed BENCH_profile.json
 #   make bench-smoke   repo benchmark self-test + one rep of two gateway
-#                      workloads (catches a moved entry point bench/ wraps)
+#                      workloads and of server_uplinks (catches a moved
+#                      entry point bench/ wraps, server layers included)
 #
 # Benchmark knobs (CI overrides these so it never rewrites the committed
 # baseline and gets extra slack for shared-runner jitter):
@@ -188,4 +189,4 @@ profile-check:
 bench-smoke:
 	$(PYTHON) -m pytest bench/tests -q
 	python3 bench/run.py --workload gw_collide_sf7 --workload gw_eu868_mixed \
-		--reps 1 --out $(BENCH_SMOKE_OUT)
+		--workload server_uplinks --reps 1 --out $(BENCH_SMOKE_OUT)

@@ -59,11 +59,7 @@ from repro.core.cascade import (
     WindowDecode,
     build_pipeline,
 )
-from repro.core.fastpath import (
-    CascadeThresholds,
-    FastPathDecoder,
-    PreambleEvidence,
-)
+from repro.core.fastpath import FastPathDecoder, PreambleEvidence
 from repro.core.multisf import (
     MultiSfDecoder,
     SfBranchResult,
@@ -107,7 +103,6 @@ __all__ = [
     "UserFrame",
     "WindowDecode",
     "build_pipeline",
-    "CascadeThresholds",
     "FastPathDecoder",
     "PreambleEvidence",
     "MultiSfDecoder",

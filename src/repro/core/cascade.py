@@ -45,7 +45,6 @@ from repro.core.fastpath import (
     CLEAN,
     COLLIDED,
     NO_PREAMBLE,
-    CascadeThresholds,
     FastPathDecoder,
 )
 from repro.phy.packet import LoRaFramer
@@ -252,7 +251,6 @@ class CascadePipeline:
     ) -> None:
         self.params = params
         self.full = full
-        self.thresholds = CascadeThresholds()
         self.fast = FastPathDecoder(params)
         self.framer = LoRaFramer(params)
 
@@ -277,7 +275,7 @@ class CascadePipeline:
             observe.counter("decode.tier0.attempts")
             start = self.fast.estimate_packet_start(samples)
             evidence = self.fast.analyze_preamble(samples, start)
-            verdict = evidence.classify(self.thresholds)
+            verdict = evidence.classify()
             observe.annotate(
                 start=int(start),
                 mu_bins=round(evidence.mu_bins, 4),

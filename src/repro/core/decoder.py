@@ -118,9 +118,6 @@ class ChoirDecoder:
         Zero-padding factor for coarse peak analysis (paper uses 10).
     threshold_snr:
         Peak detection threshold (multiple of the spectral noise level).
-    tier_ratio_db:
-        Users within this many dB of the strongest *remaining* user are
-        demodulated in the same SIC tier (Sec. 5.2's "phases").
     refine:
         Enable the sub-bin residual-minimization refinement; disabling it
         reproduces the coarse-only ablation.
@@ -134,13 +131,11 @@ class ChoirDecoder:
         params: LoRaParams,
         oversample: int = DEFAULT_OVERSAMPLE,
         threshold_snr: float = 4.0,
-        tier_ratio_db: float = 9.0,
         refine: bool = True,
     ) -> None:
         self.params = params
         self.oversample = oversample
         self.threshold_snr = threshold_snr
-        self.tier_ratio_db = tier_ratio_db
         self.refine = refine
 
     # ------------------------------------------------------------------
@@ -174,21 +169,6 @@ class ChoirDecoder:
     # ------------------------------------------------------------------
     # Data stage
     # ------------------------------------------------------------------
-    def _tiers(self, users: list[UserEstimate]) -> list[list[int]]:
-        """Group user indices into SIC tiers by channel magnitude."""
-        order = sorted(
-            range(len(users)), key=lambda i: users[i].channel_magnitude, reverse=True
-        )
-        ratio = 10.0 ** (self.tier_ratio_db / 20.0)
-        tiers: list[list[int]] = []
-        for idx in order:
-            magnitude = users[idx].channel_magnitude
-            if tiers and magnitude * ratio >= users[tiers[-1][0]].channel_magnitude:
-                tiers[-1].append(idx)
-            else:
-                tiers.append([idx])
-        return tiers
-
     def _decode_window(
         self,
         dechirped: np.ndarray,

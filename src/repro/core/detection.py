@@ -420,7 +420,6 @@ def sliding_packet_search(
     samples: np.ndarray,
     oversample: int = DEFAULT_OVERSAMPLE,
     pfa: float = 1e-3,
-    max_start_windows: int | None = None,
     earliest: bool = False,
     memo: ScanMemo | None = None,
     origin: int = 0,
@@ -470,8 +469,6 @@ def sliding_packet_search(
     span = params.preamble_len
     total_windows = samples.size // n
     n_starts = total_windows - span + 1
-    if max_start_windows is not None:
-        n_starts = min(n_starts, max_start_windows)
     if n_starts <= 0:
         return DetectionResult(detected=False, start_window=0, peaks=(), score=0.0)
     if memo is None:

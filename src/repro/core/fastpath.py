@@ -54,37 +54,27 @@ NO_PREAMBLE = "no-preamble-peak"
 #: the derotation step -- at a fraction of the decoder's 10x cost.
 FASTPATH_OVERSAMPLE = 8
 
+# Calibration of the collision discriminator, on rendered single-user
+# captures with full radio impairments (CFO + sub-symbol timing, 10-15 dB
+# SNR): a clean capture measures a per-window fractional spread of ~0.02
+# bins and a second-peak power ratio of 0 (no secondary above the
+# detector floor); see DESIGN.md Sec. 16 and tests/core/test_fastpath.py.
 
-@dataclass(frozen=True)
-class CascadeThresholds:
-    """Calibration of the collision discriminator.
+#: Accumulated peak power over the spectrum median below which no
+#: preamble is considered present at all (``no-preamble-peak``).
+MIN_PEAK_SNR = 2.0
 
-    Calibrated on rendered single-user captures with full radio
-    impairments (CFO + sub-symbol timing, 10-15 dB SNR): a clean capture
-    measures a per-window fractional spread of ~0.02 bins and a
-    second-peak power ratio of 0 (no secondary above the detector
-    floor); see DESIGN.md Sec. 16 and tests/core/test_fastpath.py.
+#: Second-to-first accumulated peak *power* ratio above which the window
+#: holds two users.  A lone sinc's strongest sidelobe sits at -13 dB
+#: (~0.05 in power); 0.15 clears it with margin while still catching a
+#: 8 dB-weaker collider.
+COLLIDED_PEAK_RATIO = 0.15
 
-    Attributes
-    ----------
-    min_peak_snr:
-        Accumulated peak power over the spectrum median below which no
-        preamble is considered present at all (``no-preamble-peak``).
-    collided_peak_ratio:
-        Second-to-first accumulated peak *power* ratio above which the
-        window holds two users.  A lone sinc's strongest sidelobe sits
-        at -13 dB (~0.05 in power); 0.15 clears it with margin while
-        still catching a 8 dB-weaker collider.
-    ambiguous_spread_bins:
-        RMS circular deviation (bins) of per-window peak positions from
-        the aggregate peak above which the evidence is too unstable to
-        trust a single-user read -- near-collided signatures beat
-        against each other and smear the per-window argmax.
-    """
-
-    min_peak_snr: float = 2.0
-    collided_peak_ratio: float = 0.15
-    ambiguous_spread_bins: float = 0.08
+#: RMS circular deviation (bins) of per-window peak positions from the
+#: aggregate peak above which the evidence is too unstable to trust a
+#: single-user read -- near-collided signatures beat against each other
+#: and smear the per-window argmax.
+AMBIGUOUS_SPREAD_BINS = 0.08
 
 
 @dataclass(frozen=True)
@@ -117,13 +107,13 @@ class PreambleEvidence:
     fractional_spread_bins: float
     n_windows: int
 
-    def classify(self, thresholds: CascadeThresholds) -> str:
-        """The discriminator verdict under ``thresholds``."""
-        if self.n_windows < 2 or self.peak_snr < thresholds.min_peak_snr:
+    def classify(self) -> str:
+        """The discriminator verdict under the calibrated thresholds."""
+        if self.n_windows < 2 or self.peak_snr < MIN_PEAK_SNR:
             return NO_PREAMBLE
-        if self.second_peak_ratio > thresholds.collided_peak_ratio:
+        if self.second_peak_ratio > COLLIDED_PEAK_RATIO:
             return COLLIDED
-        if self.fractional_spread_bins > thresholds.ambiguous_spread_bins:
+        if self.fractional_spread_bins > AMBIGUOUS_SPREAD_BINS:
             return AMBIGUOUS
         return CLEAN
 
@@ -135,11 +125,8 @@ class FastPathDecoder:
     single instance may serve every job of a (channel, SF) shard.
     """
 
-    def __init__(
-        self, params: LoRaParams, oversample: int = FASTPATH_OVERSAMPLE
-    ) -> None:
+    def __init__(self, params: LoRaParams) -> None:
         self.params = params
-        self.oversample = oversample
 
     # ------------------------------------------------------------------
     # Stage 1: O(len) energy-edge synchronization
@@ -188,7 +175,7 @@ class FastPathDecoder:
         """
         params = self.params
         n = params.samples_per_symbol
-        oversample = self.oversample
+        oversample = FASTPATH_OVERSAMPLE
         windows = dechirp_windows(
             params,
             samples,

@@ -6,7 +6,7 @@ basebands is a critically sampled analysis filterbank (Ghanaatian et al.,
 "LoRa Digital Receiver Analysis and Implementation" build their multi-user
 receivers the same way).  For ``M`` contiguous channels the bank is the
 classic polyphase/FFT structure: one prototype low-pass of length
-``M * taps_per_branch`` folded into ``M`` branches, one length-``M`` FFT
+``M * DEFAULT_TAPS_PER_BRANCH`` folded into ``M`` branches, one length-``M`` FFT
 per output sample, an ``M``-fold decimation -- ``M`` times cheaper than
 ``M`` independent digital down-converters.
 
@@ -31,7 +31,6 @@ stream.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -50,7 +49,7 @@ DEFAULT_TAPS_PER_BRANCH = 32
 
 
 @lru_cache(maxsize=16)
-def prototype_filter(n_channels: int, taps_per_branch: int = DEFAULT_TAPS_PER_BRANCH) -> np.ndarray:
+def prototype_filter(n_channels: int) -> np.ndarray:
     """Hamming-windowed-sinc low-pass prototype for an ``M``-channel bank.
 
     Cutoff is half a channel width (``Fs / 2M``), DC gain is normalized to
@@ -60,14 +59,12 @@ def prototype_filter(n_channels: int, taps_per_branch: int = DEFAULT_TAPS_PER_BR
     """
     if n_channels < 1:
         raise ValueError(f"n_channels must be >= 1, got {n_channels}")
-    if taps_per_branch < 1:
-        raise ValueError(f"taps_per_branch must be >= 1, got {taps_per_branch}")
     if n_channels == 1:
         # Degenerate single-channel bank: a pure pass-through.
         taps = np.zeros(1)
         taps[0] = 1.0
     else:
-        length = n_channels * taps_per_branch
+        length = n_channels * DEFAULT_TAPS_PER_BRANCH
         n = np.arange(length, dtype=float) - (length - 1) / 2.0
         taps = np.sinc(n / n_channels) * np.hamming(length)
         taps = taps / taps.sum()
@@ -75,7 +72,7 @@ def prototype_filter(n_channels: int, taps_per_branch: int = DEFAULT_TAPS_PER_BR
     return taps
 
 
-def analysis_noise_gain(n_channels: int, taps_per_branch: int = DEFAULT_TAPS_PER_BRANCH) -> float:
+def analysis_noise_gain(n_channels: int) -> float:
     """Noise power gain of one analysis branch: ``sum(h**2)``.
 
     White noise of variance ``sigma**2`` at the wideband input leaves each
@@ -83,7 +80,7 @@ def analysis_noise_gain(n_channels: int, taps_per_branch: int = DEFAULT_TAPS_PER
     is close to the ideal ``1 / n_channels`` (each channel sees its share
     of the wideband noise).
     """
-    taps = prototype_filter(n_channels, taps_per_branch)
+    taps = prototype_filter(n_channels)
     return float(np.sum(taps * taps))
 
 
@@ -97,9 +94,6 @@ class PolyphaseChannelizer:
         (``spacing == bandwidth``), which is what decimate-by-``M``
         channelization requires.  Stepped plans (e.g. US915's 200 kHz
         grid) need a fractional resampler in front and are rejected.
-    taps_per_branch:
-        Prototype filter length per polyphase branch; more taps sharpen
-        the band edges at linear cost.
 
     Feed wideband chunks with :meth:`push`; each call returns an
     ``(n_channels, n_out)`` array of per-channel baseband samples (``n_out``
@@ -107,11 +101,7 @@ class PolyphaseChannelizer:
     stream to drain the filter tail.
     """
 
-    def __init__(
-        self,
-        plan: ChannelPlan,
-        taps_per_branch: int = DEFAULT_TAPS_PER_BRANCH,
-    ) -> None:
+    def __init__(self, plan: ChannelPlan) -> None:
         if not plan.is_critically_stacked:
             raise ValueError(
                 "PolyphaseChannelizer requires a critically stacked plan "
@@ -120,7 +110,7 @@ class PolyphaseChannelizer:
             )
         self.plan = plan
         self.n_channels = plan.n_channels
-        self.taps = prototype_filter(plan.n_channels, taps_per_branch)
+        self.taps = prototype_filter(plan.n_channels)
         self._taps_flipped = self.taps[::-1].copy()
         # Window i spans buffered samples [i*M, i*M + L); priming the
         # buffer with L - M zeros makes output 0 correspond to the first
@@ -205,8 +195,6 @@ def upconvert_to_channel(
     plan: ChannelPlan,
     channel: int,
     start_sample: int = 0,
-    taps_per_branch: int = DEFAULT_TAPS_PER_BRANCH,
-    taps: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Place a narrowband channel waveform into the wideband stream.
 
@@ -228,8 +216,7 @@ def upconvert_to_channel(
     m = plan.oversample_factor
     if m == 1:
         return waveform.copy()
-    if taps is None:
-        taps = prototype_filter(m, taps_per_branch)
+    taps = prototype_filter(m)
     stuffed = np.zeros(waveform.size * m, dtype=complex)
     stuffed[::m] = waveform
     wide = np.convolve(stuffed, m * taps)

@@ -13,9 +13,6 @@ from dataclasses import dataclass, field
 
 from repro.phy.params import LoRaParams
 
-#: Default urban fading margin used by the hysteresis controller.
-DEFAULT_ASSIGNMENT_MARGIN_DB = 16.0
-
 #: SNR (dB) required to *assign* each spreading factor.  The spacing is
 #: wider than the raw decode-floor ladder (whose steps are only ~2.5 dB):
 #: assigning a faster rate shrinks the fade margin AND doubles the symbol
@@ -24,16 +21,20 @@ DEFAULT_ASSIGNMENT_MARGIN_DB = 16.0
 #: regimes on distinct data rates in Fig. 8(a)).
 ASSIGNMENT_SNR_DB = {7: 16.0, 8: 8.0, 9: 2.0, 10: -2.0, 11: -6.0}
 
+#: Extra headroom (dB) required before *upgrading* to a faster SF (moving
+#: down a SF happens as soon as the smoothed SNR drops below the current
+#: assignment's requirement -- losing packets is worse than wasting
+#: airtime).
+HYSTERESIS_DB = 3.0
 
-def spreading_factor_for_snr(snr_db: float, margin_db: float | None = None) -> int:
-    """Fastest spreading factor the SNR supports under the graded ladder.
+#: EWMA coefficient for per-packet SNR reports (1 = last report only).
+SMOOTHING = 0.25
 
-    ``margin_db`` shifts every requirement by the same amount (``None``
-    keeps the calibrated defaults).
-    """
-    shift = 0.0 if margin_db is None else margin_db - DEFAULT_ASSIGNMENT_MARGIN_DB
+
+def spreading_factor_for_snr(snr_db: float) -> int:
+    """Fastest spreading factor the SNR supports under the graded ladder."""
     for sf in range(7, 12):
-        if snr_db >= ASSIGNMENT_SNR_DB[sf] + shift:
+        if snr_db >= ASSIGNMENT_SNR_DB[sf]:
             return sf
     return 12
 
@@ -42,23 +43,10 @@ def spreading_factor_for_snr(snr_db: float, margin_db: float | None = None) -> i
 class AdrController:
     """Per-client ADR state machine with EWMA smoothing and hysteresis.
 
-    Parameters
-    ----------
-    margin_db:
-        Link margin provisioned on top of each SF's decode floor.
-    hysteresis_db:
-        Extra headroom required before *upgrading* to a faster SF (moving
-        down a SF happens as soon as the smoothed SNR drops below the
-        current assignment's requirement -- losing packets is worse than
-        wasting airtime).
-    smoothing:
-        EWMA coefficient for per-packet SNR reports (0 = frozen, 1 = last
-        report only).
+    ``initial_sf`` is the assignment before the first report;
+    :data:`SMOOTHING` and :data:`HYSTERESIS_DB` set the dynamics.
     """
 
-    margin_db: float = DEFAULT_ASSIGNMENT_MARGIN_DB
-    hysteresis_db: float = 3.0
-    smoothing: float = 0.25
     initial_sf: int = 12
     _snr_ewma_db: float | None = field(default=None, repr=False)
     _current_sf: int = field(default=0, repr=False)
@@ -66,8 +54,6 @@ class AdrController:
     def __post_init__(self) -> None:
         if not 7 <= self.initial_sf <= 12:
             raise ValueError(f"initial_sf must be 7..12, got {self.initial_sf}")
-        if not 0.0 < self.smoothing <= 1.0:
-            raise ValueError(f"smoothing must be in (0, 1], got {self.smoothing}")
         self._current_sf = self.initial_sf
 
     @property
@@ -84,12 +70,12 @@ class AdrController:
         if self._snr_ewma_db is None:
             self._snr_ewma_db = float(snr_db)
         else:
-            self._snr_ewma_db += self.smoothing * (snr_db - self._snr_ewma_db)
-        target = spreading_factor_for_snr(self._snr_ewma_db, self.margin_db)
+            self._snr_ewma_db += SMOOTHING * (snr_db - self._snr_ewma_db)
+        target = spreading_factor_for_snr(self._snr_ewma_db)
         if target < self._current_sf:
             # Upgrade (faster SF) only with hysteresis headroom.
             with_hysteresis = spreading_factor_for_snr(
-                self._snr_ewma_db - self.hysteresis_db, self.margin_db
+                self._snr_ewma_db - HYSTERESIS_DB
             )
             if with_hysteresis < self._current_sf:
                 self._current_sf = with_hysteresis

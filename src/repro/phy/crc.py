@@ -2,21 +2,18 @@
 
 from __future__ import annotations
 
-_CRC_POLY = 0x1021
+import binascii
+
 _CRC_INIT = 0x0000
 
 
 def crc16_ccitt(data: bytes, init: int = _CRC_INIT) -> int:
-    """Compute CRC-16/CCITT (polynomial 0x1021) over ``data``."""
-    crc = init & 0xFFFF
-    for byte in bytes(data):
-        crc ^= byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ _CRC_POLY) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-    return crc
+    """Compute CRC-16/CCITT (polynomial 0x1021, MSB first) over ``data``.
+
+    ``binascii.crc_hqx`` is this CRC, computed in C; only the low 16
+    bits of ``init`` seed it.
+    """
+    return binascii.crc_hqx(bytes(data), init & 0xFFFF)
 
 
 def append_crc(data: bytes) -> bytes:

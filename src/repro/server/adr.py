@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.gateway.telemetry import Telemetry
-from repro.mac.adr import ASSIGNMENT_SNR_DB, DEFAULT_ASSIGNMENT_MARGIN_DB
+from repro.mac.adr import ASSIGNMENT_SNR_DB, HYSTERESIS_DB
 from repro.server.frames import DownlinkCommand
 from repro.server.sessions import DeviceSession
 
@@ -48,12 +48,7 @@ class AdrEngine:
     access under its own lock.
     """
 
-    def __init__(
-        self,
-        adjust_power: bool = True,
-        telemetry: Optional[Telemetry] = None,
-    ) -> None:
-        self.adjust_power = adjust_power
+    def __init__(self, telemetry: Optional[Telemetry] = None) -> None:
         self._telemetry = telemetry
         self._last_power_dbm: Dict[int, float] = {}
         self.n_commands = 0
@@ -77,18 +72,11 @@ class AdrEngine:
         after_sf = session.adr.report_snr(snr_db)
         smoothed = session.adr.smoothed_snr_db
         power_dbm = POWER_LADDER_DBM[0]
-        if (
-            self.adjust_power
-            and after_sf in ASSIGNMENT_SNR_DB
-            and smoothed is not None
-        ):
-            requirement = ASSIGNMENT_SNR_DB[after_sf] + (
-                session.adr.margin_db - DEFAULT_ASSIGNMENT_MARGIN_DB
-            )
+        if after_sf in ASSIGNMENT_SNR_DB and smoothed is not None:
             # Spend only headroom beyond the upgrade hysteresis band,
             # else power cuts would block the next SF upgrade.
             power_dbm = power_for_headroom(
-                smoothed - requirement - session.adr.hysteresis_db
+                smoothed - ASSIGNMENT_SNR_DB[after_sf] - HYSTERESIS_DB
             )
         sf_changed = after_sf != before_sf
         power_changed = (

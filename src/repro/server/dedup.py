@@ -16,10 +16,10 @@ still produce a copy.  This makes emission a pure function of the merged
 frame sequence (the E2E determinism guarantee; see
 :mod:`repro.server.ingest`).
 
-Memory is bounded by construction: at most ``max_pending`` in-window
-entries (oldest evicted first, counted) and a ``done_window`` ring of
-already-emitted keys so straggler copies arriving after emission are
-suppressed and counted rather than re-delivered.
+Memory is bounded by construction: at most :data:`MAX_PENDING` in-window
+entries (oldest evicted first, counted) and a ring of the last
+:data:`DONE_WINDOW` emitted keys so straggler copies arriving after
+emission are suppressed and counted rather than re-delivered.
 """
 
 from __future__ import annotations
@@ -35,6 +35,15 @@ from repro.server.frames import UplinkFrame
 #: reception before it is emitted.  Real gateway backhauls jitter by tens
 #: of milliseconds; simulation feeds are near-synchronous.
 DEFAULT_WINDOW_S = 0.2
+
+#: Hard cap on concurrently pending keys; the oldest entry is
+#: force-emitted when a new key would exceed it (counted as
+#: ``dedup.evicted``).
+MAX_PENDING = 4096
+
+#: How many recently emitted keys are remembered for late-duplicate
+#: suppression.
+DONE_WINDOW = 8192
 
 
 @dataclass(frozen=True)
@@ -83,13 +92,6 @@ class FrameDeduplicator:
     ----------
     window_s:
         Watermark lag before a pending frame matures (see module docs).
-    max_pending:
-        Hard cap on concurrently pending keys; the oldest entry is
-        force-emitted when a new key would exceed it (counted as
-        ``dedup.evicted``).
-    done_window:
-        How many recently-emitted keys to remember for late-duplicate
-        suppression.
     telemetry:
         Optional registry receiving ``dedup.*`` counters/gauges.
     """
@@ -97,19 +99,11 @@ class FrameDeduplicator:
     def __init__(
         self,
         window_s: float = DEFAULT_WINDOW_S,
-        max_pending: int = 4096,
-        done_window: int = 8192,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         if window_s < 0:
             raise ValueError(f"window_s must be >= 0, got {window_s}")
-        if max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        if done_window < 0:
-            raise ValueError(f"done_window must be >= 0, got {done_window}")
         self.window_s = window_s
-        self.max_pending = max_pending
-        self.done_window = done_window
         self._telemetry = telemetry
         self._pending: Dict[Tuple[int, int], _Pending] = {}
         self._done: OrderedDict[Tuple[int, int], None] = OrderedDict()
@@ -136,11 +130,9 @@ class FrameDeduplicator:
             self._telemetry.counter(f"dedup.{metric}").inc(n)
 
     def _mark_done(self, key: Tuple[int, int]) -> None:
-        if self.done_window == 0:
-            return
         self._done[key] = None
         self._done.move_to_end(key)
-        while len(self._done) > self.done_window:
+        while len(self._done) > DONE_WINDOW:
             self._done.popitem(last=False)
 
     def _emit(self, key: Tuple[int, int]) -> DeliveredFrame:
@@ -194,7 +186,7 @@ class FrameDeduplicator:
                 entry.best = frame
             self._count("duplicates")
         else:
-            if len(self._pending) >= self.max_pending:
+            if len(self._pending) >= MAX_PENDING:
                 # Force-emit the oldest entry to stay bounded.
                 oldest = min(
                     self._pending,

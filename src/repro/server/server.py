@@ -30,36 +30,27 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.gateway.telemetry import Telemetry
-from repro.mac.adr import DEFAULT_ASSIGNMENT_MARGIN_DB
 from repro.server.adr import AdrEngine
 from repro.server.dedup import DEFAULT_WINDOW_S, DeliveredFrame, FrameDeduplicator
 from repro.server.frames import DownlinkCommand, UplinkFrame
-from repro.server.sessions import (
-    DEFAULT_MAX_FCNT_GAP,
-    DEFAULT_RESET_THRESHOLD,
-    DeviceRegistry,
-)
+from repro.server.sessions import DeviceRegistry
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Knobs for one :class:`NetworkServer` deployment.
+    """Settings of one :class:`NetworkServer` deployment.
 
-    ``max_delivered_log`` caps the in-memory delivered-uplink log
-    (``None`` keeps everything -- fine for tests, unsuitable for soak
-    runs).
+    ``dedup_window_s`` is the deduplicator's watermark lag,
+    ``max_devices`` caps the session registry, ``adr_initial_sf`` is
+    every new session's starting SF, and ``max_delivered_log`` caps the
+    in-memory delivered-uplink log (``None`` keeps everything -- fine for
+    tests, unsuitable for soak runs).  The dedup bounds, counter rules
+    and ADR dynamics are module constants of :mod:`repro.server.dedup`,
+    :mod:`repro.server.sessions` and :mod:`repro.mac.adr`.
     """
 
     dedup_window_s: float = DEFAULT_WINDOW_S
-    max_pending: int = 4096
-    done_window: int = 8192
     max_devices: int = 10000
-    max_fcnt_gap: int = DEFAULT_MAX_FCNT_GAP
-    reset_threshold: int = DEFAULT_RESET_THRESHOLD
-    adr_margin_db: float = DEFAULT_ASSIGNMENT_MARGIN_DB
-    adr_hysteresis_db: float = 3.0
-    adr_smoothing: float = 0.25
     adr_initial_sf: int = 12
-    adjust_power: bool = True
     max_delivered_log: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -110,23 +101,13 @@ class NetworkServer:
         self.telemetry = telemetry or Telemetry()
         self._lock = threading.Lock()
         self._dedup = FrameDeduplicator(
-            window_s=self.config.dedup_window_s,
-            max_pending=self.config.max_pending,
-            done_window=self.config.done_window,
-            telemetry=self.telemetry,
+            window_s=self.config.dedup_window_s, telemetry=self.telemetry
         )
         self._registry = DeviceRegistry(
             max_devices=self.config.max_devices,
-            max_fcnt_gap=self.config.max_fcnt_gap,
-            reset_threshold=self.config.reset_threshold,
-            adr_margin_db=self.config.adr_margin_db,
-            adr_hysteresis_db=self.config.adr_hysteresis_db,
-            adr_smoothing=self.config.adr_smoothing,
             adr_initial_sf=self.config.adr_initial_sf,
         )
-        self._adr = AdrEngine(
-            adjust_power=self.config.adjust_power, telemetry=self.telemetry
-        )
+        self._adr = AdrEngine(telemetry=self.telemetry)
         self._commands: List[DownlinkCommand] = []
         self._delivered: List[DeliveredUplink] = []
         self._n_ingested = 0

@@ -10,11 +10,13 @@ values within a short time window):
   32-bit counter; the server picks the smallest 32-bit candidate ahead of
   the last validated value, which carries sessions across the 2^16
   rollover;
-* **replay rejection** -- a candidate more than ``max_fcnt_gap`` ahead is
-  treated as a stale/replayed frame and rejected;
+* **replay rejection** -- a candidate more than
+  :data:`DEFAULT_MAX_FCNT_GAP` ahead is treated as a stale/replayed frame
+  and rejected;
 * **reset detection** -- rejected frames whose raw counter is tiny
-  (``<= reset_threshold``) are instead interpreted as a device reboot
-  (counters restart at 0 after a rejoin) and the session restarts.
+  (``<=`` :data:`DEFAULT_RESET_THRESHOLD`) are instead interpreted as a
+  device reboot (counters restart at 0 after a rejoin) and the session
+  restarts.
 
 Sessions round-trip through JSONL (:meth:`DeviceRegistry.snapshot_jsonl`
 / :meth:`DeviceRegistry.restore_jsonl`), so a server can be stopped and
@@ -27,7 +29,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.mac.adr import DEFAULT_ASSIGNMENT_MARGIN_DB, AdrController
+from repro.mac.adr import AdrController
 from repro.server.dedup import DeliveredFrame
 from repro.server.frames import FCNT_PERIOD
 
@@ -57,9 +59,7 @@ class DeviceSession:
     # ------------------------------------------------------------------
     # Frame-counter validation
     # ------------------------------------------------------------------
-    def classify_fcnt(
-        self, fcnt16: int, max_fcnt_gap: int, reset_threshold: int
-    ) -> Tuple[str, int]:
+    def classify_fcnt(self, fcnt16: int) -> Tuple[str, int]:
         """Validate a raw counter against session state.
 
         Returns ``(verdict, fcnt32)`` where verdict is ``"accepted"``
@@ -72,9 +72,9 @@ class DeviceSession:
         candidate = (self.fcnt32 & ~(FCNT_PERIOD - 1)) | fcnt16
         if candidate <= self.fcnt32:
             candidate += FCNT_PERIOD
-        if candidate - self.fcnt32 <= max_fcnt_gap:
+        if candidate - self.fcnt32 <= DEFAULT_MAX_FCNT_GAP:
             return "accepted", candidate
-        if fcnt16 <= reset_threshold:
+        if fcnt16 <= DEFAULT_RESET_THRESHOLD:
             return "reset", fcnt16
         return "replay", self.fcnt32
 
@@ -93,9 +93,6 @@ class DeviceSession:
             "last_snr_db": self.last_snr_db,
             "gateways_seen": {str(g): n for g, n in self.gateways_seen.items()},
             "adr": {
-                "margin_db": self.adr.margin_db,
-                "hysteresis_db": self.adr.hysteresis_db,
-                "smoothing": self.adr.smoothing,
                 "initial_sf": self.adr.initial_sf,
                 "snr_ewma_db": self.adr.smoothed_snr_db,
                 "current_sf": self.adr.spreading_factor,
@@ -104,14 +101,15 @@ class DeviceSession:
 
     @classmethod
     def from_state(cls, state: Dict[str, Any]) -> "DeviceSession":
-        """Rebuild a session from :meth:`to_state` output."""
+        """Rebuild a session from :meth:`to_state` output.
+
+        Older snapshots also carry ADR ``margin_db``, ``hysteresis_db``
+        and ``smoothing`` keys; they load too, and those keys are
+        ignored, since they always held the :mod:`repro.mac.adr`
+        constants.
+        """
         adr_state = state["adr"]
-        adr = AdrController(
-            margin_db=float(adr_state["margin_db"]),
-            hysteresis_db=float(adr_state["hysteresis_db"]),
-            smoothing=float(adr_state["smoothing"]),
-            initial_sf=int(adr_state["initial_sf"]),
-        )
+        adr = AdrController(initial_sf=int(adr_state["initial_sf"]))
         # Restore the controller mid-flight: __post_init__ reset the
         # assignment to initial_sf, so re-apply the snapshot's dynamics.
         adr._snr_ewma_db = (
@@ -147,30 +145,21 @@ class DeviceRegistry:
         Hard cap on tracked sessions; when a new device joins past the
         cap, the session idle longest (smallest ``last_seen_s``, ties to
         the lowest address) is evicted -- counted by the server.
-    max_fcnt_gap / reset_threshold:
-        Counter-validation knobs (see module docs).
-    adr_margin_db / adr_hysteresis_db / adr_smoothing / adr_initial_sf:
-        Passed to each new session's :class:`AdrController`.
+    adr_initial_sf:
+        The spreading factor each new session's :class:`AdrController`
+        starts at.
+
+    Counter validation uses the module constants (see module docs).
     """
 
     def __init__(
         self,
         max_devices: int = 10000,
-        max_fcnt_gap: int = DEFAULT_MAX_FCNT_GAP,
-        reset_threshold: int = DEFAULT_RESET_THRESHOLD,
-        adr_margin_db: float = DEFAULT_ASSIGNMENT_MARGIN_DB,
-        adr_hysteresis_db: float = 3.0,
-        adr_smoothing: float = 0.25,
         adr_initial_sf: int = 12,
     ) -> None:
         if max_devices < 1:
             raise ValueError(f"max_devices must be >= 1, got {max_devices}")
         self.max_devices = max_devices
-        self.max_fcnt_gap = max_fcnt_gap
-        self.reset_threshold = reset_threshold
-        self.adr_margin_db = adr_margin_db
-        self.adr_hysteresis_db = adr_hysteresis_db
-        self.adr_smoothing = adr_smoothing
         self.adr_initial_sf = adr_initial_sf
         self._sessions: Dict[int, DeviceSession] = {}
         self.n_joins = 0
@@ -198,12 +187,7 @@ class DeviceRegistry:
             self.n_evicted += 1
         session = DeviceSession(
             device_addr=device_addr,
-            adr=AdrController(
-                margin_db=self.adr_margin_db,
-                hysteresis_db=self.adr_hysteresis_db,
-                smoothing=self.adr_smoothing,
-                initial_sf=self.adr_initial_sf,
-            ),
+            adr=AdrController(initial_sf=self.adr_initial_sf),
         )
         self._sessions[device_addr] = session
         self.n_joins += 1
@@ -222,9 +206,7 @@ class DeviceRegistry:
         session = self._sessions.get(frame.device_addr)
         if session is None:
             session = self._new_session(frame.device_addr)
-        verdict, fcnt32 = session.classify_fcnt(
-            frame.fcnt, self.max_fcnt_gap, self.reset_threshold
-        )
+        verdict, fcnt32 = session.classify_fcnt(frame.fcnt)
         if verdict == "replay":
             session.n_replays += 1
             return session, verdict

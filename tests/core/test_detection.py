@@ -251,22 +251,26 @@ def _rule(results, first, earliest):
     return best, crossing, last_start
 
 
-def _n_starts(segment, max_start_windows):
-    n_starts = segment.size // _N - PARAMS.preamble_len + 1
-    if max_start_windows is not None:
-        n_starts = min(n_starts, max_start_windows)
-    return n_starts
+def _n_starts(segment):
+    return segment.size // _N - PARAMS.preamble_len + 1
 
 
-def _fine_only_search(segment, max_start_windows=None, earliest=False, pfa=1e-3):
+def _first_starts(segment, max_start_windows):
+    """``segment`` cut to its first ``max_start_windows`` starts (``None``: all)."""
+    if max_start_windows is None:
+        return segment
+    return segment[: (max_start_windows + PARAMS.preamble_len - 1) * _N]
+
+
+def _fine_only_search(segment, earliest=False, pfa=1e-3):
     """The search before the two-resolution split: every start at 10x."""
-    n_starts = _n_starts(segment, max_start_windows)
+    n_starts = _n_starts(segment)
     if n_starts <= 0:
         return DetectionResult(detected=False, start_window=0, peaks=(), score=0.0)
     return _rule(_per_start(segment, n_starts, DEFAULT_OVERSAMPLE, pfa), 0, earliest)[0]
 
 
-def _reference_search(segment, max_start_windows=None, earliest=False, pfa=1e-3):
+def _reference_search(segment, earliest=False, pfa=1e-3):
     """The two-resolution search, one start at a time, kept as an oracle.
 
     Decides with :func:`detect_preamble` at ``SCAN_OVERSAMPLE`` per start;
@@ -276,7 +280,7 @@ def _reference_search(segment, max_start_windows=None, earliest=False, pfa=1e-3)
     stand for those starts and the coarse decision resumes after them.
     """
     span = PARAMS.preamble_len
-    n_starts = _n_starts(segment, max_start_windows)
+    n_starts = _n_starts(segment)
     if n_starts <= 0:
         return DetectionResult(detected=False, start_window=0, peaks=(), score=0.0)
     coarse = _per_start(segment, n_starts, detection.SCAN_OVERSAMPLE, pfa)
@@ -312,15 +316,16 @@ class TestReferenceEquivalence:
         self, seed, packet_at, amplitude, step_windows, earliest, max_start_windows
     ):
         stream = _stream(seed, packet_at, amplitude)
-        options = dict(earliest=earliest, max_start_windows=max_start_windows)
         memo = ScanMemo()
         # A segment sliding along the window grid, as a stream scanner hands in.
         for origin in range(0, 16 * _N, step_windows * _N):
-            segment = stream[origin : origin + 24 * _N]
-            expected = _reference_search(segment, **options)
-            _assert_same(sliding_packet_search(PARAMS, segment, **options), expected)
+            segment = _first_starts(stream[origin : origin + 24 * _N], max_start_windows)
+            expected = _reference_search(segment, earliest=earliest)
+            _assert_same(sliding_packet_search(PARAMS, segment, earliest=earliest), expected)
             _assert_same(
-                sliding_packet_search(PARAMS, segment, memo=memo, origin=origin, **options),
+                sliding_packet_search(
+                    PARAMS, segment, earliest=earliest, memo=memo, origin=origin
+                ),
                 expected,
             )
 
@@ -337,10 +342,9 @@ class TestReferenceEquivalence:
     ):
         # Only the decision moved to 2x: whenever both searches detect,
         # the pick is the one scoring every start at 10x gave.
-        segment = _stream(seed, packet_at, amplitude)[: 24 * _N]
-        options = dict(earliest=earliest, max_start_windows=max_start_windows)
-        result = sliding_packet_search(PARAMS, segment, **options)
-        before = _fine_only_search(segment, **options)
+        segment = _first_starts(_stream(seed, packet_at, amplitude)[: 24 * _N], max_start_windows)
+        result = sliding_packet_search(PARAMS, segment, earliest=earliest)
+        before = _fine_only_search(segment, earliest=earliest)
         if result.detected and before.detected:
             _assert_same(result, before)
 
@@ -422,12 +426,11 @@ class TestScanMemoEquivalence:
         origin = 0
         for step, length in cuts:
             origin = min(max(origin + step, 0), stream.size)
-            segment = stream[origin : origin + length]
-            options = dict(earliest=earliest, max_start_windows=max_start_windows)
+            segment = _first_starts(stream[origin : origin + length], max_start_windows)
             memoized = sliding_packet_search(
-                PARAMS, segment, memo=memo, origin=origin, **options
+                PARAMS, segment, earliest=earliest, memo=memo, origin=origin
             )
-            fresh = sliding_packet_search(PARAMS, segment, **options)
+            fresh = sliding_packet_search(PARAMS, segment, earliest=earliest)
             _assert_same(memoized, fresh)
 
     def test_window_steps_reuse_every_overlapping_window(self):

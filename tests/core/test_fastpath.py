@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from repro.channel.noise import awgn
+from repro.core import fastpath
 from repro.core.decoder import ChoirDecoder
 from repro.core.fastpath import (
     AMBIGUOUS,
     CLEAN,
     COLLIDED,
     NO_PREAMBLE,
-    CascadeThresholds,
     FastPathDecoder,
     PreambleEvidence,
     _refine_parabolic,
@@ -27,7 +27,6 @@ from repro.phy.params import LoRaParams
 from repro.utils import circular_distance
 
 PARAMS = LoRaParams(spreading_factor=7)
-THRESHOLDS = CascadeThresholds()
 
 
 def _clean_capture(params, seed=0, snr_db=15.0, lead_symbols=2, payload=b"ab12"):
@@ -104,9 +103,9 @@ class TestDiscriminator:
         evidence = fast.analyze_preamble(
             capture, fast.estimate_packet_start(capture)
         )
-        assert evidence.classify(THRESHOLDS) == CLEAN
-        assert evidence.fractional_spread_bins < THRESHOLDS.ambiguous_spread_bins
-        assert evidence.second_peak_ratio <= THRESHOLDS.collided_peak_ratio
+        assert evidence.classify() == CLEAN
+        assert evidence.fractional_spread_bins < fastpath.AMBIGUOUS_SPREAD_BINS
+        assert evidence.second_peak_ratio <= fastpath.COLLIDED_PEAK_RATIO
 
     def test_two_user_collision_classifies_collided(self):
         capture = _collided_capture(PARAMS, seed=5, n_users=2)
@@ -114,7 +113,7 @@ class TestDiscriminator:
         evidence = fast.analyze_preamble(
             capture, fast.estimate_packet_start(capture)
         )
-        assert evidence.classify(THRESHOLDS) == COLLIDED
+        assert evidence.classify() == COLLIDED
 
     def test_noise_only_never_classifies_clean(self):
         # On pure noise the accumulated argmax wanders window to window,
@@ -128,18 +127,18 @@ class TestDiscriminator:
         )
         fast = FastPathDecoder(PARAMS)
         evidence = fast.analyze_preamble(noise, 0)
-        assert evidence.classify(THRESHOLDS) != CLEAN
+        assert evidence.classify() != CLEAN
 
     def test_weak_peak_classifies_no_preamble(self):
         evidence = PreambleEvidence(
             start_sample=0,
             mu_bins=0.0,
-            peak_snr=THRESHOLDS.min_peak_snr / 2.0,
+            peak_snr=fastpath.MIN_PEAK_SNR / 2.0,
             second_peak_ratio=0.0,
             fractional_spread_bins=0.0,
             n_windows=7,
         )
-        assert evidence.classify(THRESHOLDS) == NO_PREAMBLE
+        assert evidence.classify() == NO_PREAMBLE
 
     def test_truncated_preamble_classifies_no_preamble(self):
         evidence = PreambleEvidence(
@@ -150,7 +149,7 @@ class TestDiscriminator:
             fractional_spread_bins=0.0,
             n_windows=1,
         )
-        assert evidence.classify(THRESHOLDS) == NO_PREAMBLE
+        assert evidence.classify() == NO_PREAMBLE
 
     def test_spread_alone_classifies_ambiguous(self):
         evidence = PreambleEvidence(
@@ -161,7 +160,7 @@ class TestDiscriminator:
             fractional_spread_bins=0.5,
             n_windows=7,
         )
-        assert evidence.classify(THRESHOLDS) == AMBIGUOUS
+        assert evidence.classify() == AMBIGUOUS
 
     def test_mu_estimate_matches_ground_truth(self):
         capture, state, _ = _clean_capture(PARAMS, seed=7)
@@ -187,7 +186,7 @@ class TestTier0Decode:
         )
         fast = FastPathDecoder(params)
         evidence = fast.analyze_preamble(capture, 0)
-        assert evidence.classify(THRESHOLDS) == CLEAN
+        assert evidence.classify() == CLEAN
         tier0 = fast.decode(capture, evidence, len(true_symbols))
 
         choir = ChoirDecoder(params)
@@ -240,7 +239,6 @@ class TestParabolicRefine:
 
 class TestThresholds:
     def test_defaults_are_calibrated_ordering(self):
-        t = CascadeThresholds()
-        assert 0.0 < t.ambiguous_spread_bins < 1.0
-        assert 0.0 < t.collided_peak_ratio < 1.0
-        assert t.min_peak_snr > 0.0
+        assert 0.0 < fastpath.AMBIGUOUS_SPREAD_BINS < 1.0
+        assert 0.0 < fastpath.COLLIDED_PEAK_RATIO < 1.0
+        assert fastpath.MIN_PEAK_SNR > 0.0

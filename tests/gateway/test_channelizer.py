@@ -60,8 +60,6 @@ class TestPrototypeFilter:
     def test_validation(self):
         with pytest.raises(ValueError):
             prototype_filter(0)
-        with pytest.raises(ValueError):
-            prototype_filter(8, taps_per_branch=0)
 
 
 class TestSubBandIsolation:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.mac import adr as adr_module
 from repro.mac.adr import AdrController, spreading_factor_for_snr
 from repro.mac.duty import DutyCycleTracker
 from repro.phy import LoRaParams
@@ -38,22 +39,44 @@ class TestAdrController:
             adr.report_snr(-10.0)
         assert adr.spreading_factor > 7
 
-    def test_hysteresis_blocks_marginal_upgrade(self):
+    def test_hysteresis_blocks_marginal_upgrade(self, monkeypatch):
         # Smoothed SNR just past the SF9 boundary must NOT flip a SF10
-        # client: the upgrade needs `hysteresis_db` of headroom.
-        adr = AdrController(initial_sf=10, hysteresis_db=3.0, smoothing=1.0)
+        # client: the upgrade needs `HYSTERESIS_DB` of headroom.  With
+        # smoothing 1 the EWMA is the last report.
+        monkeypatch.setattr(adr_module, "SMOOTHING", 1.0)
+        assert adr_module.HYSTERESIS_DB == 3.0
+        adr = AdrController(initial_sf=10)
         boundary = 2.0  # the SF9 assignment requirement
         adr.report_snr(boundary + 1.0)  # above boundary, below +3 dB
         assert adr.spreading_factor == 10
         adr.report_snr(boundary + 5.0)
         assert adr.spreading_factor == 9
 
-    def test_ewma_smooths_outliers(self):
-        adr = AdrController(initial_sf=11, smoothing=0.1)
+    def test_hysteresis_under_default_smoothing(self):
+        # 0.5 dB past the SF9 boundary plus the 3 dB band upgrades; the
+        # boundary itself does not, however many reports arrive.
+        adr = AdrController(initial_sf=10)
+        for _ in range(40):
+            adr.report_snr(2.0 + 2.9)
+        assert adr.spreading_factor == 10
+        for _ in range(40):
+            adr.report_snr(2.0 + 3.5)
+        assert adr.spreading_factor == 9
+
+    def test_ewma_smooths_outliers(self, monkeypatch):
+        monkeypatch.setattr(adr_module, "SMOOTHING", 0.1)
+        adr = AdrController(initial_sf=11)
         adr.report_snr(-5.0)  # consistent with SF11
         assert adr.spreading_factor == 11
         adr.report_snr(40.0)  # single outlier must not flip the assignment
         assert adr.spreading_factor == 11
+
+    def test_ewma_uses_the_smoothing_constant(self):
+        adr = AdrController(initial_sf=11)
+        adr.report_snr(-5.0)
+        assert adr.smoothed_snr_db == -5.0  # first report seeds the EWMA
+        adr.report_snr(3.0)
+        assert adr.smoothed_snr_db == -5.0 + adr_module.SMOOTHING * 8.0
 
     def test_params_for(self):
         adr = AdrController(initial_sf=9)
@@ -64,8 +87,6 @@ class TestAdrController:
     def test_validation(self):
         with pytest.raises(ValueError, match="initial_sf"):
             AdrController(initial_sf=5)
-        with pytest.raises(ValueError, match="smoothing"):
-            AdrController(smoothing=0.0)
 
 
 class TestDutyCycle:

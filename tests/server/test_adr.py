@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mac.adr import AdrController
+from repro.mac.adr import HYSTERESIS_DB, AdrController
 from repro.server.adr import POWER_LADDER_DBM, AdrEngine, power_for_headroom
 from repro.server.sessions import DeviceSession
 
@@ -28,7 +28,7 @@ class TestAdrEngine:
         assert engine.observe(dev, 20.0, 9.0) == []
 
     def test_low_snr_downgrades(self):
-        engine = AdrEngine(adjust_power=False)
+        engine = AdrEngine()
         dev = session(initial_sf=10)
         commands = []
         for i in range(8):
@@ -38,7 +38,7 @@ class TestAdrEngine:
         assert engine.n_downgrades >= 1
 
     def test_power_stepdown_with_headroom(self):
-        engine = AdrEngine(adjust_power=True)
+        engine = AdrEngine()
         dev = session(initial_sf=7)
         commands = []
         for i in range(6):
@@ -48,12 +48,14 @@ class TestAdrEngine:
         assert commands[-1].tx_power_dbm < POWER_LADDER_DBM[0]
         assert commands[-1].reason == "adr-power"
 
-    def test_no_power_commands_when_disabled(self):
-        engine = AdrEngine(adjust_power=False)
+    def test_power_spends_only_headroom_beyond_hysteresis(self):
+        engine = AdrEngine()
         dev = session(initial_sf=7)
-        for i in range(6):
-            for command in engine.observe(dev, 35.0, float(i)):
-                assert command.reason == "adr-sf"
+        # 16 dB is the SF7 requirement; 6.5 dB above it, 3 dB of that is
+        # the upgrade band, leaving one 2 dB step (3.5 // 2).
+        commands = engine.observe(dev, 16.0 + 6.5, 0.0)
+        assert [c.tx_power_dbm for c in commands] == [POWER_LADDER_DBM[1]]
+        assert power_for_headroom(6.5 - HYSTERESIS_DB) == POWER_LADDER_DBM[1]
 
     def test_command_carries_issue_time(self):
         engine = AdrEngine()

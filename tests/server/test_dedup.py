@@ -4,6 +4,7 @@ out-of-order arrival, bounded windows, late duplicates."""
 import pytest
 
 from repro.gateway.telemetry import Telemetry
+from repro.server import dedup as dedup_module
 from repro.server.dedup import FrameDeduplicator
 from repro.server.frames import FCNT_PERIOD, UplinkFrame
 
@@ -112,11 +113,10 @@ class TestRollover:
 
 
 class TestBounds:
-    def test_pending_cap_forces_oldest_out(self):
+    def test_pending_cap_forces_oldest_out(self, monkeypatch):
+        monkeypatch.setattr(dedup_module, "MAX_PENDING", 4)
         telemetry = Telemetry()
-        dedup = FrameDeduplicator(
-            window_s=100.0, max_pending=4, telemetry=telemetry
-        )
+        dedup = FrameDeduplicator(window_s=100.0, telemetry=telemetry)
         for i in range(6):
             dedup.offer(frame(0, fcnt=i, t=1.0 + 0.01 * i))
         assert dedup.n_pending == 4
@@ -124,12 +124,13 @@ class TestBounds:
         # Evicted entries were emitted (oldest first), not lost.
         assert telemetry.counter("dedup.delivered").value == 2
 
-    def test_done_window_bounded(self):
-        dedup = FrameDeduplicator(window_s=0.0, done_window=8)
+    def test_done_window_bounded(self, monkeypatch):
+        monkeypatch.setattr(dedup_module, "DONE_WINDOW", 8)
+        dedup = FrameDeduplicator(window_s=0.0)
         for i in range(100):
             dedup.offer(frame(0, fcnt=i % FCNT_PERIOD, t=float(i)))
         dedup.flush()
-        assert dedup.n_done <= 8
+        assert dedup.n_done == 8
 
     def test_deterministic_emission_order(self):
         dedup = FrameDeduplicator(window_s=0.1)

@@ -4,7 +4,20 @@ import pytest
 
 from repro.server.dedup import DeliveredFrame
 from repro.server.frames import FCNT_PERIOD, UplinkFrame
+from repro.server import sessions
 from repro.server.sessions import DeviceRegistry, DeviceSession
+
+#: One session line as written while the ADR margin, hysteresis and
+#: smoothing were settable: device 2, SF10 start, five uplinks at
+#: 18/21.5/14/19/23 dB alternating gateways 0/1, each fed to its ADR
+#: controller.
+LEGACY_SNAPSHOT_LINE = (
+    '{"adr": {"current_sf": 7, "hysteresis_db": 3.0, "initial_sf": 10, '
+    '"margin_db": 16.0, "smoothing": 0.25, "snr_ewma_db": 19.244140625}, '
+    '"device_addr": 2, "fcnt32": 104, "gateways_seen": {"0": 3, "1": 2}, '
+    '"last_seen_s": 4.0, "last_snr_db": 23.0, "n_replays": 0, '
+    '"n_resets": 0, "n_uplinks": 5}'
+)
 
 
 def delivered(addr=1, fcnt=0, snr=0.0, t=0.0, gateways=(0,)):
@@ -47,13 +60,27 @@ class TestFcntValidation:
         assert session.n_replays == 1
         assert session.n_uplinks == 1  # replay did not count as an uplink
 
-    def test_gap_beyond_max_rejected(self):
-        registry = DeviceRegistry(max_fcnt_gap=100)
+    def test_gap_beyond_max_rejected(self, monkeypatch):
+        monkeypatch.setattr(sessions, "DEFAULT_MAX_FCNT_GAP", 100)
+        registry = DeviceRegistry()
         registry.observe(delivered(fcnt=0, t=0.0))
         _, verdict = registry.observe(delivered(fcnt=101, t=1.0))
         assert verdict == "replay"
         _, verdict = registry.observe(delivered(fcnt=100, t=2.0))
         assert verdict == "accepted"
+
+    def test_gap_at_the_lorawan_bound(self):
+        registry = DeviceRegistry()
+        registry.observe(delivered(fcnt=1000, t=0.0))
+        _, verdict = registry.observe(
+            delivered(fcnt=1000 + sessions.DEFAULT_MAX_FCNT_GAP + 1, t=1.0)
+        )
+        assert verdict == "replay"
+        session, verdict = registry.observe(
+            delivered(fcnt=1000 + sessions.DEFAULT_MAX_FCNT_GAP, t=2.0)
+        )
+        assert verdict == "accepted"
+        assert session.fcnt32 == 1000 + sessions.DEFAULT_MAX_FCNT_GAP
 
     def test_device_reset_restarts_counter(self):
         registry = DeviceRegistry()
@@ -68,9 +95,19 @@ class TestFcntValidation:
         assert verdict == "accepted"
 
     def test_large_restart_is_replay_not_reset(self):
-        registry = DeviceRegistry(reset_threshold=16)
+        registry = DeviceRegistry()
         registry.observe(delivered(fcnt=60000, t=0.0))
         _, verdict = registry.observe(delivered(fcnt=30000, t=1.0))
+        assert verdict == "replay"
+
+    def test_reset_threshold_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(sessions, "DEFAULT_RESET_THRESHOLD", 3)
+        registry = DeviceRegistry()
+        registry.observe(delivered(addr=1, fcnt=5000, t=0.0))
+        _, verdict = registry.observe(delivered(addr=1, fcnt=3, t=1.0))
+        assert verdict == "reset"
+        registry.observe(delivered(addr=2, fcnt=5000, t=0.0))
+        _, verdict = registry.observe(delivered(addr=2, fcnt=4, t=1.0))
         assert verdict == "replay"
 
 
@@ -135,6 +172,26 @@ class TestPersistence:
         capped = DeviceRegistry(max_devices=2)
         assert capped.restore_jsonl(source.snapshot_jsonl()) == 4
         assert len(capped) == 2
+
+    def test_restores_snapshot_with_legacy_adr_keys(self):
+        restored = DeviceRegistry()
+        assert restored.restore_jsonl(LEGACY_SNAPSHOT_LINE + "\n") == 1
+        # The same session, rebuilt from its uplinks by today's code.
+        replayed = DeviceRegistry(adr_initial_sf=10)
+        for i, snr in enumerate([18.0, 21.5, 14.0, 19.0, 23.0]):
+            session, _ = replayed.observe(
+                delivered(addr=2, fcnt=100 + i, snr=snr, t=float(i), gateways=(i % 2,))
+            )
+            session.adr.report_snr(snr)
+        copy, original = restored.get(2), replayed.get(2)
+        assert copy.fcnt32 == original.fcnt32 == 104
+        assert copy.adr.smoothed_snr_db == original.adr.smoothed_snr_db == 19.244140625
+        assert copy.adr.spreading_factor == original.adr.spreading_factor == 7
+        assert copy.to_state() == original.to_state()
+        assert set(copy.to_state()["adr"]) == {"initial_sf", "snr_ewma_db", "current_sf"}
+        # Both carry on identically.
+        assert copy.adr.report_snr(-4.0) == original.adr.report_snr(-4.0)
+        assert copy.adr.smoothed_snr_db == original.adr.smoothed_snr_db
 
     def test_from_state_round_trips_empty_ewma(self):
         session = DeviceSession.from_state(

@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.server import dedup
 from repro.server.frames import FCNT_PERIOD, UplinkFrame
 from repro.server.server import NetworkServer, ServerConfig
 
@@ -45,12 +46,14 @@ def stream(n_frames):
 
 
 class TestBoundedMemory:
-    def test_long_run_respects_every_cap(self):
+    def test_long_run_respects_every_cap(self, monkeypatch):
+        # The dedup bounds are module constants; shrink them so the
+        # stream overflows them many times over.
+        monkeypatch.setattr(dedup, "MAX_PENDING", MAX_PENDING)
+        monkeypatch.setattr(dedup, "DONE_WINDOW", DONE_WINDOW)
         server = NetworkServer(
             ServerConfig(
                 dedup_window_s=0.01,
-                max_pending=MAX_PENDING,
-                done_window=DONE_WINDOW,
                 max_devices=MAX_DEVICES,
                 max_delivered_log=MAX_DELIVERED_LOG,
                 adr_initial_sf=10,
