@@ -16,7 +16,7 @@
 #   make bench-check   regression gate vs the committed BENCH_decode.json (+-25%)
 #   make bench-profile profiled gateway run -> run manifest + collapsed stacks
 #   make profile-check `repro diff` gate vs the committed BENCH_profile.json
-#   make bench-smoke   repo benchmark self-test + one rep of two gateway
+#   make bench-smoke   repo benchmark self-test + one rep of three gateway
 #                      workloads and of server_uplinks (catches a moved
 #                      entry point bench/ wraps, server layers included)
 #
@@ -184,9 +184,13 @@ profile-check:
 
 # The repo benchmark (bench/, BENCHMARK.json) at smoke size: its own
 # self-test, then one rep (plus the traced run) of the single-channel
-# collision and 8-channel mixed-SF workloads.  Fails when a refactor
-# moves or renames an entry point the harness wraps.
+# collision, 8-channel mixed-SF and urban-scenario workloads and of the
+# network server.  city_urban_800 is the one workload built through the
+# scenario loader, and the one whose RX1 deadline depends on Tier 0
+# running at dispatch.  Fails when a refactor moves or renames an entry
+# point the harness wraps.
 bench-smoke:
 	$(PYTHON) -m pytest bench/tests -q
 	python3 bench/run.py --workload gw_collide_sf7 --workload gw_eu868_mixed \
-		--workload server_uplinks --reps 1 --out $(BENCH_SMOKE_OUT)
+		--workload city_urban_800 --workload server_uplinks --reps 1 \
+		--out $(BENCH_SMOKE_OUT)

@@ -264,12 +264,12 @@ class CascadePipeline:
         samples: np.ndarray,
         n_data_symbols: int,
         payload_len: int,
-    ) -> Tuple[Optional[WindowDecode], Optional[str]]:
-        """Run Tier 0: ``(result, None)`` on success, else the reason.
+    ) -> WindowDecode:
+        """Run Tier 0: its decode, with the reason to escalate if it declined.
 
-        A CRC-failing clean decode returns both -- the partial result
-        (kept by the ``fast`` tier) and the ``crc-fail`` reason the
-        cascade escalates on.
+        A CRC-failing clean decode keeps its users (the ``fast`` tier
+        reports them) beside the ``crc-fail`` reason the cascade
+        escalates on.
         """
         with observe.span("decode.tier0"):
             observe.counter("decode.tier0.attempts")
@@ -284,46 +284,39 @@ class CascadePipeline:
                 fractional_spread_bins=round(evidence.fractional_spread_bins, 4),
                 verdict=verdict,
             )
+            declined = WindowDecode(users=(), crc_ok=False, tier=TIER0)
             if verdict != CLEAN:
-                return None, _REASON_FOR_VERDICT[verdict]
+                return replace(declined, escalation_reason=_REASON_FOR_VERDICT[verdict])
             user = self.fast.decode(samples, evidence, n_data_symbols)
             users = check_frames(self.framer, [user], payload_len)
             if not users:
-                return None, REASON_TRUNCATED
-            result = WindowDecode(
-                users=tuple(users),
-                crc_ok=users[0].crc_ok,
-                sync_retries=0,
-                tier=TIER0,
-            )
+                return replace(declined, escalation_reason=REASON_TRUNCATED)
+            result = WindowDecode(users=tuple(users), crc_ok=users[0].crc_ok, tier=TIER0)
             if not result.crc_ok:
-                return result, REASON_CRC_FAIL
+                return replace(result, escalation_reason=REASON_CRC_FAIL)
             observe.counter("decode.tier0.ok")
-            return result, None
+            return result
 
     def decode_window(
         self,
         samples: np.ndarray,
         n_data_symbols: int,
         payload_len: int,
+        tier0: Optional[WindowDecode] = None,
     ) -> WindowDecode:
-        """Tier-0 decode, escalating to the full pipeline on any doubt."""
-        tier0_result, reason = self._tier0(samples, n_data_symbols, payload_len)
-        if reason is None:
-            assert tier0_result is not None
-            return tier0_result
-        if self.full is None:
-            # "fast" tier: no escalation target; report Tier 0's verdict
-            # with the reason it *would* have escalated for.
-            if tier0_result is not None:
-                return replace(tier0_result, escalation_reason=reason)
-            return WindowDecode(
-                users=(),
-                crc_ok=False,
-                sync_retries=0,
-                tier=TIER0,
-                escalation_reason=reason,
-            )
+        """Tier-0 decode, escalating to the full pipeline on any doubt.
+
+        ``tier0`` is Tier 0's result on this window when it was already
+        reached -- a ``fast``-tier decode of it, as the gateway's decode
+        pool runs at dispatch -- and Tier 0 then does not run again.
+        """
+        if tier0 is None:
+            tier0 = self._tier0(samples, n_data_symbols, payload_len)
+        reason = tier0.escalation_reason
+        if reason is None or self.full is None:
+            # Clean, or the "fast" tier: no escalation target, so Tier 0's
+            # result stands with the reason it *would* have escalated for.
+            return tier0
         observe.counter("decode.escalated")
         observe.counter(f"decode.escalated.{reason}")
         with observe.span("decode.escalate", reason=reason):

@@ -21,7 +21,9 @@ the starts around a crossing, where it picks the start.  A
 :class:`ScanMemo` lets a stream scanner carry both resolutions' window
 power spectra and per-start statistics from one chunk's search to the
 next, so a window is dechirped and FFT'd once per stream rather than
-once per scan.
+once per scan.  :func:`decide_starts` makes the coarse decision for many
+streams of one PHY at once (the gateway's shards), so only a stream with
+a crossing runs the search.
 """
 
 from __future__ import annotations
@@ -285,6 +287,66 @@ def align_to_window_grid(
     return start, best_score
 
 
+def _power_rows(windows: np.ndarray, oversample: int) -> np.ndarray:
+    """Oversampled power spectra of dechirped windows, one row per window."""
+    return np.abs(oversampled_spectrum(windows, oversample)) ** 2
+
+
+def _start_stats(power: np.ndarray, starts: np.ndarray, span: int) -> np.ndarray:
+    """``(max, median)`` of the accumulated spectrum of every start in ``starts``.
+
+    Start ``s`` accumulates rows ``s .. s + span - 1`` of ``power``.  The
+    rows are summed in window order, one fancy-index add per window, and
+    reduced per row, so the statistics match a one-start-at-a-time
+    accumulation bit for bit -- a prefix sum would not.
+    """
+    total = power[starts]
+    for k in range(1, span):
+        total += power[starts + k]
+    accumulated = total / span
+    stats_rows = np.empty((starts.size, 2))
+    stats_rows[:, 0] = accumulated.max(axis=1)
+    stats_rows[:, 1] = np.median(accumulated, axis=1)
+    return stats_rows
+
+
+class _Cover:
+    """One request to a :class:`_ScanRows`: what it holds and what is missing.
+
+    ``power`` / ``stats`` are the held rows from the request's first
+    window on; the first ``kept`` windows and ``lo`` starts need no work,
+    the other ``missing`` windows and ``n_starts - lo`` starts do.
+    """
+
+    __slots__ = ("key", "at", "n_starts", "n_windows", "power", "stats", "kept", "lo")
+
+    def __init__(
+        self,
+        key: tuple[LoRaParams, int],
+        at: int,
+        n_starts: int,
+        n_windows: int,
+        power: np.ndarray,
+        stats: np.ndarray,
+    ) -> None:
+        self.key, self.at = key, at
+        self.n_starts, self.n_windows = n_starts, n_windows
+        self.power, self.stats = power, stats
+        self.kept = min(power.shape[0], n_windows)
+        self.lo = stats.shape[0]
+
+    @property
+    def missing(self) -> int:
+        """Windows of the request that must be freshly transformed."""
+        return self.n_windows - self.kept
+
+    def rows(self, fresh: np.ndarray | None) -> np.ndarray:
+        """The held rows followed by the ``missing`` freshly computed ones."""
+        if fresh is None:
+            return self.power
+        return np.concatenate([self.power, fresh]) if self.kept else fresh
+
+
 class _ScanRows:
     """One resolution's window power rows and start statistics.
 
@@ -297,6 +359,10 @@ class _ScanRows:
     past the request's end are kept for a later, longer one; any other
     request recomputes everything.  ``fresh`` / ``kept`` count the last
     request's freshly computed and carried-over windows.
+
+    A request is planned (:meth:`plan`), its missing rows computed, and
+    the result stored (:meth:`store`); :meth:`cover` does all three for
+    one request, :func:`decide_starts` the middle step for many at once.
     """
 
     def __init__(self) -> None:
@@ -306,6 +372,30 @@ class _ScanRows:
         self.stats = np.zeros((0, 2))
         self.fresh = 0
         self.kept = 0
+
+    def plan(
+        self, params: LoRaParams, oversample: int, at: int, n_starts: int
+    ) -> _Cover:
+        """What starts ``n_starts`` windows from absolute sample ``at`` need."""
+        n = params.samples_per_symbol
+        key = (params, oversample)
+        power, stats_rows = self.power[:0], self.stats[:0]
+        if self.key == key and at >= self.origin and (at - self.origin) % n == 0:
+            shift = (at - self.origin) // n
+            power, stats_rows = self.power[shift:], self.stats[shift:]
+        return _Cover(key, at, n_starts, n_starts + params.preamble_len - 1, power, stats_rows)
+
+    def store(
+        self, cover: _Cover, power: np.ndarray, fresh_stats: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Keep ``power`` (:meth:`_Cover.rows`) and the new start statistics."""
+        stats_rows = cover.stats
+        if fresh_stats is not None:
+            stats_rows = np.concatenate([stats_rows, fresh_stats]) if cover.lo else fresh_stats
+        self.key, self.origin = cover.key, cover.at
+        self.power, self.stats = power, stats_rows
+        self.fresh, self.kept = cover.missing, cover.kept
+        return power[: cover.n_windows], stats_rows[: cover.n_starts]
 
     def cover(
         self,
@@ -322,38 +412,20 @@ class _ScanRows:
         the window at ``samples[s * n]``.
         """
         n = params.samples_per_symbol
-        span = params.preamble_len
-        n_windows = n_starts + span - 1
-        key = (params, oversample)
-        at = origin + first * n
-        power, stats_rows = self.power[:0], self.stats[:0]
-        if self.key == key and at >= self.origin and (at - self.origin) % n == 0:
-            shift = (at - self.origin) // n
-            power, stats_rows = self.power[shift:], self.stats[shift:]
-        kept = min(power.shape[0], n_windows)
-        if kept < n_windows:
+        cover = self.plan(params, oversample, origin + first * n, n_starts)
+        fresh = None
+        if cover.missing:
             windows = dechirp_windows(
-                params, samples, n_windows=n_windows - kept, start=(first + kept) * n
+                params, samples, n_windows=cover.missing, start=(first + cover.kept) * n
             )
-            fresh = np.abs(oversampled_spectrum(windows, oversample)) ** 2
-            power = np.concatenate([power, fresh]) if kept else fresh
-        lo = stats_rows.shape[0]
-        if lo < n_starts:
-            # Same reduction forms as accumulating one start at a time (rows
-            # summed in window order, per-row median), so scores match a
-            # per-start search bit for bit -- a prefix sum would not.
-            total = power[lo:n_starts].copy()
-            for k in range(1, span):
-                total += power[lo + k : n_starts + k]
-            accumulated = total / span
-            fresh_stats = np.empty((n_starts - lo, 2))
-            fresh_stats[:, 0] = accumulated.max(axis=1)
-            fresh_stats[:, 1] = np.median(accumulated, axis=1)
-            stats_rows = np.concatenate([stats_rows, fresh_stats]) if lo else fresh_stats
-        self.key, self.origin = key, at
-        self.power, self.stats = power, stats_rows
-        self.fresh, self.kept = n_windows - kept, kept
-        return power[:n_windows], stats_rows[:n_starts]
+            fresh = _power_rows(windows, oversample)
+        power = cover.rows(fresh)
+        fresh_stats = None
+        if cover.lo < n_starts:
+            fresh_stats = _start_stats(
+                power, np.arange(cover.lo, n_starts), params.preamble_len
+            )
+        return self.store(cover, power, fresh_stats)
 
 
 class ScanMemo:
@@ -387,6 +459,76 @@ def _scores(
     """:func:`detect_preamble`'s score, elementwise over every start."""
     noise_power = start_stats[:, 1] / max(gamma_median, 1e-30)
     return start_stats[:, 0] / np.maximum(noise_power * threshold_factor, 1e-30)
+
+
+def decide_starts(
+    params: LoRaParams,
+    streams: Sequence[tuple[ScanMemo, Callable[[int, int], np.ndarray], int, int]],
+    pfa: float = 1e-3,
+) -> list[np.ndarray]:
+    """Decide every start of several streams of one PHY in one coarse pass.
+
+    Each stream is ``(memo, read, origin, n_starts)``: its starts are the
+    ``n_starts`` windows from absolute sample ``origin`` on, and
+    ``read(start, length)`` returns its samples from absolute ``start``.
+    Only the windows a memo does not already hold are read.  All streams
+    then share one dechirp, one :data:`SCAN_OVERSAMPLE` FFT and one
+    ``max`` / ``median`` over every new start, and each memo receives its
+    own rows.  Returns each stream's :func:`detect_preamble` score of
+    every start (a start decides a detection at 1 or more), with the
+    search-level ``pfa`` split over that stream's starts.
+
+    Each memo is left as :func:`sliding_packet_search` on the same span
+    would leave its coarse rows, window counters included, so that
+    search transforms no coarse window again and a stream whose scores
+    all stay below 1 need not search at all.
+    """
+    n = params.samples_per_symbol
+    span = params.preamble_len
+    covers = [
+        memo.coarse.plan(params, SCAN_OVERSAMPLE, origin, n_starts)
+        for memo, _, origin, n_starts in streams
+    ]
+    total_starts = sum(cover.n_starts for cover in covers)
+    with observe.kernel("detect.decide", f"N{n}.S{shape_bucket(total_starts)}"):
+        pieces = [
+            read(cover.at + cover.kept * n, cover.missing * n)
+            for (_, read, _, _), cover in zip(streams, covers)
+            if cover.missing
+        ]
+        fresh = (
+            _power_rows(dechirp_windows(params, np.concatenate(pieces)), SCAN_OVERSAMPLE)
+            if pieces
+            else None
+        )
+        powers, stacked, starts = [], [], []
+        used = rows = 0
+        for cover in covers:
+            power = cover.rows(fresh[used : used + cover.missing] if cover.missing else None)
+            used += cover.missing
+            powers.append(power)
+            if cover.lo < cover.n_starts:
+                stacked.append(power[cover.lo : cover.n_windows])
+                starts.append(np.arange(cover.n_starts - cover.lo) + rows)
+                rows += cover.n_windows - cover.lo
+        fresh_stats = (
+            _start_stats(np.concatenate(stacked), np.concatenate(starts), span)
+            if stacked
+            else None
+        )
+        scores = []
+        done = 0
+        for (memo, _, _, n_starts), cover, power in zip(streams, covers, powers):
+            new = None
+            if cover.lo < n_starts:
+                new = fresh_stats[done : done + n_starts - cover.lo]
+                done += n_starts - cover.lo
+            _, start_stats = memo.coarse.store(cover, power, new)
+            memo.windows_transformed = memo.coarse.fresh
+            memo.windows_reused = memo.coarse.kept
+            memo.windows_refined = 0
+            scores.append(_scores(start_stats, *null_quantiles(span, n, pfa / n_starts)))
+        return scores
 
 
 def _pick(scores: np.ndarray, span: int, earliest: bool) -> tuple[int | None, int, int]:

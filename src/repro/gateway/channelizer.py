@@ -111,7 +111,6 @@ class PolyphaseChannelizer:
         self.plan = plan
         self.n_channels = plan.n_channels
         self.taps = prototype_filter(plan.n_channels)
-        self._taps_flipped = self.taps[::-1].copy()
         # Window i spans buffered samples [i*M, i*M + L); priming the
         # buffer with L - M zeros makes output 0 correspond to the first
         # M input samples (constant group delay of (L-1)/2 wideband
@@ -171,10 +170,14 @@ class PolyphaseChannelizer:
             bytes_touched=16 * n_out * (length + 2 * m),
         ):
             # Window i = buffer[i*M : i*M + L]; u[i, p] = sum_t h[tM+p] x[end - (tM+p)]
-            # is the reversed-window dot product folded into M branches.
+            # is the reversed-window dot product folded into M branches,
+            # one contraction over t without the weighted intermediate.
             windows = np.lib.stride_tricks.sliding_window_view(buffer, length)[:: m][:n_out]
-            weighted = windows[:, ::-1] * self.taps
-            branches = weighted.reshape(n_out, -1, m).sum(axis=1)
+            branches = np.einsum(
+                "itp,tp->ip",
+                windows[:, ::-1].reshape(n_out, -1, m),
+                self.taps.reshape(-1, m),
+            )
             spectra = m * np.fft.ifft(branches, axis=1)  # column j = offset j*BW
             self._buffer = buffer[n_out * m :]
             return spectra[:, self._bin_of_channel].T.copy()

@@ -18,31 +18,39 @@ Stages (each instrumented through :mod:`repro.gateway.telemetry`):
    :class:`repro.gateway.ring.SampleRing` (overflow evicts the oldest
    samples, counted as loss).
 3. **detect** -- every channel is scanned once per spreading factor in
-   ``sf_set`` by a :class:`StreamScanner`, which slides
-   :func:`repro.core.detection.sliding_packet_search` (``earliest=True``)
-   over the unscanned span of the ring: every start is decided at 2x
-   zero padding, and only the starts around a crossing are re-scored at
-   10x to pick the packet start.  Each scanner keeps a
-   :class:`repro.core.detection.ScanMemo` of both resolutions keyed by
-   absolute sample index, so a window already transformed and a start
-   already scored on an earlier chunk are reused, not recomputed
-   (``detect.windows_*`` counters).  A detection whose frame tail has
-   not arrived yet stays pending until the next chunk, which is how
-   packets straddling chunk boundaries survive.  Scanners sharing a ring
-   publish release positions and the ring consumes their minimum, so an
-   SF7 and an SF8 scanner multiplex one channel without stealing each
-   other's samples.
+   ``sf_set`` by a :class:`StreamScanner`.  After each ingest, one
+   coarse pass per PHY (:func:`repro.core.detection.decide_starts`)
+   decides every start of every shard's unscanned span at 2x zero
+   padding: the windows no shard has transformed yet are dechirped and
+   FFT'd together, and every new start's accumulated statistics come from
+   one reduction.  Only a shard whose coarse scores cross the threshold
+   then runs :func:`repro.core.detection.sliding_packet_search`
+   (``earliest=True``), which re-scores the starts around the crossing
+   at 10x to pick the packet start; a quiet shard just moves on.  Each
+   scanner keeps a :class:`repro.core.detection.ScanMemo` of both
+   resolutions keyed by absolute sample index, so a window already
+   transformed and a start already scored on an earlier chunk are
+   reused, not recomputed (``detect.windows_*`` counters).  A detection
+   whose frame tail has not arrived yet stays pending until the next
+   chunk, which is how packets straddling chunk boundaries survive.
+   Scanners sharing a ring publish release positions and the ring
+   consumes their minimum, so an SF7 and an SF8 scanner multiplex one
+   channel without stealing each other's samples.
 4. **dispatch** -- cut the packet window
    (:data:`repro.core.cascade.WINDOW_LEAD_SYMBOLS` of lead for
    :func:`repro.core.detection.align_to_window_grid` to find the exact
    boundary) and submit it to the one shared
-   :class:`repro.gateway.workers.DecodeWorkerPool`; its admission gate's
-   drop policy is the backpressure valve.  Jobs carry their shard's
-   params and the key ``(channel, sf, shard_seq)``; decoding draws no
-   randomness, so results are deterministic no matter how shards
-   interleave or which executor runs the pool.
-5. **decode** -- workers run the configured decode tier plus the LoRa
-   FEC/CRC chain and report per-user payloads.
+   :class:`repro.gateway.workers.DecodeWorkerPool`.  On the ``cascade``
+   tier with a parallel executor, the pool runs Tier 0 right here: a
+   window Tier 0 decodes clean and CRC-ok is recorded at once, so it
+   never waits behind a full-Choir escalation.  Only escalations pass the
+   admission gate, whose drop policy is the backpressure valve.  Jobs
+   carry their shard's params and the key ``(channel, sf, shard_seq)``;
+   decoding draws no randomness, so results are deterministic no matter
+   how shards interleave or which executor runs the pool.
+5. **decode** -- workers run the configured decode tier (for an
+   escalation, the full pipeline, resuming the job Tier 0 declined) plus
+   the LoRa FEC/CRC chain and report per-user payloads.
 
 ``Gateway.run(source)`` returns a :class:`GatewayReport` with counts,
 throughput, per-stage latency percentiles, a per-shard (``ch{c}.sf{s}``)
@@ -58,7 +66,7 @@ import numpy as np
 
 from repro import observe
 from repro.core.cascade import DECODE_TIERS, DEFAULT_DECODE_TIER, WINDOW_LEAD_SYMBOLS
-from repro.core.detection import ScanMemo, sliding_packet_search
+from repro.core.detection import ScanMemo, decide_starts, sliding_packet_search
 from repro.gateway.channelizer import PolyphaseChannelizer
 from repro.gateway.ring import SampleRing
 from repro.gateway.sources import SampleSource
@@ -96,7 +104,10 @@ class GatewayConfig:
         the detector paces by and the decoder decodes.
     n_workers, executor, queue_capacity, drop_policy:
         Shape of the single decode pool all shards share; see
-        :class:`repro.gateway.workers.DecodeWorkerPool`.
+        :class:`repro.gateway.workers.DecodeWorkerPool`.  On the
+        ``cascade`` tier, Tier 0 runs at dispatch on every executor, so
+        ``queue_capacity`` and the drop policy apply only to the windows
+        it escalates.
     detection_pfa:
         Search-level false-alarm probability per detection scan.
     max_users:
@@ -457,6 +468,24 @@ class StreamScanner:
         self.detected = 0
         self.shard_seq = 0  # per-shard job sequence number (job key)
         self._memo = ScanMemo()  # window spectra carried across scans
+        # The shard's PHY group, and the coarse scores it decided for this
+        # shard's unscanned span, which this shard's scan consumes.
+        self.coarse_pass: Optional[CoarsePass] = None
+        self._decided: Optional[np.ndarray] = None
+
+    def coarse_stream(
+        self, ring: SampleRing
+    ) -> Optional[Tuple[ScanMemo, Callable[[int, int], np.ndarray], int, int]]:
+        """This shard's :func:`decide_starts` stream over the unscanned span.
+
+        ``None`` when the span is shorter than a preamble plus a window.
+        """
+        self.scan_pos = max(self.scan_pos, ring.start)
+        available = ring.end - self.scan_pos
+        if available < self.min_span:
+            return None
+        n_starts = available // self.params.samples_per_symbol - self.params.preamble_len + 1
+        return self._memo, ring.view, self.scan_pos, n_starts
 
     def _release(self, pos: int) -> None:
         if pos > self.release_pos:
@@ -498,28 +527,39 @@ class StreamScanner:
         n = params.samples_per_symbol
         telemetry = self.telemetry
         frame = self.frame_samples
+        memo = self._memo
+        if self.coarse_pass is not None:
+            self.coarse_pass.run(telemetry)
         while True:
-            self.scan_pos = max(self.scan_pos, ring.start)
-            available = ring.end - self.scan_pos
-            if available < self.min_span:
+            stream = self.coarse_stream(ring)
+            if stream is None:
                 break
-            segment = ring.view(self.scan_pos, available)
-            with telemetry.timer("detect.scan_s"):
-                result = sliding_packet_search(
-                    params,
-                    segment,
-                    pfa=self.detection_pfa,
-                    earliest=True,
-                    memo=self._memo,
-                    origin=self.scan_pos,
-                )
+            scores, self._decided = self._decided, None
+            if scores is None:
+                with telemetry.timer("detect.scan_s"):
+                    (scores,) = decide_starts(params, [stream], self.detection_pfa)
+            transformed, reused = memo.windows_transformed, memo.windows_reused
+            result = None
+            if not np.all(scores < 1.0):
+                # A coarse crossing: the search re-scores it at 10x on the
+                # primed memo and picks the start (or passes it over).
+                segment = ring.view(self.scan_pos, ring.end - self.scan_pos)
+                with telemetry.timer("detect.scan_s"):
+                    result = sliding_packet_search(
+                        params,
+                        segment,
+                        pfa=self.detection_pfa,
+                        earliest=True,
+                        memo=memo,
+                        origin=self.scan_pos,
+                    )
             telemetry.counter("detect.scans").inc()
-            telemetry.counter("detect.windows_transformed").inc(
-                self._memo.windows_transformed
+            telemetry.counter("detect.windows_transformed").inc(transformed)
+            telemetry.counter("detect.windows_reused").inc(reused)
+            telemetry.counter("detect.windows_refined").inc(
+                0 if result is None else memo.windows_refined
             )
-            telemetry.counter("detect.windows_reused").inc(self._memo.windows_reused)
-            telemetry.counter("detect.windows_refined").inc(self._memo.windows_refined)
-            if not result.detected:
+            if result is None or not result.detected:
                 # Keep a preamble's worth of overlap so a packet whose
                 # head just arrived is still detectable next scan.
                 self.scan_pos = max(self.scan_pos, ring.end - self.min_span)
@@ -559,6 +599,48 @@ class StreamScanner:
             if min(window_end, ring.end) >= ring.end and final:
                 break
         return next_job_id
+
+
+class CoarsePass:
+    """The shards of one PHY, whose coarse detection decisions are made together.
+
+    Shards of one PHY (same params and false-alarm rate, on any channel)
+    share one :func:`decide_starts` call per ingest.  The gateway marks
+    the pass :meth:`due` after every ingest, and the first of its
+    scanners to scan runs it for all of them, so its time counts as
+    scanning.  Each scanner keeps its scores for its own scan, which
+    searches only if a start crossed.
+    """
+
+    def __init__(self, shards: Sequence[Tuple[StreamScanner, SampleRing]]) -> None:
+        self.shards = shards
+        self._due = False
+        for scanner, _ in shards:
+            scanner.coarse_pass = self
+
+    def due(self) -> None:
+        """New samples arrived: the next scan decides for every shard."""
+        self._due = True
+
+    def run(self, telemetry: Telemetry) -> None:
+        """Decide every shard's unscanned span in one pass, once per :meth:`due`."""
+        if not self._due:
+            return
+        self._due = False
+        members = []
+        for scanner, ring in self.shards:
+            stream = scanner.coarse_stream(ring)
+            if stream is not None:
+                members.append((scanner, stream))
+        if not members:
+            return
+        scanner = members[0][0]
+        with telemetry.timer("detect.scan_s"):
+            decided = decide_starts(
+                scanner.params, [stream for _, stream in members], scanner.detection_pfa
+            )
+        for (scanner, _), scores in zip(members, decided):
+            scanner._decided = scores
 
 
 class Gateway:
@@ -673,8 +755,17 @@ class Gateway:
                         len(ring) / self._ring_capacity
                     )
 
+        groups: Dict[Tuple[LoRaParams, float], List[Tuple[StreamScanner, SampleRing]]] = {}
+        for ring, channel_scanners in zip(rings, scanners):
+            for scanner in channel_scanners:
+                key = (scanner.params, scanner.detection_pfa)
+                groups.setdefault(key, []).append((scanner, ring))
+        passes = [CoarsePass(shards) for shards in groups.values()]
+
         def scan(final: bool = False) -> None:
             nonlocal next_job_id
+            for coarse_pass in passes:
+                coarse_pass.due()
             for channel, ring in enumerate(rings):
                 for scanner in scanners[channel]:
                     next_job_id = scanner.scan(ring, pool, next_job_id, final=final)

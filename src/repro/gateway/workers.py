@@ -12,14 +12,21 @@ accounting path:
 * ``"process"`` -- a :class:`concurrent.futures.ProcessPoolExecutor` for
   per-core scaling.
 
-Both parallel executors dispatch the same way: one admission gate (a
-bounded semaphore with a slot per worker plus ``queue_capacity`` slots
-for windows awaiting decode), ``Executor.submit``, and one done callback
+Both parallel executors dispatch the same way.  On the ``"cascade"``
+tier, Tier 0 runs first in the submitting thread
+(:func:`screen_packet_window`): a window it decodes clean and CRC-ok is
+recorded there and then, so cheap decodes never queue behind full-Choir
+escalations.  Every other job passes one admission gate (a bounded
+semaphore with a slot per worker plus ``queue_capacity`` slots for
+windows awaiting decode), ``Executor.submit``, and one done callback
 that records the outcome and frees the slot.  The drop policy says what
 happens when every slot is taken, i.e. decode has fallen behind ingest
 -- drop the ``"newest"`` window (default: keep latency bounded, lose the
 packet that arrived into an overloaded system) or ``"block"`` ingest
-(lossless, at the price of stalling the stream).
+(lossless, at the price of stalling the stream).  An escalation resumes
+in the worker where Tier 0 left it (:class:`Escalation`), so Tier 0
+runs once per job and the job's outcome, trace and counters are those
+of one decode.
 
 Decoding draws no randomness: an outcome is a function of the job's
 samples and params alone, so which worker decodes which packet -- or
@@ -49,7 +56,10 @@ from repro import observe
 from repro.core.cascade import (
     DECODE_TIERS,
     DEFAULT_DECODE_TIER,
+    CascadePipeline,
+    ChoirPipeline,
     UserFrame,
+    WindowDecode,
     build_pipeline,
 )
 from repro.gateway.telemetry import Telemetry, clock, shard_label
@@ -136,12 +146,138 @@ class DecodeOutcome:
         return len(self.users)
 
 
+@dataclass(frozen=True)
+class Escalation:
+    """A job Tier 0 declined at dispatch, on its way to a worker.
+
+    ``tier0`` is Tier 0's result (its ``escalation_reason`` says why it
+    declined), ``builder`` the job's span tree with ``decode.tier0``
+    already in it, ``observed`` Tier 0's job-local observations,
+    ``tier0_s`` Tier 0's wall time and ``declined_at`` the :func:`clock`
+    reading when it declined, where the job's queue wait starts.
+    """
+
+    tier0: WindowDecode
+    builder: Optional[TraceBuilder]
+    observed: observe.ObservationBundle
+    tier0_s: float
+    declined_at: float
+
+
+def _job_builder(
+    job: DecodeJob, trace_directive: Optional[TraceDirective]
+) -> Optional[TraceBuilder]:
+    """The root ``decode.job`` span of a traced job, or None."""
+    if trace_directive is None:
+        return None
+    return TraceBuilder(
+        "decode.job",
+        job_id=job.job_id,
+        key=list(job.key),
+        channel=job.channel,
+        spreading_factor=job.params.spreading_factor,
+        start_sample=job.start_sample,
+        detection_score=job.detection_score,
+    )
+
+
+def _decode_in_scope(
+    job: DecodeJob,
+    pipeline: "ChoirPipeline | CascadePipeline",
+    builder: Optional[TraceBuilder],
+    profile: bool,
+    escalation: Optional[Escalation] = None,
+    screening: bool = False,
+) -> Tuple[WindowDecode, observe.Observation]:
+    """Decode ``job`` with ``pipeline`` under the job's observation scope.
+
+    With ``escalation`` the job resumes where Tier 0 left it at dispatch,
+    with Tier 0's observations folded into this scope.  The job ends here
+    with its ``result`` event unless ``screening`` and Tier 0 declined
+    the window.
+    """
+    spreading_factor = job.params.spreading_factor
+    resumed = {} if escalation is None else {"tier0": escalation.tier0}
+    job_profiler = KernelProfiler() if profile else None
+    cpu_started = process_cpu() if profile else 0.0
+    with observe.scope(Telemetry(), builder, job_profiler) as observation:
+        if escalation is not None:
+            observation.merge(escalation.observed)
+        # One decode.window call per job, however many stages it takes.
+        with observe.kernel(
+            "decode.window", f"sf{spreading_factor}", calls=int(escalation is None)
+        ):
+            window = pipeline.decode_window(
+                job.samples, job.n_data_symbols, job.payload_len, **resumed
+            )
+        if not (screening and window.escalation_reason is not None):
+            observe.counter("decode.users_found", len(window.users))
+            observe.add_event(
+                "result",
+                crc_ok=window.crc_ok,
+                n_users=len(window.users),
+                sync_retries=window.sync_retries,
+            )
+    if job_profiler is not None:
+        job_profiler.add_cpu(max(process_cpu() - cpu_started, 0.0))
+    return window, observation
+
+
+def _outcome(
+    job: DecodeJob,
+    window: WindowDecode,
+    builder: Optional[TraceBuilder],
+    trace_directive: Optional[TraceDirective],
+    observation: observe.Observation,
+    queue_wait_s: float,
+    decode_s: float,
+) -> DecodeOutcome:
+    """The job's outcome record, with its span tree if the directive keeps it."""
+    users = window.users
+    verified = [u for u in users if u.crc_ok]
+    best = verified[0] if verified else (users[0] if users else None)
+    crc_ok = bool(verified)
+    trace: Optional[PacketTrace] = None
+    if builder is not None and trace_directive is not None:
+        root = builder.finish()
+        if trace_directive.keep(crc_ok):
+            trace = PacketTrace(
+                key=job.key,
+                job_id=job.job_id,
+                channel=job.channel,
+                spreading_factor=job.params.spreading_factor,
+                start_sample=job.start_sample,
+                detection_score=job.detection_score,
+                sampled=trace_directive.sampled,
+                root=root,
+                label=job.label,
+            )
+    return DecodeOutcome(
+        job_id=job.job_id,
+        start_sample=job.start_sample,
+        users=users,
+        payload=best.payload if best is not None else None,
+        crc_ok=crc_ok,
+        queue_wait_s=max(queue_wait_s, 0.0),
+        decode_s=decode_s,
+        detection_score=job.detection_score,
+        sync_retries=window.sync_retries,
+        channel=job.channel,
+        spreading_factor=job.params.spreading_factor,
+        key=job.key,
+        tier=window.tier,
+        escalation_reason=window.escalation_reason,
+        observed=observation.bundle(trace),
+    )
+
+
 def decode_packet_window(
     job: DecodeJob,
     max_users: Optional[int] = None,
     decode_tier: str = DEFAULT_DECODE_TIER,
     trace_directive: Optional[TraceDirective] = None,
     profile: bool = False,
+    escalation: Optional[Escalation] = None,
 ) -> DecodeOutcome:
     """Decode one packet window as ``job.params``.
 
@@ -154,11 +290,15 @@ def decode_packet_window(
     search) and retries a small ladder of alternative alignments with CRC
     as the oracle; ``"fast"`` is Tier 0 alone.  This function owns the
     job plumbing around the pipeline: the job's observation scope and the
-    outcome record.
+    outcome record.  With ``escalation`` (a ``"cascade"`` job that
+    :func:`screen_packet_window` declined at dispatch), Tier 0 does not
+    run again: the job resumes at the escalation, in the same span tree
+    and with Tier 0's observations, so its outcome, trace and counters
+    are those of a whole decode here.
 
     Module-level (rather than a pool method) so the process executor can
     ship it to workers; everything it touches -- including the trace
-    directive in and the span tree out -- is picklable.
+    directive and escalation in and the span tree out -- is picklable.
 
     Each job carries its own ``params`` (its shard's PHY configuration).
     The decode draws no randomness, so the outcome depends on the job
@@ -169,77 +309,58 @@ def decode_packet_window(
     builds one) and, with ``profile=True``, a job-local
     :class:`KernelProfiler` (so per-kernel wall/FFT/bytes accounting
     works identically on every executor).  All three ship home as the
-    outcome's ``observed`` bundle; the whole decode runs under a
+    outcome's ``observed`` bundle; each stage of the decode runs under a
     ``decode.window`` root kernel, so summed kernel wall times cover the
     job end to end.
     """
     started = clock()
-    params = job.params
-    spreading_factor = params.spreading_factor
-    builder: Optional[TraceBuilder] = None
-    if trace_directive is not None:
-        builder = TraceBuilder(
-            "decode.job",
-            job_id=job.job_id,
-            key=list(job.key),
-            channel=job.channel,
-            spreading_factor=spreading_factor,
-            start_sample=job.start_sample,
-            detection_score=job.detection_score,
-        )
-    pipeline = build_pipeline(decode_tier, params, max_users=max_users)
-    job_profiler = KernelProfiler() if profile else None
-    cpu_started = process_cpu() if profile else 0.0
-    with observe.scope(Telemetry(), builder, job_profiler) as observation:
-        with observe.kernel("decode.window", f"sf{spreading_factor}"):
-            window = pipeline.decode_window(
-                job.samples, job.n_data_symbols, job.payload_len
-            )
-        users = window.users
-        verified = [u for u in users if u.crc_ok]
-        retries = window.sync_retries
-        observe.counter("decode.users_found", len(users))
-        observe.add_event(
-            "result",
-            crc_ok=bool(verified),
-            n_users=len(users),
-            sync_retries=retries,
-        )
-    if job_profiler is not None:
-        job_profiler.add_cpu(max(process_cpu() - cpu_started, 0.0))
-    best = verified[0] if verified else (users[0] if users else None)
-    crc_ok = bool(verified)
-    trace: Optional[PacketTrace] = None
-    if builder is not None and trace_directive is not None:
-        root = builder.finish()
-        if trace_directive.keep(crc_ok):
-            trace = PacketTrace(
-                key=job.key,
-                job_id=job.job_id,
-                channel=job.channel,
-                spreading_factor=spreading_factor,
-                start_sample=job.start_sample,
-                detection_score=job.detection_score,
-                sampled=trace_directive.sampled,
-                root=root,
-                label=shard_label(job.channel, spreading_factor),
-            )
-    return DecodeOutcome(
-        job_id=job.job_id,
-        start_sample=job.start_sample,
-        users=users,
-        payload=best.payload if best is not None else None,
-        crc_ok=crc_ok,
-        queue_wait_s=max(started - job.created_at, 0.0),
-        decode_s=clock() - started,
-        detection_score=job.detection_score,
-        sync_retries=retries,
-        channel=job.channel,
-        spreading_factor=spreading_factor,
-        key=job.key,
-        tier=window.tier,
-        escalation_reason=window.escalation_reason,
-        observed=observation.bundle(trace),
+    pipeline = build_pipeline(decode_tier, job.params, max_users=max_users)
+    if escalation is None:
+        builder = _job_builder(job, trace_directive)
+        queued_since, earlier_s = job.created_at, 0.0
+    else:
+        builder = escalation.builder
+        queued_since, earlier_s = escalation.declined_at, escalation.tier0_s
+    window, observation = _decode_in_scope(job, pipeline, builder, profile, escalation)
+    return _outcome(
+        job,
+        window,
+        builder,
+        trace_directive,
+        observation,
+        queue_wait_s=started - queued_since,
+        decode_s=earlier_s + clock() - started,
+    )
+
+
+def screen_packet_window(
+    job: DecodeJob,
+    trace_directive: Optional[TraceDirective] = None,
+    profile: bool = False,
+) -> "DecodeOutcome | Escalation":
+    """Run a ``"cascade"`` job's Tier 0 here: its outcome, or its escalation.
+
+    A window Tier 0 decodes clean and CRC-ok is finished: its outcome is
+    exactly what :func:`decode_packet_window` would return.  Any other
+    window comes back as the :class:`Escalation` to hand to
+    :func:`decode_packet_window` in a worker.
+    """
+    started = clock()
+    builder = _job_builder(job, trace_directive)
+    window, observation = _decode_in_scope(
+        job, build_pipeline("fast", job.params), builder, profile, screening=True
+    )
+    now = clock()
+    if window.escalation_reason is not None:
+        return Escalation(window, builder, observation.bundle(), now - started, now)
+    return _outcome(
+        job,
+        window,
+        builder,
+        trace_directive,
+        observation,
+        queue_wait_s=started - job.created_at,
+        decode_s=now - started,
     )
 
 
@@ -257,7 +378,9 @@ class DecodeWorkerPool:
         ``"serial"``, ``"thread"`` or ``"process"``.
     queue_capacity:
         Maximum windows awaiting decode before the drop policy applies;
-        jobs already running on a worker do not count against it.
+        jobs already running on a worker do not count against it.  On
+        the ``"cascade"`` tier only Tier-0 escalations wait: a window
+        Tier 0 decodes is recorded at dispatch and is never dropped.
     drop_policy:
         Overload behavior; see :data:`DROP_POLICIES`.
     max_users:
@@ -286,12 +409,13 @@ class DecodeWorkerPool:
         report-streaming tap, e.g. forwarding decoded frames to a
         network server while the stream is still running.  It runs in
         the thread that completes the job: the caller of :meth:`submit`
-        under ``"serial"``, the decoding worker thread under
-        ``"thread"``, and the executor's result-handling thread under
-        ``"process"`` (a job already done when :meth:`submit` attaches
-        its callback is recorded by the caller).  The callable must
-        therefore be thread-safe, and outcomes may arrive out of stream
-        order.
+        under ``"serial"``, and for every Tier-0 outcome of the
+        ``"cascade"`` tier on every executor; otherwise the decoding
+        worker thread under ``"thread"``, and the executor's
+        result-handling thread under ``"process"`` (a job already done
+        when :meth:`submit` attaches its callback is recorded by the
+        caller).  The callable must therefore be thread-safe, and
+        outcomes may arrive out of stream order.
     """
 
     def __init__(
@@ -470,7 +594,10 @@ class DecodeWorkerPool:
 
         Rejected jobs are counted under ``dispatch.dropped``.  On the
         parallel executors ``dispatch.queue_depth`` tracks the admitted
-        jobs waiting for a worker.
+        jobs waiting for a worker.  On those executors a ``"cascade"``
+        job runs Tier 0 here first (:func:`screen_packet_window`): a
+        window it decodes clean and CRC-ok is recorded at once, and only
+        an escalation goes through the admission gate to a worker.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
@@ -483,7 +610,21 @@ class DecodeWorkerPool:
                 outcome = self._error_outcome(job, exc)
             self._record(outcome)
             return True
+        if self.decode_tier == "cascade":
+            try:
+                screened = screen_packet_window(
+                    job, options["trace_directive"], options["profile"]
+                )
+            except Exception as exc:  # defensive: one error outcome, no crash
+                screened = self._error_outcome(job, exc)
+            if isinstance(screened, DecodeOutcome):
+                self._record(screened)
+                return True
+            options["escalation"] = screened
         if not self._slots.acquire(blocking=self.drop_policy == "block"):
+            if "escalation" in options:
+                # Tier 0 ran; its work is counted though the job is lost.
+                self._sinks.merge(options["escalation"].observed)
             self._count_drop(job.label)
             return False
         self._admit(1)

@@ -164,11 +164,13 @@ def kernel(
     fft_count: int = 0,
     fft_points: int = 0,
     bytes_touched: int = 0,
+    calls: int = 1,
 ) -> ContextManager[Any]:
     """Account the wrapped block to kernel ``name``; no-op when off.
 
     Nested :func:`kernel` blocks record *self time* (elapsed minus time
     inside child kernels), so summed kernel wall times stay additive.
+    ``calls=0`` continues an invocation counted earlier.
     """
     observation = _ACTIVE.get()
     if observation is None or observation.profiler is None:
@@ -179,6 +181,7 @@ def kernel(
         fft_count=fft_count,
         fft_points=fft_points,
         bytes_touched=bytes_touched,
+        calls=calls,
     )
 
 

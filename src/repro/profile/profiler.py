@@ -93,11 +93,13 @@ class _Frame:
         "fft_count",
         "fft_points",
         "bytes_touched",
+        "calls",
     )
 
     def __init__(self, name: str, shape: str) -> None:
         self.name = name
         self.shape = shape
+        self.calls = 1
         self.start = clock()
         self.child_s = 0.0
         self.fft_count = 0
@@ -131,9 +133,10 @@ class KernelStat:
         fft_count: int,
         fft_points: int,
         bytes_touched: int,
+        calls: int = 1,
     ) -> None:
         """Fold one closed frame's self time and work into the totals."""
-        self.calls += 1
+        self.calls += calls
         self.wall_s += self_s
         if self_s > self.max_wall_s:
             self.max_wall_s = self_s
@@ -192,13 +195,15 @@ class KernelProfiler:
         fft_count: int = 0,
         fft_points: int = 0,
         bytes_touched: int = 0,
+        calls: int = 1,
     ) -> Iterator[None]:
-        """Time the wrapped block as one invocation of kernel ``name``.
+        """Time the wrapped block as ``calls`` invocations of kernel ``name``.
 
         Nested ``kernel`` blocks subtract their elapsed time from the
         parent's self time, so totals across the table stay additive.
         Work estimates can be supplied up front or accumulated from
-        inside the block with :meth:`add`.
+        inside the block with :meth:`add`.  ``calls=0`` adds time to an
+        invocation counted earlier (a job resumed in another worker).
         """
         ident = threading.get_ident()
         stack = self._stacks.setdefault(ident, [])
@@ -206,6 +211,7 @@ class KernelProfiler:
         frame.fft_count = fft_count
         frame.fft_points = fft_points
         frame.bytes_touched = bytes_touched
+        frame.calls = calls
         stack.append(frame)
         try:
             yield
@@ -235,7 +241,11 @@ class KernelProfiler:
                 stat = KernelStat()
                 self._stats[(frame.name, frame.shape)] = stat
             stat.add(
-                self_s, frame.fft_count, frame.fft_points, frame.bytes_touched
+                self_s,
+                frame.fft_count,
+                frame.fft_points,
+                frame.bytes_touched,
+                frame.calls,
             )
             self._paths[path] = self._paths.get(path, 0.0) + self_s
             if not stack:

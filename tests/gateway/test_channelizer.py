@@ -137,6 +137,50 @@ class TestStreaming:
             PolyphaseChannelizer(ChannelPlan.us915_sub_band(0))
 
 
+def _summed_branches(plan: ChannelPlan, chunks: list) -> list:
+    """Channelizer outputs with the branch sum as an explicit weighted sum.
+
+    The reference form ``weighted.reshape(n_out, -1, M).sum(axis=1)``
+    that ``push`` computes as one contraction; the last chunk is the
+    flush's zero tail.
+    """
+    m = plan.n_channels
+    taps = prototype_filter(m)
+    length = taps.size
+    bins = np.array([(c - m // 2) % m for c in range(m)])
+    buffer = np.zeros(length - m, dtype=complex)
+    outputs = []
+    for chunk in chunks + [np.zeros(length - m, dtype=complex)]:
+        buffer = np.concatenate([buffer, chunk])
+        n_out = (buffer.size - (length - m)) // m
+        if n_out <= 0:
+            outputs.append(np.zeros((m, 0), dtype=complex))
+            continue
+        windows = np.lib.stride_tricks.sliding_window_view(buffer, length)[::m][:n_out]
+        weighted = windows[:, ::-1] * taps
+        branches = weighted.reshape(n_out, -1, m).sum(axis=1)
+        outputs.append((m * np.fft.ifft(branches, axis=1))[:, bins].T)
+        buffer = buffer[n_out * m :]
+    return outputs
+
+
+class TestBranchContraction:
+    @pytest.mark.parametrize("chunk_samples", [4096, 4000, 7])
+    def test_matches_the_summed_branches_bit_for_bit(self, chunk_samples):
+        plan = PLAN8
+        rng = np.random.default_rng(chunk_samples)
+        chunks = [
+            rng.standard_normal(chunk_samples) + 1j * rng.standard_normal(chunk_samples)
+            for _ in range(max(3, 12000 // chunk_samples))
+        ]
+        channelizer = PolyphaseChannelizer(plan)
+        got = [channelizer.push(chunk) for chunk in chunks] + [channelizer.flush()]
+        expected = _summed_branches(plan, chunks)
+        assert len(got) == len(expected)
+        for out, ref in zip(got, expected):
+            np.testing.assert_array_equal(out, ref)
+
+
 class TestUpconvertRoundTrip:
     def test_chirp_survives_synthesis_plus_analysis(self):
         # A LoRa upchirp placed on channel 5 of the plan must come back

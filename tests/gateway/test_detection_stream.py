@@ -31,6 +31,7 @@ from repro.gateway.runtime import StreamScanner
 from repro.gateway.telemetry import Telemetry
 from repro.hardware.radio import LoRaRadio
 from repro.mac.simulator import NodeConfig
+from repro.phy.params import ChannelPlan
 from tests.gateway.conftest import PARAMS, PAYLOAD_LEN, periodic_node
 
 
@@ -298,3 +299,146 @@ class TestLazyPeaks:
         report = Gateway(config).run(source)
         assert report.packets_detected > 0
         assert calls == []
+
+
+class _PerShardScanner(StreamScanner):
+    """The scan loop as it ran before the batched coarse pass (reference).
+
+    Every scan runs :func:`sliding_packet_search` on a copy of the shard's
+    whole unscanned span, shard by shard, deciding and picking in one call;
+    the shard's :class:`runtime.CoarsePass` never runs.
+    """
+
+    def scan(self, ring, pool, next_job_id, final=False):
+        n = self.params.samples_per_symbol
+        telemetry = self.telemetry
+        while True:
+            self.scan_pos = max(self.scan_pos, ring.start)
+            available = ring.end - self.scan_pos
+            if available < self.min_span:
+                break
+            segment = ring.view(self.scan_pos, available)
+            result = sliding_packet_search(
+                self.params,
+                segment,
+                pfa=self.detection_pfa,
+                earliest=True,
+                memo=self._memo,
+                origin=self.scan_pos,
+            )
+            telemetry.counter("detect.scans").inc()
+            telemetry.counter("detect.windows_transformed").inc(
+                self._memo.windows_transformed
+            )
+            telemetry.counter("detect.windows_reused").inc(self._memo.windows_reused)
+            telemetry.counter("detect.windows_refined").inc(self._memo.windows_refined)
+            if not result.detected:
+                self.scan_pos = max(self.scan_pos, ring.end - self.min_span)
+                self._release(self.scan_pos - self.lead)
+                break
+            start = self.scan_pos + result.start_window * n
+            window_end = start + self.frame_samples + self.tail
+            if window_end > ring.end and not final:
+                self._release(max(start - self.lead, ring.start))
+                break
+            job = self._make_job(ring, start, window_end, next_job_id, result.score)
+            self.detected += 1
+            next_job_id += 1
+            self.shard_seq += 1
+            telemetry.counter("detect.packets").inc()
+            telemetry.counter(f"{self.label}.detect.packets").inc()
+            pool.submit(job)
+            self.scan_pos = start + self.frame_samples + n
+            self._release(self.scan_pos - self.lead)
+            if min(window_end, ring.end) >= ring.end and final:
+                break
+        return next_job_id
+
+
+class _DispatchLog:
+    """Stands in for ``DecodeWorkerPool`` inside ``Gateway.run``: no decode."""
+
+    jobs: list = []
+
+    def __init__(self, **kwargs):
+        self.dropped = 0
+
+    def submit(self, job):
+        _DispatchLog.jobs.append(job)
+        return True
+
+    def close(self):
+        return []
+
+
+EU868_8 = ChannelPlan.eu868_style(8)
+DETECT_COUNTERS = (
+    "detect.scans",
+    "detect.windows_transformed",
+    "detect.windows_reused",
+    "detect.windows_refined",
+    "detect.packets",
+)
+
+
+def _dispatched(monkeypatch, chunk_samples, per_shard):
+    """Jobs and ``detect.*`` totals of one 8-channel SF7+SF8 ``Gateway.run``."""
+    nodes = [
+        NodeConfig(
+            node_id=i,
+            snr_db=(12.0, 3.0, -3.0)[i % 3],
+            period_s=0.09 + 0.013 * i,
+            channel=i % 8,
+            spreading_factor=(7, 8)[(i // 8) % 2],
+        )
+        for i in range(16)
+    ]
+    # Back to back: SF7 frames 24.6 ms long every 26 ms on channel 0.
+    nodes.append(NodeConfig(node_id=16, snr_db=10.0, period_s=0.026, channel=0,
+                            spreading_factor=7))
+    source = SyntheticTrafficSource(
+        PARAMS, nodes, duration_s=0.6, payload_len=PAYLOAD_LEN,
+        chunk_samples=chunk_samples, plan=EU868_8, rng=5,
+    )
+    config = GatewayConfig(params=PARAMS, plan=EU868_8, sf_set=(7, 8),
+                           payload_len=PAYLOAD_LEN, executor="serial")
+    with monkeypatch.context() as patch:
+        patch.setattr(runtime, "DecodeWorkerPool", _DispatchLog)
+        patch.setattr(_DispatchLog, "jobs", [])
+        if per_shard:
+            patch.setattr(runtime, "StreamScanner", _PerShardScanner)
+        report = Gateway(config).run(source)
+        jobs = [
+            (job.job_id, job.key, job.start_sample, float(job.detection_score).hex())
+            for job in _DispatchLog.jobs
+        ]
+    counters = {name: report.telemetry[name]["value"] for name in DETECT_COUNTERS}
+    return jobs, counters
+
+
+class TestBatchedCoarsePass:
+    """One coarse pass for all shards dispatches what per-shard scans did."""
+
+    @pytest.mark.parametrize("chunk_samples", [4096, 4000])
+    def test_same_jobs_and_counters_as_per_shard_scans(self, monkeypatch, chunk_samples):
+        batched, counters = _dispatched(monkeypatch, chunk_samples, per_shard=False)
+        reference, reference_counters = _dispatched(monkeypatch, chunk_samples, per_shard=True)
+        assert batched == reference
+        assert counters == reference_counters
+        # The stream covers what the batched pass must get right: every
+        # shard dispatches, frames run back to back, and frames straddle
+        # chunk boundaries.
+        assert {key[:2] for _, key, _, _ in batched} == {
+            (channel, sf) for channel in range(8) for sf in (7, 8)
+        }
+        narrow_chunk = chunk_samples / EU868_8.n_channels
+        frame = StreamScanner(PARAMS, PAYLOAD_LEN, Telemetry()).frame_samples
+        starts = sorted(start for _, key, start, _ in batched if key[:2] == (0, 7))
+        assert any(b - a < frame + 4 * PARAMS.samples_per_symbol
+                   for a, b in zip(starts, starts[1:])), "no back-to-back frames"
+        assert any(
+            (start // narrow_chunk) != ((start + frame) // narrow_chunk)
+            for _, _, start, _ in batched
+        ), "no frame straddles a chunk boundary"
+        assert counters["detect.windows_refined"] > 0
+        assert counters["detect.windows_reused"] > 0

@@ -30,11 +30,14 @@ class TestWitnessEndToEnd:
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_no_unclassified_shared_writes(self, executor):
         # Zero dynamically observed shared writes that R009 did not
-        # classify as safe.  Under "thread" the decoding worker threads
-        # record outcomes; under "process" the executor's result-handling
-        # thread runs every done callback, and with it on_outcome.
+        # classify as safe.  Tier 0 records clean windows in the caller;
+        # the second node's collisions escalate, and those outcomes are
+        # recorded under "thread" by the decoding worker threads, under
+        # "process" by the executor's result-handling thread, which runs
+        # every done callback and with it on_outcome.
+        nodes = [periodic_node(), periodic_node(1, snr_db=12.0, period_s=0.19)]
         source = SyntheticTrafficSource(
-            PARAMS, [periodic_node()], duration_s=1.0, payload_len=PAYLOAD_LEN, rng=0
+            PARAMS, nodes, duration_s=1.0, payload_len=PAYLOAD_LEN, rng=0
         )
         config = GatewayConfig(
             params=PARAMS,
@@ -49,6 +52,7 @@ class TestWitnessEndToEnd:
                 config, on_outcome=lambda o: callers.add(threading.get_ident())
             ).run(source)
         assert report.decoded_payloads  # the run actually decoded traffic
+        assert threading.get_ident() in callers, "no Tier-0 outcome in the caller"
         assert callers - {threading.get_ident()}, "no outcome left the caller"
         assert observed, "gateway never built a worker pool"
         verdicts = static_verdicts(

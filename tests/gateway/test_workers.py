@@ -3,12 +3,13 @@
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.channel.noise import awgn
-from repro.core.cascade import WINDOW_LEAD_SYMBOLS
+from repro.core.cascade import WINDOW_LEAD_SYMBOLS, ChoirPipeline
 from repro.gateway.telemetry import Telemetry
 from repro.gateway.workers import (
     DROP_POLICIES,
@@ -16,10 +17,14 @@ from repro.gateway.workers import (
     DecodeJob,
     DecodeOutcome,
     DecodeWorkerPool,
+    Escalation,
     decode_packet_window,
+    screen_packet_window,
 )
+from repro.trace.recorder import TraceDirective
 from repro.hardware.radio import LoRaRadio
 from repro.phy.packet import LoRaFramer
+from repro.profile.profiler import KernelProfiler
 from tests.gateway.conftest import PARAMS, PAYLOAD_LEN
 
 N_DATA = LoRaFramer(PARAMS).n_symbols_for_payload(PAYLOAD_LEN)
@@ -97,12 +102,15 @@ class TestPoolExecutors:
             assert outcome.payload == payload
 
     def test_process_executor_decodes(self):
+        # "full": a clean window would be decoded by Tier 0 at dispatch,
+        # never reaching the worker process.
         job, payload = _clean_window(seed=12)
-        pool = DecodeWorkerPool(n_workers=1, executor="process")
+        pool = DecodeWorkerPool(n_workers=1, executor="process", decode_tier="full")
         assert pool.submit(job)
         outcomes = pool.close()
         assert len(outcomes) == 1
         assert outcomes[0].payload == payload
+        assert outcomes[0].tier == "full"
         # The closed pool reports no job left waiting for a worker.
         assert pool.telemetry.snapshot()["dispatch.queue_depth"]["value"] == 0
 
@@ -160,7 +168,156 @@ class TestPoolExecutors:
             DecodeWorkerPool(queue_capacity=0)
 
 
+def _collided_window(seed: int) -> DecodeJob:
+    """Two users' packets on top of each other: Tier 0 declines it."""
+    rng = np.random.default_rng(seed)
+    n = PARAMS.samples_per_symbol
+    waveforms = []
+    for node_id, snr_db in enumerate((15.0, 12.0)):
+        radio = LoRaRadio(PARAMS, node_id=node_id, rng=rng)
+        payload = bytes(rng.integers(0, 256, PAYLOAD_LEN, dtype=np.uint8))
+        waveform, _, _ = radio.transmit_payload(payload, amplitude=10 ** (snr_db / 20))
+        waveforms.append(waveform)
+    size = max(w.size for w in waveforms) + 3 * n
+    samples = np.zeros(size, dtype=complex)
+    samples[32 : 32 + waveforms[0].size] += waveforms[0]
+    samples[32 + n // 3 : 32 + n // 3 + waveforms[1].size] += waveforms[1]
+    return DecodeJob(
+        job_id=seed,
+        samples=awgn(samples, 1.0, rng=rng),
+        n_data_symbols=N_DATA,
+        payload_len=PAYLOAD_LEN,
+        start_sample=0,
+        detection_score=10.0,
+        created_at=time.perf_counter(),
+        params=PARAMS,
+        key=(seed,),
+    )
+
+
+def _noise_window(job_id: int) -> DecodeJob:
+    """A packet-sized window of noise alone: Tier 0 declines it."""
+    clean, _ = _clean_window(seed=job_id, lead=32)
+    noise = awgn(np.zeros(clean.samples.size, dtype=complex), 1.0, rng=job_id)
+    return replace(clean, samples=noise)
+
+
+class TestTier0AtDispatch:
+    """Tier 0 run at dispatch, and an escalation resumed in a worker."""
+
+    @staticmethod
+    def _jobs() -> list[DecodeJob]:
+        return [_clean_window(seed=20, lead=32)[0], _collided_window(21), _noise_window(22)]
+
+    @pytest.mark.parametrize("sampled", [True, False])
+    def test_screen_then_escalate_equals_one_decode(self, sampled):
+        # Outcome, span tree and job-local counters and kernels of the
+        # two-stage decode are those of one decode_packet_window call.
+        escalated = 0
+        for job in self._jobs():
+            directive = TraceDirective(key=job.key, sampled=sampled)
+            whole = decode_packet_window(job, trace_directive=directive, profile=True)
+            screened = screen_packet_window(job, directive, profile=True)
+            if isinstance(screened, Escalation):
+                escalated += 1
+                staged = decode_packet_window(
+                    job, trace_directive=directive, profile=True, escalation=screened
+                )
+            else:
+                staged = screened
+            assert staged.tier == whole.tier
+            assert staged.escalation_reason == whole.escalation_reason
+            assert (staged.users, staged.payload, staged.crc_ok) == (
+                whole.users, whole.payload, whole.crc_ok
+            )
+            assert staged.sync_retries == whole.sync_retries
+            assert staged.decode_s > 0.0
+            trace, whole_trace = staged.observed.trace, whole.observed.trace
+            assert (trace is None) == (whole_trace is None)
+            if trace is not None:
+                assert trace.structure() == whole_trace.structure()
+            counters = {
+                name: state["value"]
+                for name, state in staged.observed.telemetry.items()
+                if state["type"] == "counter"
+            }
+            assert counters == {
+                name: state["value"]
+                for name, state in whole.observed.telemetry.items()
+                if state["type"] == "counter"
+            }
+            assert counters["decode.tier0.attempts"] == 1  # Tier 0 ran once
+            kernels = {k: v["calls"] for k, v in _kernel_calls(staged).items()}
+            assert kernels == {k: v["calls"] for k, v in _kernel_calls(whole).items()}
+            assert kernels[("decode.window", "sf7")] == 1
+        assert escalated == 2  # the collision and the noise window
+
+    def test_clean_window_never_reaches_a_worker(self, monkeypatch):
+        gate = _GatedDecode()
+        monkeypatch.setattr("repro.gateway.workers.decode_packet_window", gate)
+        seen = []
+        pool = DecodeWorkerPool(n_workers=1, executor="thread", on_outcome=seen.append)
+        job, payload = _clean_window(seed=23, lead=32)
+        assert pool.submit(job)
+        assert [o.payload for o in seen] == [payload]  # recorded in submit
+        assert seen[0].tier == "tier0"
+        assert pool.telemetry.counter("decode.tier0.ok").value == 1
+        pool.close()
+        assert gate.decoded == []
+
+    def test_clean_job_is_not_queued_behind_escalations(self, monkeypatch):
+        # Both thread workers hold gated escalations; a clean job
+        # submitted after them is recorded before either finishes.
+        release = threading.Event()
+        started = threading.Semaphore(0)
+        full_decode = ChoirPipeline.decode_window
+
+        def gated(self, *args, **kwargs):
+            started.release()
+            assert release.wait(timeout=10.0)
+            return full_decode(self, *args, **kwargs)
+
+        monkeypatch.setattr(ChoirPipeline, "decode_window", gated)
+        recorded: list = []
+        pool = DecodeWorkerPool(
+            n_workers=2, executor="thread", queue_capacity=1, on_outcome=recorded.append
+        )
+        assert pool.submit(_noise_window(0)) and pool.submit(_noise_window(1))
+        assert started.acquire(timeout=10.0) and started.acquire(timeout=10.0)
+        job, payload = _clean_window(seed=24, lead=32)
+        assert pool.submit(job)
+        assert [(o.job_id, o.payload) for o in recorded] == [(24, payload)]
+        release.set()
+        outcomes = pool.close()
+        assert [o.job_id for o in outcomes] == [0, 1, 24]
+        assert [o.tier for o in outcomes] == ["full", "full", "tier0"]
+
+    def test_dropped_escalation_still_counts_its_tier0(self, monkeypatch):
+        gate = _GatedDecode()
+        monkeypatch.setattr("repro.gateway.workers.decode_packet_window", gate)
+        pool = DecodeWorkerPool(n_workers=1, executor="thread", queue_capacity=1)
+        assert pool.submit(_tiny_job(0))
+        assert gate.started.wait(timeout=10.0)
+        assert pool.submit(_tiny_job(1))
+        assert not pool.submit(_tiny_job(2))
+        gate.release.set()
+        pool.close()
+        assert pool.dropped == 1
+        # The dropped job's Tier 0 ran at dispatch; the kept jobs' Tier-0
+        # counts ride their escalations, which the fake decode discards.
+        assert pool.telemetry.counter("decode.tier0.attempts").value == 1
+
+
+def _kernel_calls(outcome: DecodeOutcome) -> dict:
+    profiler = KernelProfiler()
+    profiler.merge_state(outcome.observed.profile)
+    return profiler.stats()
+
+
 def _tiny_job(job_id: int) -> DecodeJob:
+    """A 16-sample window: Tier 0 finds no preamble in it, so on the
+    default cascade tier it escalates at dispatch and goes through the
+    admission gate to a worker."""
     return DecodeJob(
         job_id=job_id,
         samples=np.zeros(16, dtype=complex),
@@ -210,6 +367,7 @@ class TestDropPolicies:
     def _rig(
         self, monkeypatch, drop_policy: str, queue_capacity: int = 1
     ) -> tuple[DecodeWorkerPool, _GatedDecode]:
+        assert isinstance(screen_packet_window(_tiny_job(0)), Escalation)
         gate = _GatedDecode()
         monkeypatch.setattr("repro.gateway.workers.decode_packet_window", gate)
         telemetry = Telemetry()
@@ -282,6 +440,7 @@ class TestDropPolicies:
             executor="process",
             queue_capacity=1,
             drop_policy="newest",
+            decode_tier="full",  # clean windows all reach the admission gate
         )
         jobs = [_clean_window(seed=s)[0] for s in (30, 31, 32)]
         accepted = [pool.submit(job) for job in jobs]
