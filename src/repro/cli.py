@@ -407,7 +407,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         print(
             f"    [heartbeat] elapsed {elapsed:.1f}s, eta ~{eta:.0f}s, "
             f"cpu {point.choir.cpu_s + point.baseline.cpu_s:.1f}s, "
-            f"peak rss {point.choir.max_rss_kb / 1024.0:.0f}MB"
+            f"peak rss {point.choir.max_rss_kb / 1024.0:.0f}MB, "
+            f"worker peak rss {point.choir.worker_max_rss_kb / 1024.0:.0f}MB"
         )
         sys.stdout.flush()
 

@@ -389,6 +389,7 @@ class GatewayReport:
                 f"resources     cpu={res.cpu_s:.2f}s"
                 f" ({100.0 * res.utilization:.0f}% of wall)"
                 f" peak-rss={res.peak_rss_kb / 1024.0:.0f}MB"
+                f" worker-peak-rss={res.worker_peak_rss_kb / 1024.0:.0f}MB"
                 + (
                     f" alloc-peak={res.alloc_peak_kb / 1024.0:.1f}MB"
                     if res.alloc_peak_kb
@@ -774,32 +775,37 @@ class Gateway:
                         min(scanner.release_pos for scanner in scanners[channel])
                     )
 
-        # The run-level observation covers work done in the ingest loop
-        # itself (channelizer pushes, detection scans); per-job decode
-        # work runs under job-local scopes merged by the pool, so nothing
-        # is counted twice.
-        with observe.scope(profiler=self.profiler):
-            for chunk in source.chunks():
-                if channelizer is None:
-                    bands: Sequence[np.ndarray] = (chunk,)
-                else:
+        # Every exit path drains and closes the pool (its workers start
+        # at the first submit, in here), so a source that raises
+        # mid-stream leaves no worker process running.
+        try:
+            # The run-level observation covers work done in the ingest loop
+            # itself (channelizer pushes, detection scans); per-job decode
+            # work runs under job-local scopes merged by the pool, so nothing
+            # is counted twice.
+            with observe.scope(profiler=self.profiler):
+                for chunk in source.chunks():
+                    if channelizer is None:
+                        bands: Sequence[np.ndarray] = (chunk,)
+                    else:
+                        with telemetry.timer("channelize.push_s"):
+                            bands = channelizer.push(chunk)
+                    with telemetry.timer("ingest.chunk_s"):
+                        samples_in += len(chunk)
+                        chunks_in += 1
+                        telemetry.counter("ingest.samples").inc(len(chunk))
+                        buffer(bands)
+                    scan()
+                if channelizer is not None:
+                    # Drain the filter tail before the final scans.
                     with telemetry.timer("channelize.push_s"):
-                        bands = channelizer.push(chunk)
-                with telemetry.timer("ingest.chunk_s"):
-                    samples_in += len(chunk)
-                    chunks_in += 1
-                    telemetry.counter("ingest.samples").inc(len(chunk))
-                    buffer(bands)
-                scan()
-            if channelizer is not None:
-                # Drain the filter tail before the final scans.
-                with telemetry.timer("channelize.push_s"):
-                    tail = channelizer.flush()
-                buffer(tail)
-                scan()
-            # End of stream: final-scan every shard so truncated trailing
-            # windows still get a decode attempt.
-            scan(final=True)
+                        tail = channelizer.flush()
+                    buffer(tail)
+                    scan()
+                # End of stream: final-scan every shard so truncated trailing
+                # windows still get a decode attempt.
+                scan(final=True)
+        finally:
             outcomes = pool.close()
         wall = clock() - started
         # A streaming source knows its truth only once it is consumed.

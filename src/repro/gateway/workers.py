@@ -12,6 +12,27 @@ accounting path:
 * ``"process"`` -- a :class:`concurrent.futures.ProcessPoolExecutor` for
   per-core scaling.
 
+``"process"`` is the executor of the committed urban scenario
+(``scenarios/eu868_urban.yaml``) and the default of
+:class:`repro.scenario.spec.GatewaySpec`: its workers decode
+escalations without contending for the ingest thread's GIL.  Median
+``realtime_x`` of ``python3 bench/run.py --reps 3 --trace 0`` per
+executor, in 3 alternating rounds on a 2-core x86_64 VM
+(``city_urban_800`` through a copy of the scenario file with only
+``executor`` changed, ``gw_eu868_mixed`` through its ``executor``
+parameter):
+
+==================  ===================  ===================  ===================
+workload            thread               serial               process
+==================  ===================  ===================  ===================
+``city_urban_800``  0.525, 0.425, 0.373  0.670, 0.634, 0.589  0.878, 0.913, 0.934
+``gw_eu868_mixed``  1.177, 1.304, 1.069  1.325, 1.390, 1.216  1.539, 1.467, 1.540
+==================  ===================  ===================  ===================
+
+Delivery and ``rx1_on_time_ratio`` were the same in every cell of a
+row.  ``"thread"`` stays because the repo benchmark's ``gw_eu868_mixed``
+workload and ``make bench-gateway`` run it; it goes when those move.
+
 Both parallel executors dispatch the same way.  On the ``"cascade"``
 tier, Tier 0 runs first in the submitting thread
 (:func:`screen_packet_window`): a window it decodes clean and CRC-ok is
@@ -19,11 +40,13 @@ recorded there and then, so cheap decodes never queue behind full-Choir
 escalations.  Every other job passes one admission gate (a bounded
 semaphore with a slot per worker plus ``queue_capacity`` slots for
 windows awaiting decode), ``Executor.submit``, and one done callback
-that records the outcome and frees the slot.  The drop policy says what
-happens when every slot is taken, i.e. decode has fallen behind ingest
--- drop the ``"newest"`` window (default: keep latency bounded, lose the
-packet that arrived into an overloaded system) or ``"block"`` ingest
-(lossless, at the price of stalling the stream).  An escalation resumes
+that records the outcome and frees the slot.  The job is submitted as
+:func:`_decode_job`, which a process pool pickles by name.  The drop
+policy says what happens when every slot is taken, i.e. decode has
+fallen behind ingest -- drop the ``"newest"`` window (default: keep
+latency bounded, lose the packet that arrived into an overloaded
+system) or ``"block"`` ingest (lossless, at the price of stalling the
+stream).  An escalation resumes
 in the worker where Tier 0 left it (:class:`Escalation`), so Tier 0
 runs once per job and the job's outcome, trace and counters are those
 of one decode.
@@ -297,8 +320,9 @@ def decode_packet_window(
     are those of a whole decode here.
 
     Module-level (rather than a pool method) so the process executor can
-    ship it to workers; everything it touches -- including the trace
-    directive and escalation in and the span tree out -- is picklable.
+    run it in workers, through :func:`_decode_job`; everything it touches
+    -- including the trace directive and escalation in and the span tree
+    out -- is picklable.
 
     Each job carries its own ``params`` (its shard's PHY configuration).
     The decode draws no randomness, so the outcome depends on the job
@@ -331,6 +355,18 @@ def decode_packet_window(
         queue_wait_s=started - queued_since,
         decode_s=earlier_s + clock() - started,
     )
+
+
+def _decode_job(job: DecodeJob, options: Dict[str, Any]) -> DecodeOutcome:
+    """The pool's worker entry point: :func:`decode_packet_window` by name.
+
+    The parallel executors submit this function, never
+    :func:`decode_packet_window` itself, so a process pool pickles a
+    module-level name even while that global is replaced by a wrapper
+    that cannot be pickled (a timing closure, say).  The global is read
+    at call time, in the worker.
+    """
+    return decode_packet_window(job, **options)
 
 
 def screen_packet_window(
@@ -566,8 +602,9 @@ class DecodeWorkerPool:
     def _done(self, job: DecodeJob, future: "Future[DecodeOutcome]") -> None:
         """Record a finished job, then give its admission slot back.
 
-        A job that raised -- or whose worker process died before it
-        could answer -- becomes one error outcome on its own shard.
+        A job that raised, that the executor refused, or whose worker
+        process died before it could answer becomes one error outcome on
+        its own shard.
         """
         try:
             exc = future.exception()
@@ -597,7 +634,10 @@ class DecodeWorkerPool:
         jobs waiting for a worker.  On those executors a ``"cascade"``
         job runs Tier 0 here first (:func:`screen_packet_window`): a
         window it decodes clean and CRC-ok is recorded at once, and only
-        an escalation goes through the admission gate to a worker.
+        an escalation goes through the admission gate to a worker.  A job
+        the executor refuses -- a process pool raises ``BrokenProcessPool``
+        once a worker has died -- is recorded as one error outcome on its
+        shard (``decode.errors``) and gives its slot back.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
@@ -628,7 +668,12 @@ class DecodeWorkerPool:
             self._count_drop(job.label)
             return False
         self._admit(1)
-        future = self._executor.submit(decode_packet_window, job, **options)
+        try:
+            future = self._executor.submit(_decode_job, job, options)
+        except Exception as exc:  # e.g. BrokenProcessPool once a worker died
+            # Settled here, so the callback below runs at once.
+            future = Future()
+            future.set_exception(exc)
         future.add_done_callback(lambda f: self._done(job, f))
         return True
 

@@ -10,8 +10,9 @@ The accountant brackets a run: CPU seconds (``time.process_time`` --
 process-wide, so it aggregates every worker thread -- plus child
 processes reaped inside the bracket, such as a process pool's workers)
 against wall seconds from ``telemetry.clock()``, the OS-reported peak
-RSS, and -- only when explicitly requested, because tracing costs real
-time -- the ``tracemalloc`` top-N allocation sites.
+RSS of this process and of its largest reaped worker, and -- only when
+explicitly requested, because tracing costs real time -- the
+``tracemalloc`` top-N allocation sites.
 """
 
 from __future__ import annotations
@@ -43,14 +44,29 @@ def reaped_children_cpu() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def peak_rss_kb() -> int:
-    """OS-reported peak resident set size in KiB (0 where unsupported)."""
+def _max_rss_kb(who: str) -> int:
+    """``getrusage(resource.<who>).ru_maxrss`` in KiB (0 if unsupported)."""
     if _resource is None:
         return 0
-    peak = _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss
+    peak = _resource.getrusage(getattr(_resource, who)).ru_maxrss
     if sys.platform == "darwin":  # ru_maxrss is bytes on macOS, KiB on Linux
         peak //= 1024
     return int(peak)
+
+
+def peak_rss_kb() -> int:
+    """OS-reported peak resident set size in KiB (0 where unsupported)."""
+    return _max_rss_kb("RUSAGE_SELF")
+
+
+def peak_child_rss_kb() -> int:
+    """Peak RSS in KiB of the largest reaped child (0 where unsupported).
+
+    ``RUSAGE_CHILDREN`` reports the maximum over every terminated,
+    waited-for child -- a process pool's workers once it is shut down --
+    since this process started, not a sum and not per bracket.
+    """
+    return _max_rss_kb("RUSAGE_CHILDREN")
 
 
 @dataclass(frozen=True)
@@ -68,13 +84,19 @@ class AllocationSite:
 
 @dataclass(frozen=True)
 class ResourceSummary:
-    """What one bracketed run cost the process."""
+    """What one bracketed run cost the process.
+
+    ``worker_peak_rss_kb`` is the largest reaped worker's peak RSS
+    (:func:`peak_child_rss_kb`): a process pool's decode memory, which
+    ``peak_rss_kb`` (this process alone) does not count.
+    """
 
     wall_s: float
     cpu_s: float
     peak_rss_kb: int
     alloc_peak_kb: float = 0.0
     top_allocations: List[AllocationSite] = field(default_factory=list)
+    worker_peak_rss_kb: int = 0
 
     @property
     def utilization(self) -> float:
@@ -88,6 +110,7 @@ class ResourceSummary:
             "cpu_s": self.cpu_s,
             "utilization": self.utilization,
             "peak_rss_kb": self.peak_rss_kb,
+            "worker_peak_rss_kb": self.worker_peak_rss_kb,
             "alloc_peak_kb": self.alloc_peak_kb,
             "top_allocations": [
                 site.to_dict() for site in self.top_allocations
@@ -101,6 +124,7 @@ def summary_from_dict(state: Dict[str, Any]) -> ResourceSummary:
         wall_s=float(state.get("wall_s", 0.0)),
         cpu_s=float(state.get("cpu_s", 0.0)),
         peak_rss_kb=int(state.get("peak_rss_kb", 0)),
+        worker_peak_rss_kb=int(state.get("worker_peak_rss_kb", 0)),
         alloc_peak_kb=float(state.get("alloc_peak_kb", 0.0)),
         top_allocations=[
             AllocationSite(
@@ -172,6 +196,7 @@ class ResourceAccountant:
             peak_rss_kb=peak_rss_kb(),
             alloc_peak_kb=alloc_peak_kb,
             top_allocations=top,
+            worker_peak_rss_kb=peak_child_rss_kb(),
         )
         self._wall_start = None
         return self.summary

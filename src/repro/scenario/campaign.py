@@ -49,7 +49,9 @@ class VariantResult:
     process CPU spent on the variant's run (reaped decode-worker
     processes included) and the process peak RSS as
     of its end (monotone across a campaign -- the *growth* between
-    points is what a leak would show).
+    points is what a leak would show).  ``worker_max_rss_kb`` is the
+    largest reaped decode worker's peak RSS as of the same end (also
+    monotone; 0 until a process pool has run).
     """
 
     variant: str
@@ -61,6 +63,7 @@ class VariantResult:
     stream_s: float
     cpu_s: float = 0.0
     max_rss_kb: int = 0
+    worker_max_rss_kb: int = 0
 
     @property
     def delivery_rate(self) -> float:
@@ -88,6 +91,7 @@ class VariantResult:
             "realtime_factor": self.realtime_factor,
             "cpu_s": self.cpu_s,
             "max_rss_kb": self.max_rss_kb,
+            "worker_max_rss_kb": self.worker_max_rss_kb,
         }
 
 
@@ -173,6 +177,7 @@ def run_variant(
         stream_s=report.stream_s,
         cpu_s=resources.cpu_s,
         max_rss_kb=int(resources.peak_rss_kb),
+        worker_max_rss_kb=int(resources.worker_peak_rss_kb),
     )
     return result, source.active_peak
 

@@ -328,9 +328,13 @@ class PlanSpec:
 
 @dataclass(frozen=True)
 class GatewaySpec:
-    """The Choir gateway's runtime shape and decode configuration."""
+    """The Choir gateway's runtime shape and decode configuration.
 
-    executor: str = "thread"
+    ``executor`` defaults to ``"process"``: decode workers that do not
+    share the ingest thread's GIL (see :mod:`repro.gateway.workers`).
+    """
+
+    executor: str = "process"
     workers: int = 2
     queue_capacity: int = 64
     drop_policy: str = "block"

@@ -1,5 +1,7 @@
 """End-to-end tests for the streaming gateway runtime."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,32 @@ class TestEndToEnd:
         by_id_serial = {o.job_id: o.payload for o in serial.outcomes}
         by_id_thread = {o.job_id: o.payload for o in threaded.outcomes}
         assert by_id_serial == by_id_thread
+
+    def test_raising_source_leaves_no_worker_process(self):
+        class Failing:
+            """Two packets' worth of chunks, then a dead capture device."""
+
+            def __init__(self) -> None:
+                self.inner = SyntheticTrafficSource(
+                    PARAMS, [periodic_node()], duration_s=1.0,
+                    payload_len=PAYLOAD_LEN, rng=0,
+                )
+                self.params = self.inner.params
+                self.workers_alive = 0
+
+            def chunks(self):
+                for index, chunk in enumerate(self.inner.chunks()):
+                    if index == 20:
+                        self.workers_alive = len(multiprocessing.active_children())
+                        raise OSError("capture device lost")
+                    yield chunk
+
+        source = Failing()
+        with pytest.raises(OSError, match="capture device lost"):
+            # "full": every detected window goes to a worker process.
+            _run(source, executor="process", n_workers=2, decode_tier="full")
+        assert source.workers_alive > 0
+        assert multiprocessing.active_children() == []
 
     def test_back_to_back_saturated_traffic(self):
         # Saturated node: frames separated by one guard symbol only.

@@ -1,8 +1,13 @@
 """Tests for the decode worker pool: correctness, determinism, backpressure."""
 
+import multiprocessing
+import os
+import signal
 import sys
 import threading
 import time
+from concurrent.futures import Executor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -359,6 +364,59 @@ class _GatedDecode:
             decode_s=0.0,
             detection_score=job.detection_score,
         )
+
+
+class _BrokenExecutor(Executor):
+    """Refuses every job, as a process pool does once a worker has died."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        raise BrokenProcessPool("A child process terminated abruptly")
+
+
+class TestBrokenPool:
+    def test_refused_jobs_become_error_outcomes_and_free_their_slots(self):
+        pool = DecodeWorkerPool(
+            n_workers=1, executor="thread", queue_capacity=1, drop_policy="block"
+        )
+        pool._executor.shutdown()
+        pool._executor = _BrokenExecutor()
+        # Twice as many escalations as slots: a leaked slot would block.
+        for job_id in range(4):
+            assert pool.submit(_tiny_job(job_id))
+        outcomes = pool.close()
+        assert [o.job_id for o in outcomes] == [0, 1, 2, 3]
+        assert all(o.error.startswith("BrokenProcessPool") for o in outcomes)
+        telemetry = pool.telemetry
+        assert telemetry.counter("decode.errors").value == 4
+        assert telemetry.counter("ch0.sf7.decode.errors").value == 4
+        assert pool.dropped == 0
+        assert pool._admitted == 0
+        assert telemetry.gauge("dispatch.queue_depth").value == 0
+
+    def test_killed_worker_does_not_crash_the_pool(self):
+        decoded = threading.Event()
+        pool = DecodeWorkerPool(
+            n_workers=1,
+            executor="process",
+            decode_tier="full",  # every window goes to the worker
+            on_outcome=lambda outcome: decoded.set(),
+        )
+        job, payload = _clean_window(seed=12)
+        assert pool.submit(job)
+        assert decoded.wait(timeout=60.0)
+        for worker in multiprocessing.active_children():
+            os.kill(worker.pid, signal.SIGKILL)
+        # The broken pool either refuses a job at submit or fails its
+        # future; both end as one error outcome per job.
+        for job_id in (13, 14):
+            assert pool.submit(replace(job, job_id=job_id, key=(job_id,)))
+        outcomes = pool.close()
+        assert [o.job_id for o in outcomes] == [12, 13, 14]
+        assert outcomes[0].payload == payload
+        assert all(o.error.startswith("BrokenProcessPool") for o in outcomes[1:])
+        assert pool.telemetry.counter("decode.errors").value == 2
+        assert pool._admitted == 0
+        assert multiprocessing.active_children() == []
 
 
 class TestDropPolicies:

@@ -122,6 +122,8 @@ class TestResources:
         assert report.resources.cpu_s > 0.0
         assert report.resources.peak_rss_kb > 0
         assert report.resources.alloc_peak_kb == 0.0
+        assert " peak-rss=" in report.summary()
+        assert " worker-peak-rss=" in report.summary()
 
     def test_profile_alloc_opt_in(self):
         report = run_profiled(profile_alloc=3)
@@ -146,3 +148,4 @@ class TestCampaignResourceCurve:
         as_dict = result.to_dict()
         assert as_dict["cpu_s"] == result.cpu_s
         assert as_dict["max_rss_kb"] == result.max_rss_kb
+        assert as_dict["worker_max_rss_kb"] == result.worker_max_rss_kb

@@ -59,6 +59,8 @@ class TestReapedWorkers:
             pool.shutdown()
         assert burned >= 0.3
         assert accountant.summary.cpu_s >= 0.9 * burned
+        # The reaped worker's own peak RSS is reported beside the parent's.
+        assert accountant.summary.worker_peak_rss_kb > 0
 
 
 class TestAllocationTracing:

@@ -1,13 +1,14 @@
 """Scenario -> live objects: geometry, population, byte-identical runs."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.channel.link import LinkBudget
 from repro.channel.pathloss import UrbanPathLoss
-from repro.gateway import Gateway, GatewayConfig, SyntheticTrafficSource
+from repro.gateway import Gateway, GatewayConfig, SyntheticTrafficSource, workers
 from repro.mac.simulator import NodeConfig
 from repro.phy.params import ChannelPlan
 from repro.scenario import (
@@ -17,6 +18,7 @@ from repro.scenario import (
     build_gateway_config,
     build_nodes,
     build_source,
+    load_scenario,
     node_snrs,
     offered_load_erlangs,
     report_digest,
@@ -178,7 +180,7 @@ class TestByteIdenticalReports:
             sf_set=(7,),
             payload_len=8,
             n_workers=2,
-            executor="thread",
+            executor="process",
             queue_capacity=64,
             drop_policy="block",
             detection_pfa=1e-3,
@@ -197,3 +199,35 @@ class TestByteIdenticalReports:
         assert scenario_bytes == hand_bytes
         # sanity: the runs actually decoded traffic
         assert scenario_report.packets_decoded > 0
+
+
+class TestProcessExecutorScenario:
+    def test_wrapped_decode_entry_point_still_reaches_workers(self, monkeypatch):
+        """A process pool ships its worker entry point by name, so the
+        urban scenario decodes the same while ``decode_packet_window`` is
+        replaced by a local closure (as a timing tracer does)."""
+        spec = load_scenario("scenarios/eu868_urban.yaml")
+        assert spec.gateway.executor == "process"
+
+        def run(executor: str):
+            config = replace(build_gateway_config(spec, "choir"), executor=executor)
+            return Gateway(config).run(build_source(spec, 400, duration_s=1.0))
+
+        serial = run("serial")
+        original = workers.decode_packet_window
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(workers, "decode_packet_window", wrapper)
+        process = run("process")
+        assert process.telemetry["decode.escalated"]["value"] >= 1
+        assert process.decode_errors == 0
+        assert json.dumps(report_digest(process), sort_keys=True) == json.dumps(
+            report_digest(serial), sort_keys=True
+        )
+        # Escalations ran in worker processes, so the wrapper counted none
+        # of them here.
+        assert calls == []

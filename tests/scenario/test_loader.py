@@ -92,6 +92,7 @@ class TestCommittedScenario:
         assert spec.name == "eu868-urban"
         assert spec.plan.n_channels == 8
         assert spec.gateway.decode_tier == "cascade"
+        assert spec.gateway.executor == "process"
         assert spec.baseline.max_users == 1
         assert spec.sweep.node_counts == (100, 300, 1000)
         assert spec.sweep.duration_s >= 60.0
